@@ -34,8 +34,6 @@ namespace {
 thread_local size_t current_worker_index = 0;
 }  // namespace
 
-size_t ThreadPool::CurrentWorkerIndex() { return current_worker_index; }
-
 ThreadPool::ThreadPool(size_t num_threads) {
   DLACEP_CHECK_GT(num_threads, 0u);
   workers_.reserve(num_threads);
@@ -92,18 +90,6 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
   }
 }
 
-void ParallelFor(ThreadPool* pool, size_t count,
-                 const std::function<void(size_t)>& fn) {
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  for (size_t i = 0; i < count; ++i) {
-    pool->Submit([&fn, i] { fn(i); });
-  }
-  pool->Wait();
-}
-
 void ParallelForWorker(ThreadPool* pool, size_t count,
                        const std::function<void(size_t, size_t)>& fn) {
   if (pool == nullptr || pool->num_threads() <= 1) {
@@ -111,7 +97,7 @@ void ParallelForWorker(ThreadPool* pool, size_t count,
     return;
   }
   for (size_t i = 0; i < count; ++i) {
-    pool->Submit([&fn, i] { fn(ThreadPool::CurrentWorkerIndex(), i); });
+    pool->Submit([&fn, i] { fn(current_worker_index, i); });
   }
   pool->Wait();
 }

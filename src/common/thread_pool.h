@@ -48,12 +48,6 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Index of the calling thread within its pool, in [0, num_threads()).
-  /// Returns 0 when the caller is not a pool worker (e.g. the main
-  /// thread running the sequential fallback), so per-worker scratch
-  /// indexed by this value is always valid.
-  static size_t CurrentWorkerIndex();
-
  private:
   void WorkerLoop(size_t worker_index);
 
@@ -66,16 +60,12 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Runs fn(i) for every i in [0, count), one task per index, and blocks
-/// until all calls have returned. A null pool (or a single-worker pool)
-/// degenerates to a plain sequential loop with no synchronization.
-void ParallelFor(ThreadPool* pool, size_t count,
-                 const std::function<void(size_t)>& fn);
-
-/// ParallelFor variant that also passes the executing worker's index so
-/// callers can maintain per-worker scratch (e.g. one InferenceContext
-/// per worker) without locking. The sequential fallback passes worker 0
-/// for every item.
+/// Runs fn(worker, i) for every i in [0, count), one task per index, and
+/// blocks until all calls have returned. `worker` is the executing pool
+/// worker's index in [0, num_threads()), so callers can maintain
+/// per-worker scratch (e.g. one InferenceContext per worker) without
+/// locking. A null pool (or a single-worker pool) degenerates to a plain
+/// sequential loop that passes worker 0 for every item.
 void ParallelForWorker(ThreadPool* pool, size_t count,
                        const std::function<void(size_t, size_t)>& fn);
 

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <deque>
+#include <map>
 #include <thread>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/stages.h"
 #include "obs/trace.h"
@@ -24,9 +25,9 @@ namespace {
 constexpr int kMaxSourceRetries = 8;
 constexpr double kSourceBackoffBaseSeconds = 1e-3;
 
-// Burst sizes for the sharded runtime: the router pops up to this many
-// arrivals per ingest-queue lock, and a shard worker pops up to this
-// many window tasks per work-ring lock. Bursts amortize the mutex
+// Burst sizes: the router pops up to this many arrivals per
+// ingest-queue lock, and a shard worker pops up to this many window
+// tasks per work-ring lock. Bursts amortize the mutex
 // atomics and futex wakeups; correctness never depends on the values.
 constexpr size_t kRouterIngestBurst = 64;
 constexpr size_t kShardWorkBurst = 16;
@@ -34,10 +35,9 @@ constexpr size_t kShardWorkBurst = 16;
 }  // namespace
 
 /// Per-Run mutable state. Threading contract: the producer thread only
-/// touches `queue` (and its own local counters); pool workers only read
-/// their window's detached EventStream and write the finished DoneWindow
-/// into `done` under `done_mu`; everything else is owned by the
-/// assembler (caller) thread.
+/// touches `queue` (and its own local counters); shard workers only
+/// touch their own Shard (rings, stats) and read their window's detached
+/// EventStream; everything else is owned by the router (caller) thread.
 struct OnlineDlacep::RunState {
   RunState(size_t queue_capacity, const OverloadConfig& overload,
            const HealthConfig& health)
@@ -55,7 +55,7 @@ struct OnlineDlacep::RunState {
   RingQueue<Arrival> queue;
   std::shared_ptr<const Schema> schema;
 
-  // Assembler: arrivals not yet consumed by every window that needs
+  // Router: arrivals not yet consumed by every window that needs
   // them. `buffer_offset` is the global stream index of buffer.front();
   // events below the next window begin are pruned after dispatch, so
   // memory stays O(mark_size + queue), not O(stream).
@@ -66,29 +66,25 @@ struct OnlineDlacep::RunState {
   size_t windows_dispatched = 0;
   size_t last_end = 0;
 
-  // Dispatch → merge handoff. Workers insert under done_mu keyed by
-  // dispatch sequence; the assembler merges strictly in sequence order,
-  // which is what makes the merged mark stream deterministic across
-  // thread counts.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::map<size_t, DoneWindow> done;
+  // Dispatch → merge handoff. The router merges strictly in dispatch
+  // sequence order, which is what makes the merged mark stream
+  // deterministic across shard counts.
   size_t in_flight = 0;
   size_t next_merge = 0;
 
-  // Assembler-side shadow of every dispatched-but-unmerged window, so a
-  // deadline abandon can synthesize a quarantined stand-in without the
+  // Router-side shadow of every dispatched-but-unmerged window: its
+  // owner shard tells the merge which ring to pop, and a deadline
+  // abandon synthesizes a quarantined stand-in from it without the
   // worker's cooperation. Keyed by dispatch sequence.
   struct Pending {
     size_t begin = 0;
     int level = 0;
     double close_seconds = 0.0;
     std::shared_ptr<EventStream> events;
-    size_t shard = 0;  ///< owner shard (sharded mode): where to pop from
+    size_t shard = 0;  ///< owner shard: where to pop the result from
   };
   std::map<size_t, Pending> pending;
 
-  // --- Sharded mode ---------------------------------------------------
   // One closed window forwarded to its owner shard (the exchange
   // stage). The level/probe decisions were already taken by the router
   // at close time; the worker only marks.
@@ -117,20 +113,6 @@ struct OnlineDlacep::RunState {
   };
   std::vector<std::unique_ptr<Shard>> shards;
 
-  // Batch-collection stage (assembler thread only, batch_size > 1):
-  // closed level-0/1 windows waiting to be dispatched together as one
-  // MarkBatchOnline task. Each entry already owns a dispatch sequence
-  // and a Pending shadow — buffering delays the task submission, never
-  // the sequencing, so merge order is identical to solo dispatch.
-  struct BatchedWindow {
-    size_t seq = 0;
-    size_t begin = 0;
-    int level = 0;
-    double close_seconds = 0.0;
-    std::shared_ptr<EventStream> events;
-  };
-  std::vector<BatchedWindow> batch;
-
   // Merge products. marked_store is a deque so the Event addresses
   // handed to the extractor stay stable as it grows. `stored` dedups
   // the store across overlapping windows; `seen` holds ids relayed by a
@@ -151,7 +133,7 @@ struct OnlineDlacep::RunState {
   bool latency_seen = false;
   size_t latency_samples = 0;  ///< observations offered (incl. discarded)
 
-  // Checkpoint bookkeeping (assembler thread).
+  // Checkpoint bookkeeping (router thread).
   uint64_t base_ingested = 0;  ///< events already accounted pre-restore
   uint64_t last_checkpoint = 0;
 
@@ -188,25 +170,17 @@ OnlineDlacep::OnlineDlacep(const Pattern& pattern, const StreamFilter* filter,
   DLACEP_CHECK_GT(mark_size_, 0u);
   DLACEP_CHECK_GT(step_size_, 0u);
   num_shards_ = config_.num_shards;
+  // One routing ring and one scratch arena per shard, reused across
+  // runs. num_shards_ == 0 builds neither; Run() rejects it.
   if (num_shards_ > 0) {
-    // Sharded runtime: one worker thread (spawned per Run) and one
-    // scratch arena per shard; no shared pool.
-    workers_ = num_shards_;
     hash_ring_ = std::make_unique<ConsistentHashRing>(num_shards_);
-    for (size_t i = 0; i < num_shards_; ++i) {
-      contexts_.push_back(std::make_unique<InferenceContext>());
-    }
-  } else {
-    workers_ = ResolveNumThreads(config_.num_threads);
-    if (workers_ > 1) pool_ = std::make_unique<ThreadPool>(workers_);
-    const size_t context_slots = pool_ != nullptr ? workers_ : 1;
-    for (size_t i = 0; i < context_slots; ++i) {
-      contexts_.push_back(std::make_unique<InferenceContext>());
-    }
+  }
+  for (size_t i = 0; i < num_shards_; ++i) {
+    contexts_.push_back(std::make_unique<InferenceContext>());
   }
   max_in_flight_ = config_.max_windows_in_flight != 0
                        ? config_.max_windows_in_flight
-                       : 2 * workers_ + 2;
+                       : 2 * num_shards_ + 2;
 }
 
 void OnlineDlacep::MergeOne(RunState* state, DoneWindow window) {
@@ -333,94 +307,6 @@ void OnlineDlacep::MergeOne(RunState* state, DoneWindow window) {
 }
 
 void OnlineDlacep::DrainMerges(RunState* state, size_t target_in_flight) {
-  if (num_shards_ > 0) {
-    DrainMergesSharded(state, target_in_flight);
-    return;
-  }
-  // A buffered-but-undispatched window still counts as in flight, and
-  // the merge line may point straight at it. If this call is going to
-  // wait, dispatch the partial batch first so the wait can terminate.
-  if (state->in_flight > target_in_flight) FlushBatch(state);
-  const double deadline =
-      config_.health.enabled ? config_.health.mark_deadline_seconds : 0.0;
-  // Block until enough windows have retired, merging strictly in
-  // dispatch order: the next window in sequence must eventually land in
-  // `done` because every dispatched window completes — or, with a mark
-  // deadline configured, because the assembler abandons it.
-  while (state->in_flight > target_in_flight) {
-    DoneWindow window;
-    bool have = false;
-    {
-      std::unique_lock<std::mutex> lock(state->done_mu);
-      // A previously abandoned window's real result may arrive late;
-      // anything below the merge line is stale.
-      while (!state->done.empty() &&
-             state->done.begin()->first < state->next_merge) {
-        state->done.erase(state->done.begin());
-      }
-      if (deadline <= 0.0) {
-        state->done_cv.wait(lock, [&] {
-          return state->done.find(state->next_merge) != state->done.end();
-        });
-      } else {
-        while (state->done.find(state->next_merge) == state->done.end()) {
-          const auto pit = state->pending.find(state->next_merge);
-          DLACEP_CHECK(pit != state->pending.end());
-          const double wait_s = pit->second.close_seconds + deadline -
-                                state->watch.ElapsedSeconds();
-          if (wait_s <= 0.0) break;  // overdue: abandon below
-          state->done_cv.wait_for(
-              lock, std::chrono::duration<double>(wait_s));
-        }
-      }
-      auto it = state->done.find(state->next_merge);
-      if (it != state->done.end()) {
-        window = std::move(it->second);
-        state->done.erase(it);
-        have = true;
-      }
-    }
-    if (!have) {
-      // Deadline abandon: the worker is wedged (or just too slow).
-      // Synthesize a quarantined stand-in from the assembler's shadow;
-      // MergeOne relays its events unfiltered and degrades.
-      const RunState::Pending& p = state->pending.at(state->next_merge);
-      window.begin = p.begin;
-      window.level = p.level;
-      window.close_seconds = p.close_seconds;
-      window.events = p.events;
-      window.timed_out = true;
-    }
-    state->pending.erase(state->next_merge);
-    ++state->next_merge;
-    --state->in_flight;
-    MergeOne(state, std::move(window));
-  }
-  // Opportunistically retire whatever else is already finished and next
-  // in order, so merge latency tracks worker completion, not the
-  // in-flight bound.
-  for (;;) {
-    DoneWindow window;
-    {
-      std::lock_guard<std::mutex> lock(state->done_mu);
-      while (!state->done.empty() &&
-             state->done.begin()->first < state->next_merge) {
-        state->done.erase(state->done.begin());
-      }
-      auto it = state->done.find(state->next_merge);
-      if (it == state->done.end()) break;
-      window = std::move(it->second);
-      state->done.erase(it);
-    }
-    state->pending.erase(state->next_merge);
-    ++state->next_merge;
-    --state->in_flight;
-    MergeOne(state, std::move(window));
-  }
-}
-
-void OnlineDlacep::DrainMergesSharded(RunState* state,
-                                      size_t target_in_flight) {
   const double deadline =
       config_.health.enabled ? config_.health.mark_deadline_seconds : 0.0;
   // The merge line is the global dispatch sequence; the owner shard of
@@ -457,8 +343,9 @@ void OnlineDlacep::DrainMergesSharded(RunState* state,
       break;
     }
     if (!have) {
-      // Deadline abandon: synthesize the quarantined stand-in from the
-      // router's shadow, exactly as the pool path does.
+      // Deadline abandon: the shard is wedged (or just too slow).
+      // Synthesize a quarantined stand-in from the router's shadow;
+      // MergeOne relays its events unfiltered and degrades.
       const RunState::Pending& p = pit->second;
       window.begin = p.begin;
       window.level = p.level;
@@ -512,12 +399,13 @@ void OnlineDlacep::ShardLoop(RunState* state, size_t shard_index) {
     finished.reserve(burst.size());
     size_t i = 0;
     while (i < burst.size()) {
-      // Shard-side micro-batching: adjacent level-0/1 windows in the
-      // burst mark through one MarkBatchOnline call (the PR 6 batch
-      // collector, moved shard-local — a busy shard's backlog batches
-      // naturally, an idle shard marks solo with no added latency).
-      // Shed, degraded, and probe windows always mark solo, mirroring
-      // the pool path's batch-collection rule.
+      // Micro-batching: adjacent level-0/1 windows in the burst mark
+      // through one MarkBatchOnline call (the network filter applies
+      // the boost per window) — a busy shard's backlog batches
+      // naturally, an idle shard marks solo with no added latency.
+      // Shed, degraded, and probe windows always mark solo: their
+      // marking is trivial or intentionally separate, so a degraded run
+      // behaves exactly like batch_size = 1.
       const RunState::WindowTask& head = burst[i];
       const bool batchable = batch_cap > 1 &&
                              head.level < OverloadController::kMaxLevel &&
@@ -564,6 +452,10 @@ void OnlineDlacep::ShardLoop(RunState* state, size_t shard_index) {
         window.events = t.events;
         window.probe = t.probe;
         if (t.level == OverloadController::kDegradedLevel) {
+          // Degrade-to-exact: relay everything; the exact CEP engine
+          // sees the unfiltered window (recall 1.0). A probe window
+          // additionally exercises the distrusted filter, output
+          // inspected only.
           window.marks.assign(t.events->size(), 1);
           if (t.probe) {
             window.shadow_marks =
@@ -598,10 +490,10 @@ void OnlineDlacep::ShardLoop(RunState* state, size_t shard_index) {
 void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
   DrainMerges(state, max_in_flight_ - 1);
 
-  // The overload decision is taken at close time, on the assembler
-  // thread, from the current ingest-queue depth and the smoothed merge
-  // latency — so the level a window runs under is deterministic given
-  // the arrival/processing interleaving, and level changes are totally
+  // The overload decision is taken at close time, on the router thread,
+  // from the current ingest-queue depth and the smoothed merge latency
+  // — so the level a window runs under is deterministic given the
+  // arrival/processing interleaving, and level changes are totally
   // ordered with window dispatch. While degraded, Observe() returns
   // kDegradedLevel unconditionally.
   const int level = state->controller.Observe(
@@ -611,8 +503,8 @@ void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
   obs::QueueDepth()->Set(static_cast<double>(state->queue.size()));
   obs::OverloadLevel()->Set(static_cast<double>(level));
 
-  // Probe scheduling is assembler-side (deterministic regardless of
-  // thread count): every probe_period-th degraded window additionally
+  // Probe scheduling is router-side (deterministic regardless of shard
+  // count): every probe_period-th degraded window additionally
   // shadow-marks with the primary filter.
   bool probe = false;
   if (level == OverloadController::kDegradedLevel &&
@@ -624,8 +516,8 @@ void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
   }
 
   // Detach the window into its own EventStream (ids preserved): workers
-  // must never read the assembler's growing buffer, and the copy is
-  // what lets the buffer prune below.
+  // must never read the router's growing buffer, and the copy is what
+  // lets the buffer prune below.
   auto events = std::make_shared<EventStream>(state->schema);
   for (size_t i = begin; i < end; ++i) {
     events->AppendArrival(state->buffer[i - state->buffer_offset]);
@@ -634,9 +526,9 @@ void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
   // Adaptive engine selection (config.engine == kAdaptive): the router
   // feeds each closed window into the selector's frequency estimator
   // right here — before dispatch, on the one thread that closes windows
-  // in both runtimes — so the observation order, the decayed counts,
-  // and every reselection point are deterministic at any shard count.
-  // No-op for static engines.
+  // — so the observation order, the decayed counts, and every
+  // reselection point are deterministic at any shard count. No-op for
+  // static engines.
   extractor_.ObserveWindow(
       std::span<const Event>(events->events().data(), events->size()));
 
@@ -652,125 +544,22 @@ void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
   ++state->in_flight;
   obs::WindowsInFlight()->Set(static_cast<double>(state->in_flight));
 
-  if (num_shards_ > 0) {
-    // Exchange stage: the detached window is forwarded whole to the
-    // shard that owns its head symbol. Occupancy is bounded by
-    // in_flight (capped at max_in_flight_ - 1 by the DrainMerges
-    // above), so the push lands without blocking unless deadline
-    // abandons have piled extra tasks onto a wedged shard — then
-    // blocking here is the intended backpressure.
-    const size_t owner = hash_ring_->ShardFor(WindowRoutingSymbol(*events));
-    state->pending.emplace(seq, RunState::Pending{begin, level,
-                                                  close_seconds, events,
-                                                  owner});
-    RunState::Shard& shard = *state->shards[owner];
-    RunState::WindowTask task{seq,   begin, level,
-                              probe, close_seconds, std::move(events)};
-    const bool accepted = shard.work.Push(std::move(task));
-    DLACEP_CHECK(accepted);
-    ++shard.stats.windows_routed;
-    obs::ShardRingDepth(owner)->Set(static_cast<double>(shard.work.size()));
-    return;
-  }
+  // Exchange stage: the detached window is forwarded whole to the shard
+  // that owns its head symbol. Occupancy is bounded by in_flight
+  // (capped at max_in_flight_ - 1 by the DrainMerges above), so the
+  // push lands without blocking unless deadline abandons have piled
+  // extra tasks onto a wedged shard — then blocking here is the
+  // intended backpressure.
+  const size_t owner = hash_ring_->ShardFor(WindowRoutingSymbol(*events));
   state->pending.emplace(
-      seq, RunState::Pending{begin, level, close_seconds, events});
-
-  // Batch-collection stage: normal and boosted windows (level 0/1) are
-  // batchable — the network filter applies the boost per window inside
-  // MarkBatchOnline. Degraded, probe, and shed windows dispatch solo:
-  // their marking is trivial or intentionally separate, and keeping
-  // them out of the buffer means a degraded run behaves exactly like
-  // batch_size = 1.
-  if (config_.batch_size > 1 && level < OverloadController::kMaxLevel) {
-    state->batch.push_back(
-        RunState::BatchedWindow{seq, begin, level, close_seconds, events});
-    if (state->batch.size() >= config_.batch_size) FlushBatch(state);
-    return;
-  }
-
-  auto task = [this, state, seq, begin, level, probe, close_seconds,
-               events] {
-    if (config_.worker_window_hook) config_.worker_window_hook(seq);
-    DoneWindow window;
-    window.begin = begin;
-    window.level = level;
-    window.close_seconds = close_seconds;
-    window.events = events;
-    window.probe = probe;
-    InferenceContext* ctx =
-        contexts_[ThreadPool::CurrentWorkerIndex()].get();
-    obs::TraceSpan mark_span(obs::StageWindowMark());
-    if (level == OverloadController::kDegradedLevel) {
-      // Degrade-to-exact: relay everything; the exact CEP engine sees
-      // the unfiltered window (recall 1.0). A probe window additionally
-      // exercises the distrusted filter, output inspected only.
-      window.marks.assign(events->size(), 1);
-      if (probe) {
-        window.shadow_marks = filter_->MarkOnline(*events, begin, ctx, 0.0);
-      }
-    } else if (level >= OverloadController::kMaxLevel) {
-      const StreamFilter& shed =
-          config_.overload.shedding == SheddingPolicy::kRandom
-              ? static_cast<const StreamFilter&>(random_shed_)
-              : static_cast<const StreamFilter&>(type_shed_);
-      window.marks = shed.MarkOnline(*events, begin, ctx, 0.0);
-    } else {
-      const double boost =
-          level == 1 ? config_.overload.threshold_boost : 0.0;
-      window.marks = filter_->MarkOnline(*events, begin, ctx, boost);
-    }
-    mark_span.Finish();
-    {
-      std::lock_guard<std::mutex> lock(state->done_mu);
-      state->done.emplace(seq, std::move(window));
-    }
-    state->done_cv.notify_one();
-  };
-  if (pool_ != nullptr) {
-    pool_->Submit(std::move(task));
-  } else {
-    task();
-  }
-}
-
-void OnlineDlacep::FlushBatch(RunState* state) {
-  if (state->batch.empty()) return;
-  std::vector<RunState::BatchedWindow> batch;
-  batch.swap(state->batch);
-  auto task = [this, state, batch = std::move(batch)] {
-    std::vector<OnlineWindow> windows;
-    windows.reserve(batch.size());
-    for (const RunState::BatchedWindow& w : batch) {
-      if (config_.worker_window_hook) config_.worker_window_hook(w.seq);
-      windows.push_back(OnlineWindow{
-          w.events.get(), w.begin,
-          w.level == 1 ? config_.overload.threshold_boost : 0.0});
-    }
-    std::vector<std::vector<int>> marks(batch.size());
-    InferenceContext* ctx =
-        contexts_[ThreadPool::CurrentWorkerIndex()].get();
-    obs::TraceSpan mark_span(obs::StageWindowMark());
-    filter_->MarkBatchOnline(windows, ctx, marks.data());
-    mark_span.Finish();
-    {
-      std::lock_guard<std::mutex> lock(state->done_mu);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        DoneWindow window;
-        window.begin = batch[i].begin;
-        window.level = batch[i].level;
-        window.close_seconds = batch[i].close_seconds;
-        window.events = batch[i].events;
-        window.marks = std::move(marks[i]);
-        state->done.emplace(batch[i].seq, std::move(window));
-      }
-    }
-    state->done_cv.notify_one();
-  };
-  if (pool_ != nullptr) {
-    pool_->Submit(std::move(task));
-  } else {
-    task();
-  }
+      seq, RunState::Pending{begin, level, close_seconds, events, owner});
+  RunState::Shard& shard = *state->shards[owner];
+  RunState::WindowTask task{seq,   begin, level,
+                            probe, close_seconds, std::move(events)};
+  const bool accepted = shard.work.Push(std::move(task));
+  DLACEP_CHECK(accepted);
+  ++shard.stats.windows_routed;
+  obs::ShardRingDepth(owner)->Set(static_cast<double>(shard.work.size()));
 }
 
 void OnlineDlacep::WriteCheckpointNow(RunState* state) {
@@ -965,6 +754,12 @@ OnlineResult OnlineDlacep::Run(StreamSource* source) {
 Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
   DLACEP_CHECK(source != nullptr);
   DLACEP_CHECK(result != nullptr);
+  if (num_shards_ == 0) {
+    return Status::InvalidArgument("num_shards must be at least 1");
+  }
+  if (config_.queue_capacity == 0) {
+    return Status::InvalidArgument("queue_capacity must be at least 1");
+  }
   RunState state(config_.queue_capacity, config_.overload, config_.health);
   state.schema = source->schema();
   if (config_.drift.enabled) {
@@ -980,24 +775,22 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
     DLACEP_RETURN_IF_ERROR(RestoreFrom(&state, source));
   }
 
-  // Sharded mode: spawn the shard workers before any window can close.
-  // Without deadline abandons, ring occupancy is bounded by
+  // Spawn the shard workers before any window can close. Without
+  // deadline abandons, ring occupancy is bounded by
   // in_flight <= max_in_flight_, so pushes never block. Abandoned
   // windows leave in_flight while their task/late-result still occupies
   // a ring, so capacity carries 2x slack; if a ring still fills behind
   // a wedged shard, the push blocking IS the backpressure (the merge
   // line keeps advancing via abandons and drains the ring on its next
   // visit).
-  if (num_shards_ > 0) {
-    const size_t ring_capacity = 2 * (max_in_flight_ + 1);
-    for (size_t s = 0; s < num_shards_; ++s) {
-      state.shards.push_back(
-          std::make_unique<RunState::Shard>(ring_capacity, ring_capacity));
-    }
-    for (size_t s = 0; s < num_shards_; ++s) {
-      state.shards[s]->thread =
-          std::thread(&OnlineDlacep::ShardLoop, this, &state, s);
-    }
+  const size_t ring_capacity = 2 * (max_in_flight_ + 1);
+  for (size_t s = 0; s < num_shards_; ++s) {
+    state.shards.push_back(
+        std::make_unique<RunState::Shard>(ring_capacity, ring_capacity));
+  }
+  for (size_t s = 0; s < num_shards_; ++s) {
+    state.shards[s]->thread =
+        std::thread(&OnlineDlacep::ShardLoop, this, &state, s);
   }
 
   // Producer: pull, stamp the arrival id BEFORE the queue (a dropped
@@ -1053,65 +846,32 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
     state.queue.Close();
   });
 
-  // Assembler loop: a full window closes by watermark the moment its
-  // last event arrives — the running prefix of
-  // CountWindows(appended, mark, step). With a partial micro-batch
-  // buffered and a flush timer configured, the pop is bounded by the
-  // oldest buffered window's deadline so a quiet stream can't hold a
-  // window past batch_timeout_ms.
-  auto ingest = [&](RunState::Arrival& arrival) {
-    if (arrival.pushed_seconds > 0.0) {
-      obs::StageQueueWait()->Observe(std::max(
-          0.0, state.watch.ElapsedSeconds() - arrival.pushed_seconds));
-    }
-    state.buffer.push_back(std::move(arrival.event));
-    ++state.appended;
-    while (state.appended >= state.next_begin + mark_size_) {
-      CloseWindow(&state, state.next_begin,
-                  state.next_begin + mark_size_);
-    }
-    if (checkpointing && config_.checkpoint.every_events > 0 &&
-        state.appended - state.last_checkpoint >=
-            config_.checkpoint.every_events) {
-      WriteCheckpointNow(&state);
-      state.last_checkpoint = state.appended;
-    }
-  };
-  if (num_shards_ > 0) {
-    // Router loop: burst-pop arrivals so the ingest queue's lock and
-    // wakeup cost amortize across kRouterIngestBurst events. Shard-side
-    // micro-batching replaces the assembler-side batch collector, so
-    // there is no flush timer to honor here.
-    std::vector<RunState::Arrival> arrivals;
-    arrivals.reserve(kRouterIngestBurst);
-    for (;;) {
-      arrivals.clear();
-      if (state.queue.PopBurst(&arrivals, kRouterIngestBurst) == 0) break;
-      for (RunState::Arrival& arrival : arrivals) ingest(arrival);
-    }
-  } else {
-    RunState::Arrival arrival;
-    const double batch_timeout = config_.batch_timeout_ms * 1e-3;
-    for (;;) {
-      bool got = false;
-      if (state.batch.empty() || batch_timeout <= 0.0) {
-        got = state.queue.Pop(&arrival);
-      } else {
-        const double wait_s = state.batch.front().close_seconds +
-                              batch_timeout - state.watch.ElapsedSeconds();
-        if (wait_s <= 0.0) {
-          FlushBatch(&state);
-          continue;
-        }
-        bool timed_out = false;
-        got = state.queue.PopFor(&arrival, wait_s, &timed_out);
-        if (!got && timed_out) {
-          FlushBatch(&state);
-          continue;
-        }
+  // Router loop: a full window closes by watermark the moment its last
+  // event arrives — the running prefix of CountWindows(appended, mark,
+  // step). Arrivals are burst-popped so the ingest queue's lock and
+  // wakeup cost amortize across kRouterIngestBurst events.
+  std::vector<RunState::Arrival> arrivals;
+  arrivals.reserve(kRouterIngestBurst);
+  for (;;) {
+    arrivals.clear();
+    if (state.queue.PopBurst(&arrivals, kRouterIngestBurst) == 0) break;
+    for (RunState::Arrival& arrival : arrivals) {
+      if (arrival.pushed_seconds > 0.0) {
+        obs::StageQueueWait()->Observe(std::max(
+            0.0, state.watch.ElapsedSeconds() - arrival.pushed_seconds));
       }
-      if (!got) break;
-      ingest(arrival);
+      state.buffer.push_back(std::move(arrival.event));
+      ++state.appended;
+      while (state.appended >= state.next_begin + mark_size_) {
+        CloseWindow(&state, state.next_begin,
+                    state.next_begin + mark_size_);
+      }
+      if (checkpointing && config_.checkpoint.every_events > 0 &&
+          state.appended - state.last_checkpoint >=
+              config_.checkpoint.every_events) {
+        WriteCheckpointNow(&state);
+        state.last_checkpoint = state.appended;
+      }
     }
   }
 
@@ -1130,15 +890,13 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
     }
   }
   DrainMerges(&state, 0);
-  // All windows are merged, but the worker that produced the last one
-  // may still be inside its done_cv.notify_one() — drain the pool so no
-  // task can touch RunState after Run returns. In sharded mode, close
-  // the work rings (the workers exit once drained) and join.
+  // All windows are merged; close the work rings (the workers exit once
+  // drained) and join, so no worker can touch RunState after Run
+  // returns.
   for (auto& shard : state.shards) shard->work.Close();
   for (auto& shard : state.shards) {
     if (shard->thread.joinable()) shard->thread.join();
   }
-  if (pool_ != nullptr) pool_->Wait();
   producer.join();
 
   // Final checkpoint at full quiescence (also the abort-path snapshot a

@@ -2,40 +2,36 @@
 // streaming service.
 //
 //   source ──(producer thread)──▶ bounded ingest queue
-//          ──(assembler)──▶ watermark-closed windows
-//          ──(worker pool)──▶ per-window marks
-//          ──(deterministic in-order merge)──▶ CEP extraction
+//          ──(router: watermark-closed windows)──▶ N shard workers
+//          ──(sequence-ordered merge)──▶ CEP extraction
 //
 // One producer thread pulls events from a StreamSource, assigns arrival
 // ids at ingest (§4.4), and pushes into a bounded RingQueue — blocking
 // (lossless backpressure) or dropping (counted) when full. The caller's
-// thread runs the assembler: it pops events, closes assembler windows
-// by watermark (a window closes exactly when its last event has
-// arrived, reproducing InputAssembler::Windows / CountWindows window by
-// window), and dispatches each closed window to the shared ThreadPool.
-// Each worker marks with its own nn::InferenceContext scratch arena
-// (the PR-2 tape-free fast path), and the assembler re-merges marks in
-// strict window order, so:
+// thread runs the router: it pops events, closes assembler windows by
+// watermark (a window closes exactly when its last event has arrived,
+// reproducing InputAssembler::Windows / CountWindows window by window),
+// detaches each closed window and forwards it — the exchange stage —
+// through consistent hashing on its head symbol to an owner shard.
+// Window close stays global and serial (the count geometry is a
+// property of the whole stream); only the marking is sharded. Each
+// shard is a core-pinned worker thread with its own SPSC work and
+// completion rings and its own nn::InferenceContext; it micro-batches
+// adjacent batchable windows of a burst into one filter call. The
+// router merges completions strictly by dispatch sequence (the owner of
+// the next sequence is recorded at dispatch; a shard's completion ring
+// is FIFO and hence sequence-ordered), so:
 //
-//   CORRECTNESS CONTRACT (tests/runtime_test.cc): with a lossless
-//   producer and the overload controller disabled or never triggered,
-//   the merged mark sequence, deduplicated relayed-event count, and
-//   extracted MatchSet are byte-identical to DlacepPipeline::Evaluate
-//   on the same stream, for every num_threads setting.
+//   CORRECTNESS CONTRACT (tests/sharded_runtime_test.cc): with a
+//   lossless producer and the overload controller disabled or never
+//   triggered, the merged mark sequence, deduplicated relayed-event
+//   count, and extracted MatchSet are byte-identical to
+//   DlacepPipeline::Evaluate on the same stream, for every num_shards
+//   and batch_size setting.
 //
-// SHARDED MODE (OnlineConfig::num_shards >= 1): the assembler thread
-// becomes a router. Window close stays global and serial (the count
-// geometry is a property of the whole stream), but the marking work is
-// sharded: every closed window is detached and forwarded — the
-// exchange stage — through consistent hashing on its head symbol to an
-// owner shard, each shard being a core-pinned worker thread with its
-// own SPSC work/completion rings and InferenceContext. The router then
-// runs the deterministic cross-shard merge: completions retire
-// strictly by dispatch sequence (the owner of the next sequence is
-// recorded at dispatch; a shard's completion ring is FIFO and hence
-// sequence-ordered), so the correctness contract above holds verbatim
-// at every shard count. Overload, health, probe, and checkpoint
-// decisions all stay on the router, which is what keeps them
+// One shard is the serial configuration: marking overlaps the router
+// but never another window's marking. Overload, health, probe, and
+// checkpoint decisions all stay on the router, which is what keeps them
 // independent of the shard count.
 //
 // An OverloadController watches ingest-queue depth and end-to-end
@@ -69,14 +65,11 @@
 #ifndef DLACEP_RUNTIME_ONLINE_H_
 #define DLACEP_RUNTIME_ONLINE_H_
 
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <unordered_set>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "dlacep/config.h"
 #include "dlacep/drift.h"
 #include "dlacep/extractor.h"
@@ -112,52 +105,34 @@ struct OnlineConfig {
   /// RuntimeStats (the emergency regime the paper's §6 discusses).
   bool drop_when_full = false;
 
-  /// Filtration workers, resolved like DlacepConfig::num_threads
-  /// (1 = assembler-inline marking, 0 = hardware concurrency).
-  size_t num_threads = 1;
+  /// Shard workers (>= 1; 0 makes Run() return InvalidArgument). Each
+  /// shard owns a single-producer/single-consumer work ring, a
+  /// completion ring, its own nn::InferenceContext, and one worker
+  /// thread pinned to a core (best-effort). Marks, matches, and
+  /// accounting are byte-identical at every shard count.
+  size_t num_shards = 1;
 
-  /// Windows dispatched but not yet merged before the assembler stops
-  /// popping events. 0 = 2·workers + 2.
+  /// Windows dispatched but not yet merged before the router stops
+  /// popping events. 0 = 2·shards + 2.
   size_t max_windows_in_flight = 0;
 
   /// Assembler geometry, as in DlacepConfig (0 = paper defaults 2W/W).
   size_t mark_size = 0;
   size_t step_size = 0;
 
-  /// Windows marked per filter call. 1 = dispatch each closed window as
-  /// its own task (the exact legacy path, default). >1: closed windows
-  /// at overload level 0/1 accumulate in an assembler-side micro-batch
-  /// that is dispatched as one MarkBatchOnline task when it reaches
-  /// batch_size, when the oldest buffered window turns batch_timeout_ms
-  /// old, or when the merge line would otherwise block on a buffered
-  /// window. Shed/degraded/probe windows always dispatch solo — their
-  /// marking is not batchable work. Merge order is unchanged (windows
-  /// retire strictly by dispatch sequence), so results stay
-  /// byte-identical to batch_size = 1.
+  /// Maximum windows marked per filter call. 1 = every window marks
+  /// alone (default). >1: a shard worker groups up to batch_size
+  /// adjacent level-0/1 windows of the burst it popped into one
+  /// MarkBatchOnline call — a busy shard's backlog batches naturally,
+  /// an idle shard marks solo, so batching never holds a window back.
+  /// Shed/degraded/probe windows always mark solo. Merge order is
+  /// unchanged (windows retire strictly by dispatch sequence), so
+  /// results stay byte-identical to batch_size = 1.
   size_t batch_size = 1;
-  /// Maximum age (milliseconds) of the oldest buffered window before a
-  /// partial batch is flushed anyway — the cap on the latency a window
-  /// can pay for batching below capacity. <= 0 disables the timer:
-  /// partial batches then flush only on a full batch, merge pressure,
-  /// or end of stream.
-  double batch_timeout_ms = 2.0;
 
-  /// 0 (default): the single-queue worker-pool runtime above. N >= 1:
-  /// the thread-per-core sharded runtime — the assembler thread becomes
-  /// a router that closes windows globally (same watermark geometry)
-  /// and forwards each closed window, via consistent hashing on the
-  /// window's head symbol, to one of N shard workers. Each shard owns a
-  /// single-producer/single-consumer work ring, a completion ring, its
-  /// own nn::InferenceContext, and one worker thread pinned to a core
-  /// (best-effort). The router merges completions strictly by dispatch
-  /// sequence, so marks, matches, and accounting are byte-identical to
-  /// num_shards = 0 and to batch Evaluate at every shard count.
-  /// num_threads is ignored in sharded mode (parallelism = N).
-  size_t num_shards = 0;
-
-  /// Sharded mode: pin shard worker k to core (k mod hardware
-  /// concurrency). Failures (no affinity API, cgroup cpuset) are
-  /// recorded in ShardStats and otherwise ignored.
+  /// Pin shard worker k to core (k mod hardware concurrency). Failures
+  /// (no affinity API, cgroup cpuset) are recorded in ShardStats and
+  /// otherwise ignored.
   bool pin_shard_threads = true;
 
   /// Serve-layer hooks (src/serve). collect_relayed copies the
@@ -239,7 +214,8 @@ class OnlineDlacep {
   OnlineResult Run(StreamSource* source);
 
   /// Like Run(), but surfaces checkpoint-restore and configuration
-  /// errors as a Status instead of aborting.
+  /// errors (num_shards or queue_capacity of 0) as a Status instead of
+  /// aborting; both are checked before any thread or ring is built.
   Status Run(StreamSource* source, OnlineResult* result);
 
   const OnlineConfig& config() const { return config_; }
@@ -258,23 +234,16 @@ class OnlineDlacep {
   struct RunState;
 
   void CloseWindow(RunState* state, size_t begin, size_t end);
-  /// Dispatches the buffered micro-batch (if any) as one worker task
-  /// that marks every window with MarkBatchOnline and retires them as
-  /// individual DoneWindows under their own dispatch sequences.
-  void FlushBatch(RunState* state);
   void MergeOne(RunState* state, DoneWindow window);
   /// Merges every completed window that is next in window order;
   /// blocks until `target_in_flight` or fewer windows remain pending.
-  /// With a mark deadline configured, an overdue window is abandoned:
-  /// a synthesized quarantined DoneWindow takes its place so a wedged
-  /// worker can never stall the merge line.
+  /// The owner shard of the next sequence is known from the pending
+  /// map, and a shard's completion ring is sequence-ordered (its worker
+  /// is FIFO), so each step pops exactly the owner's ring. With a mark
+  /// deadline configured, an overdue window is abandoned: a synthesized
+  /// quarantined DoneWindow takes its place so a wedged shard can never
+  /// stall the merge line.
   void DrainMerges(RunState* state, size_t target_in_flight);
-  /// Sharded-mode DrainMerges: the owner shard of the next sequence is
-  /// known from the pending map, and a shard's completion ring is
-  /// sequence-ordered (its worker is FIFO), so the cross-shard merge
-  /// pops exactly the owner's ring per step — same deadline-abandon and
-  /// stale-result semantics as the pool path.
-  void DrainMergesSharded(RunState* state, size_t target_in_flight);
   /// Shard worker body: burst-pops window tasks from the shard's work
   /// ring, marks them (micro-batching adjacent batchable windows when
   /// batch_size > 1), and burst-pushes completions.
@@ -289,16 +258,12 @@ class OnlineDlacep {
   const StreamFilter* filter_;  ///< not owned
   size_t mark_size_;
   size_t step_size_;
-  size_t workers_;
   size_t num_shards_;
   size_t max_in_flight_;
-  std::unique_ptr<ThreadPool> pool_;
-  /// Sharded mode: the symbol → owner-shard map (null when
-  /// num_shards_ == 0).
+  /// The symbol → owner-shard map (null when num_shards_ == 0, which
+  /// Run() rejects).
   std::unique_ptr<ConsistentHashRing> hash_ring_;
-  /// One scratch arena per worker — pool slot 0 doubles as the inline
-  /// path's arena; in sharded mode slot k belongs to shard k — reused
-  /// across windows and runs.
+  /// One scratch arena per shard, reused across windows and runs.
   std::vector<std::unique_ptr<InferenceContext>> contexts_;
   /// Level-2 fallbacks, built once from the pattern/config.
   TypeSheddingFilter type_shed_;

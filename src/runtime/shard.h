@@ -1,6 +1,6 @@
-// Symbol → shard routing for the sharded online runtime.
+// Symbol → shard routing for the online runtime.
 //
-// The router (the assembler thread in sharded mode) owns the global
+// The router (the thread that assembles windows) owns the global
 // window close and forwards every closed window, through this ring, to
 // the shard that owns the window's head symbol. Consistent hashing —
 // vnodes on a 64-bit ring — gives two properties plain modulo hashing

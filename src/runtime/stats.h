@@ -63,7 +63,7 @@ struct OverloadTransition {
   double latency_seconds = 0.0;
 };
 
-/// Per-shard accounting in the sharded runtime (num_shards >= 1).
+/// Per-shard accounting in the online runtime.
 /// Single-writer fields: `windows_routed` and `work_high_water` come
 /// from the router, the rest from the shard's worker thread; the
 /// snapshot is read only after the shard threads join.
@@ -116,8 +116,7 @@ struct RuntimeStats {
 
   uint64_t drift_flags = 0;  ///< drift monitor firings (see drift.h)
 
-  /// One entry per shard when the sharded runtime ran (empty for the
-  /// legacy pool runtime). Sums to the global window counters: every
+  /// One entry per shard. Sums to the global window counters: every
   /// closed window is routed to exactly one shard.
   std::vector<ShardStats> shards;
 

@@ -39,7 +39,7 @@ namespace dlacep {
 namespace serve {
 
 struct ServeConfig {
-  /// Runtime knobs (shards/threads/batching/overload/health/...).
+  /// Runtime knobs (shards/batching/overload/health/...).
   /// mark_size/step_size of 0 resolve to 2W/W of the registry's widest
   /// query at Run() time; collect_relayed and skip_extraction are
   /// forced on. An isolated run compared against a serve run must use

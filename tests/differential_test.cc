@@ -70,9 +70,10 @@ TEST(RelayAllDifferential, BatchAndOnlineEqualExactCep) {
     EXPECT_GT(exact.size(), 0u) << "seed " << seed << " finds no matches; "
                                 << "the differential would be vacuous";
     for (const Geometry& g : geometries) {
-      for (size_t threads : {1u, 2u, 4u}) {
+      // Batch worker threads and online shards at the same count.
+      for (size_t parallelism : {1u, 2u, 4u}) {
         DlacepConfig batch_config;
-        batch_config.num_threads = threads;
+        batch_config.num_threads = parallelism;
         batch_config.mark_size = g.mark;
         batch_config.step_size = g.step;
         DlacepPipeline pipeline(pattern,
@@ -84,7 +85,7 @@ TEST(RelayAllDifferential, BatchAndOnlineEqualExactCep) {
 
         PassThroughFilter filter;
         OnlineConfig online_config;
-        online_config.num_threads = threads;
+        online_config.num_shards = parallelism;
         online_config.mark_size = g.mark;
         online_config.step_size = g.step;
         online_config.overload.enabled = false;
@@ -94,7 +95,7 @@ TEST(RelayAllDifferential, BatchAndOnlineEqualExactCep) {
         ExpectSameMatches(result.matches, exact);
         EXPECT_EQ(result.marked_ids, batch.marked_ids)
             << "seed=" << seed << " mark=" << g.mark << " step=" << g.step
-            << " threads=" << threads;
+            << " parallelism=" << parallelism;
         EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
         EXPECT_EQ(result.stats.events_filtered, 0u);
       }
@@ -160,7 +161,7 @@ TEST(AccountingDifferential, LosslessRunCountersEqualStats) {
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
   PassThroughFilter filter;
   OnlineConfig config;
-  config.num_threads = 2;
+  config.num_shards = 2;
   config.overload.enabled = false;
   OnlineDlacep online(pattern, &filter, config);
   ReplaySource source(&stream);
@@ -198,7 +199,7 @@ TEST(AccountingDifferential, DroppingRunCountersEqualStats) {
   OnlineConfig config;
   config.queue_capacity = 8;
   config.drop_when_full = true;
-  config.num_threads = 2;
+  config.num_shards = 2;
   config.max_windows_in_flight = 2;
   config.overload.enabled = true;
   config.overload.high_watermark = 0.5;
@@ -253,7 +254,7 @@ TEST(AccountingDifferential, QuarantineRunCountersEqualStats) {
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
   FlakyFilter filter(/*bad_before=*/100);
   OnlineConfig config;
-  config.num_threads = 2;
+  config.num_shards = 2;
   config.overload.enabled = false;
   config.health.probe_period = 2;
   config.health.probe_passes = 2;

@@ -143,7 +143,7 @@ TEST(EngineChoiceInvariance, AdaptiveOnlineByteIdenticalAcrossShards) {
       ReplaySource reference_source(&stream);
       const OnlineResult reference = reference_run.Run(&reference_source);
 
-      for (const size_t shards : {0u, 1u, 2u, 4u}) {
+      for (const size_t shards : {1u, 2u, 4u, 8u}) {
         const std::string where = "template " + std::to_string(t) +
                                   " seed " + std::to_string(seed) +
                                   " shards " + std::to_string(shards);

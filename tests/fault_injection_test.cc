@@ -233,7 +233,7 @@ TEST(FaultInjection, InvalidMarksQuarantineDegradeAndRecover) {
 
   FlakyFilter flaky(/*bad_before=*/100);
   OnlineConfig config;
-  config.num_threads = 2;
+  config.num_shards = 2;
   config.overload.enabled = false;
   config.health.probe_period = 2;
   config.health.probe_passes = 2;
@@ -266,7 +266,7 @@ TEST(FaultInjection, WedgedWorkerIsAbandonedAtTheDeadline) {
 
   PassThroughFilter pass;
   OnlineConfig config;
-  config.num_threads = 2;
+  config.num_shards = 2;
   config.overload.enabled = false;
   config.health.mark_deadline_seconds = 0.05;
   config.worker_window_hook = [&injector](uint64_t seq) {
@@ -437,7 +437,7 @@ TEST(Checkpoint, KillAndRestoreIsByteIdenticalToUninterruptedRun) {
   // byte equality across runs.
   PassThroughFilter pass_a;
   OnlineConfig config_a;
-  config_a.num_threads = 2;
+  config_a.num_shards = 2;
   config_a.overload.enabled = false;
   OnlineDlacep online_a(pattern, &pass_a, config_a);
   ReplaySource source_a(&stream);

@@ -97,7 +97,7 @@ std::vector<MatchSet> IsolatedReferences(
     const EventStream& stream, const std::vector<Pattern>& patterns,
     const StreamFilter* filter) {
   std::vector<MatchSet> reference;
-  const OnlineConfig config = LosslessConfig(MaxCountWindow(patterns), 0);
+  const OnlineConfig config = LosslessConfig(MaxCountWindow(patterns), 1);
   for (const Pattern& pattern : patterns) {
     OnlineDlacep online(pattern, filter, config);
     ReplaySource source(&stream);
@@ -122,7 +122,7 @@ TEST(MultiQueryServing, TwinsAndDistinctQueriesMatchIsolatedAcrossShards) {
       IsolatedReferences(stream, patterns, &pass);
   EXPECT_FALSE(reference[0].empty());
 
-  for (const size_t shards : {0u, 1u, 2u, 4u}) {
+  for (const size_t shards : {1u, 2u, 4u, 8u}) {
     CheckServeMatchesIsolated(stream, patterns, &pass, nullptr, reference,
                               shards);
   }
@@ -141,7 +141,7 @@ TEST(MultiQueryServing, SharingStatsCountTwinsGuardsAndPrunes) {
   }
   PassThroughFilter pass;
   ServeConfig config;
-  config.online = LosslessConfig(MaxCountWindow(patterns), 0);
+  config.online = LosslessConfig(MaxCountWindow(patterns), 1);
   MultiQueryServer server(&registry, &pass, nullptr, config);
   ReplaySource source(&stream);
   MultiQueryResult result;
@@ -176,7 +176,7 @@ TEST(MultiQueryServing, TrainedTrunkServesHeadsIdenticalToIsolatedRuns) {
 
   const std::vector<MatchSet> reference =
       IsolatedReferences(stream, patterns, system.filter());
-  for (const size_t shards : {0u, 2u}) {
+  for (const size_t shards : {1u, 2u}) {
     CheckServeMatchesIsolated(stream, patterns, system.filter(),
                               system.filter(), reference, shards);
   }
@@ -286,7 +286,7 @@ TEST(MultiQueryServing, BudgetAbortIsolatesToTheOffendingStructuralGroup) {
       ASSERT_TRUE(registry.Register(patterns[q], options).ok());
     }
     ServeConfig config;
-    config.online = LosslessConfig(MaxCountWindow(patterns), 0);
+    config.online = LosslessConfig(MaxCountWindow(patterns), 1);
     MultiQueryServer server(&registry, &pass, nullptr, config);
     ReplaySource source(&stock);
     MultiQueryResult result;
@@ -303,7 +303,7 @@ TEST(MultiQueryServing, BudgetAbortIsolatesToTheOffendingStructuralGroup) {
       << "blowup query not pathological enough to calibrate a budget";
   const uint64_t budget = census_max + 1;
 
-  for (const size_t shards : {0u, 1u, 2u, 4u}) {
+  for (const size_t shards : {1u, 2u, 4u, 8u}) {
     QueryRegistry registry;
     for (size_t q = 0; q < patterns.size(); ++q) {
       QueryOptions options;
@@ -341,7 +341,7 @@ TEST(MultiQueryServing, BudgetAbortIsolatesToTheOffendingStructuralGroup) {
               blown.matches.size())
         << "shards=" << shards << ": degraded matches must be sound";
 
-    if (shards != 0) continue;
+    if (shards != 1) continue;
     // Same server, second stream: the tripped breaker persists (the
     // blowup query starts suspended), the engines are reusable after
     // their aborts, and the census queries stay byte-identical.
@@ -411,6 +411,9 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
 
   auto make_config = [&](size_t shards) {
     OnlineConfig online = LosslessConfig(MaxCountWindow(patterns), shards);
+    // One shard with one window in flight: every window's health
+    // verdict lands before the next window's level is decided.
+    if (shards == 1) online.max_windows_in_flight = 1;
     online.health.anomaly_streak = 3;
     online.health.probe_period = 2;
     online.health.probe_passes = 2;
@@ -434,20 +437,22 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
     ASSERT_EQ(result->queries.size(), patterns.size());
   };
 
-  // Single-threaded path: windows mark, close, and inspect in lockstep,
-  // so the streak/quarantine/probe cadence is a pure function of the
-  // window count. Each isolated reference with the matching pinned
-  // threshold sees uniform windows throughout (all-relay for q0,
-  // all-blank for q1) and therefore the same cadence — per-query
-  // extraction inputs and match sets must be byte-identical.
-  // (ExtractShared is shard-agnostic; under shards the per-window
-  // health levels depend on how far dispatch ran ahead of the verdict,
-  // so exact cadence equality is not a testable contract there.)
+  // Lockstep path (one shard, one window in flight): windows close,
+  // mark, and inspect in lockstep, so the streak/quarantine/probe
+  // cadence is a pure function of the window count. Each isolated
+  // reference with the matching pinned threshold sees uniform windows
+  // throughout (all-relay for q0, all-blank for q1) and therefore the
+  // same cadence — per-query extraction inputs and match sets must be
+  // byte-identical.
+  // (ExtractShared is shard-agnostic; with windows in flight the
+  // per-window health levels depend on how far dispatch ran ahead of
+  // the verdict, so exact cadence equality is not a testable contract
+  // there.)
   std::vector<MatchSet> reference;
   std::vector<size_t> reference_inputs;
   for (size_t q = 0; q < patterns.size(); ++q) {
     FixedThresholdFilter fixed(system.filter(), thresholds[q]);
-    OnlineConfig isolated = make_config(0);
+    OnlineConfig isolated = make_config(1);
     isolated.collect_relayed = true;
     OnlineDlacep alone(patterns[q], &fixed, isolated);
     ReplaySource source(&stream);
@@ -460,7 +465,7 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
   EXPECT_GT(reference_inputs[1], 0u);
 
   MultiQueryResult result;
-  serve(0, &result);
+  serve(1, &result);
   for (size_t q = 0; q < patterns.size(); ++q) {
     // The extraction input must be the isolated run's full relayed set:
     // a quarantined window reaches every query whole, including events
@@ -478,7 +483,7 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
   // extraction input covers at least the quarantine-only events (the
   // ids that ONLY reached the store through a quarantined window).
   PassThroughFilter pass;
-  OnlineConfig exact_config = LosslessConfig(MaxCountWindow(patterns), 0);
+  OnlineConfig exact_config = LosslessConfig(MaxCountWindow(patterns), 1);
   std::vector<MatchSet> exact;
   for (const Pattern& pattern : patterns) {
     OnlineDlacep online(pattern, &pass, exact_config);
@@ -512,7 +517,7 @@ TEST(MultiQueryServing, ChurnLeavesStableQueriesByteIdentical) {
   const std::vector<MatchSet> reference =
       IsolatedReferences(stream, patterns, &pass);
 
-  for (const size_t shards : {0u, 2u, 4u}) {
+  for (const size_t shards : {1u, 2u, 4u}) {
     QueryRegistry registry;
     std::vector<serve::QueryId> stable_ids;
     for (size_t q = 0; q < patterns.size(); ++q) {

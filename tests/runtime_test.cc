@@ -1,9 +1,10 @@
-// Online streaming runtime tests: the byte-equality contract between
-// OnlineDlacep and the batch DlacepPipeline, bounded-queue accounting
-// under overload (no deadlock, every ingested event is either relayed,
+// Online streaming runtime tests: bounded-queue accounting under
+// overload (no deadlock, every ingested event is either relayed,
 // filtered, or dropped), overload controller escalation AND recovery,
 // drift flagging, source fidelity, and RingQueue unit behavior. The
-// whole file must also pass under TSan (see the CI sanitizer job).
+// byte-equality contract with the batch DlacepPipeline lives in
+// tests/sharded_runtime_test.cc. The whole file must also pass under
+// TSan (see the CI sanitizer job).
 
 #include <gtest/gtest.h>
 
@@ -14,9 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "dlacep/event_filter.h"
 #include "dlacep/oracle_filter.h"
-#include "dlacep/pipeline.h"
 #include "dlacep/shedding_filter.h"
 #include "pattern/builder.h"
 #include "runtime/online.h"
@@ -30,11 +29,6 @@ namespace {
 
 using testing_util::AscendingSeqPattern;
 using testing_util::SmallStream;
-
-void ExpectSameMatches(const MatchSet& a, const MatchSet& b) {
-  EXPECT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.IntersectionSize(b), a.size());
-}
 
 // ---------------------------------------------------------------------
 // RingQueue.
@@ -190,264 +184,6 @@ TEST(LatencyHistogram, PercentileOfEmptyHistogramIsZero) {
 }
 
 // ---------------------------------------------------------------------
-// Byte-equality with the batch pipeline (the tentpole contract).
-
-struct EqualityCase {
-  const EventStream* stream;
-  const Pattern* pattern;
-  const StreamFilter* filter;
-  size_t mark_size = 0;
-  size_t step_size = 0;
-};
-
-// Runs the online runtime at several thread counts and checks marks,
-// relayed-event counts, and matches against the batch pipeline result.
-void CheckOnlineMatchesBatch(const EqualityCase& c,
-                             const PipelineResult& batch) {
-  for (size_t threads : {1u, 2u, 4u}) {
-    OnlineConfig config;
-    config.num_threads = threads;
-    config.queue_capacity = 64;
-    config.mark_size = c.mark_size;
-    config.step_size = c.step_size;
-    config.overload.enabled = false;  // lossless backpressure only
-    OnlineDlacep online(*c.pattern, c.filter, config);
-    ReplaySource source(c.stream);
-    const OnlineResult result = online.Run(&source);
-
-    EXPECT_EQ(result.marked_ids, batch.marked_ids)
-        << "threads=" << threads;
-    EXPECT_EQ(result.marked_events, batch.marked_events)
-        << "threads=" << threads;
-    ExpectSameMatches(result.matches, batch.matches);
-
-    EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
-    EXPECT_EQ(result.stats.events_ingested, c.stream->size());
-    EXPECT_EQ(result.stats.events_dropped_queue, 0u);
-    EXPECT_EQ(result.stats.overload_escalations, 0u);
-    EXPECT_EQ(result.stats.overload_level_at_exit, 0);
-  }
-}
-
-PipelineResult BatchReference(const EqualityCase& c,
-                              std::unique_ptr<StreamFilter> filter) {
-  DlacepConfig config;
-  config.num_threads = 1;
-  config.mark_size = c.mark_size;
-  config.step_size = c.step_size;
-  DlacepPipeline pipeline(*c.pattern, std::move(filter), config);
-  return pipeline.Evaluate(*c.stream);
-}
-
-TEST(OnlineEquality, PassThroughFilter) {
-  const EventStream stream = SmallStream(600, 11);
-  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 3, 12);
-  PassThroughFilter filter;
-  EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineMatchesBatch(c,
-                          BatchReference(c, std::make_unique<PassThroughFilter>()));
-}
-
-TEST(OnlineEquality, TypeSheddingFilter) {
-  const EventStream stream = SmallStream(800, 23, /*num_types=*/6);
-  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 3, 10);
-  TypeSheddingFilter filter(pattern);
-  EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<TypeSheddingFilter>(pattern)));
-}
-
-TEST(OnlineEquality, RandomSheddingFilterKeepsWindowSalt) {
-  const EventStream stream = SmallStream(700, 37);
-  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
-  RandomSheddingFilter filter(0.4, 99);
-  EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<RandomSheddingFilter>(0.4, 99)));
-}
-
-TEST(OnlineEquality, OracleFilter) {
-  const EventStream stream = SmallStream(400, 51);
-  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
-  OracleFilter filter(pattern);
-  EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<OracleFilter>(pattern)));
-}
-
-TEST(OnlineEquality, TrainedEventNetworkFilter) {
-  const EventStream train = SmallStream(900, 61);
-  const EventStream test = SmallStream(500, 62);
-  const Pattern pattern = AscendingSeqPattern(train.schema_ptr(), 2, 8);
-
-  DlacepConfig config;
-  config.network.hidden_dim = 6;
-  config.network.num_layers = 1;
-  config.train.max_epochs = 2;
-  BuiltDlacep built =
-      BuildDlacep(pattern, train, FilterKind::kEventNetwork, config);
-  const PipelineResult batch = built.pipeline->Evaluate(test);
-
-  // The pipeline owns the trained filter; borrow it for the online run.
-  EqualityCase c{&test, &pattern, &built.pipeline->filter()};
-  CheckOnlineMatchesBatch(c, batch);
-}
-
-TEST(OnlineEquality, NonDefaultAssemblerGeometry) {
-  const EventStream stream = SmallStream(300, 71);
-  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 7);
-  PassThroughFilter filter;
-  // mark not a multiple of step, truncated tail windows.
-  EqualityCase c{&stream, &pattern, &filter, /*mark_size=*/11,
-                 /*step_size=*/4};
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
-}
-
-TEST(OnlineEquality, StreamShorterThanOneWindow) {
-  const EventStream full = SmallStream(200, 81);
-  const EventStream stream = full.Slice(0, 5);  // N << mark_size
-  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 30);
-  PassThroughFilter filter;
-  EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineMatchesBatch(
-      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
-}
-
-TEST(OnlineEquality, EmptyStream) {
-  const EventStream full = SmallStream(10, 91);
-  const EventStream stream = full.Slice(0, 0);
-  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
-  PassThroughFilter filter;
-  OnlineConfig config;
-  config.overload.enabled = false;
-  OnlineDlacep online(pattern, &filter, config);
-  ReplaySource source(&stream);
-  const OnlineResult result = online.Run(&source);
-  EXPECT_TRUE(result.matches.empty());
-  EXPECT_TRUE(result.marked_ids.empty());
-  EXPECT_EQ(result.stats.windows_closed, 0u);
-  EXPECT_TRUE(result.stats.Accounted());
-}
-
-// ---------------------------------------------------------------------
-// Micro-batched filtration (batch_size > 1): the batch-collection stage
-// may only delay WHEN a window is marked, never change its marks or its
-// merge position, so every (threads × batch_size) cell must stay
-// byte-identical to the per-window batch pipeline.
-
-void CheckOnlineBatchedMatchesBatch(const EqualityCase& c,
-                                    const PipelineResult& batch) {
-  for (size_t threads : {1u, 2u, 4u}) {
-    for (size_t batch_size : {2u, 4u, 7u}) {
-      OnlineConfig config;
-      config.num_threads = threads;
-      config.queue_capacity = 64;
-      config.mark_size = c.mark_size;
-      config.step_size = c.step_size;
-      config.overload.enabled = false;
-      config.batch_size = batch_size;
-      // Generous timeout: with an unthrottled ReplaySource batches fill
-      // before the timer can split them.
-      config.batch_timeout_ms = 250.0;
-      OnlineDlacep online(*c.pattern, c.filter, config);
-      ReplaySource source(c.stream);
-      const OnlineResult result = online.Run(&source);
-
-      EXPECT_EQ(result.marked_ids, batch.marked_ids)
-          << "threads=" << threads << " batch_size=" << batch_size;
-      EXPECT_EQ(result.marked_events, batch.marked_events)
-          << "threads=" << threads << " batch_size=" << batch_size;
-      ExpectSameMatches(result.matches, batch.matches);
-      EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
-      EXPECT_EQ(result.stats.events_dropped_queue, 0u);
-      EXPECT_EQ(result.stats.overload_escalations, 0u);
-    }
-  }
-}
-
-TEST(OnlineBatching, PassThroughFilterMatchesBatchPipeline) {
-  const EventStream stream = SmallStream(600, 11);
-  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 3, 12);
-  PassThroughFilter filter;
-  EqualityCase c{&stream, &pattern, &filter};
-  CheckOnlineBatchedMatchesBatch(
-      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
-}
-
-TEST(OnlineBatching, TrainedEventNetworkFilterMatchesBatchPipeline) {
-  const EventStream train = SmallStream(900, 61);
-  const EventStream test = SmallStream(500, 62);
-  const Pattern pattern = AscendingSeqPattern(train.schema_ptr(), 2, 8);
-
-  DlacepConfig config;
-  config.network.hidden_dim = 6;
-  config.network.num_layers = 1;
-  config.train.max_epochs = 2;
-  BuiltDlacep built =
-      BuildDlacep(pattern, train, FilterKind::kEventNetwork, config);
-  const PipelineResult batch = built.pipeline->Evaluate(test);
-
-  EqualityCase c{&test, &pattern, &built.pipeline->filter()};
-  CheckOnlineBatchedMatchesBatch(c, batch);
-}
-
-TEST(OnlineBatching, PartialBatchFlushesAtEndOfStream) {
-  const EventStream stream = SmallStream(300, 71);
-  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 7);
-  PassThroughFilter filter;
-  EqualityCase c{&stream, &pattern, &filter, /*mark_size=*/11,
-                 /*step_size=*/4};
-  const PipelineResult batch =
-      BatchReference(c, std::make_unique<PassThroughFilter>());
-
-  // batch_size larger than the whole window count and the flush timer
-  // disabled: nothing can dispatch until merge pressure / end of stream
-  // forces it. The run must still terminate and match byte for byte.
-  OnlineConfig config;
-  config.mark_size = c.mark_size;
-  config.step_size = c.step_size;
-  config.overload.enabled = false;
-  config.batch_size = 1000;
-  config.batch_timeout_ms = 0.0;
-  for (size_t threads : {1u, 4u}) {
-    config.num_threads = threads;
-    OnlineDlacep online(pattern, &filter, config);
-    ReplaySource source(&stream);
-    const OnlineResult result = online.Run(&source);
-    EXPECT_EQ(result.marked_ids, batch.marked_ids) << "threads=" << threads;
-    ExpectSameMatches(result.matches, batch.matches);
-    EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
-  }
-}
-
-TEST(OnlineBatching, TimeoutFlushesPartialBatchInMergeOrder) {
-  const EventStream stream = SmallStream(240, 81);
-  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
-  PassThroughFilter filter;
-  EqualityCase c{&stream, &pattern, &filter};
-  const PipelineResult batch =
-      BatchReference(c, std::make_unique<PassThroughFilter>());
-
-  // Throttle the source so windows close slower than the flush timer:
-  // every batch is flushed by timeout while partial, which exercises the
-  // timed-pop path without changing any result (flush timing only picks
-  // the grouping; merge order is pinned by dispatch sequence).
-  OnlineConfig config;
-  config.num_threads = 2;
-  config.overload.enabled = false;
-  config.batch_size = 8;
-  config.batch_timeout_ms = 1.0;
-  OnlineDlacep online(pattern, &filter, config);
-  ReplaySource source(&stream, /*events_per_second=*/4000.0);
-  const OnlineResult result = online.Run(&source);
-  EXPECT_EQ(result.marked_ids, batch.marked_ids);
-  EXPECT_EQ(result.marked_events, batch.marked_events);
-  ExpectSameMatches(result.matches, batch.matches);
-  EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
-}
-
-// ---------------------------------------------------------------------
 // Sources.
 
 TEST(StockSimSource, ByteIdenticalToBatchGeneration) {
@@ -538,7 +274,7 @@ TEST(OnlineOverload, EscalatesRecoversAndAccountsEveryEvent) {
   OnlineConfig config;
   config.queue_capacity = 8;
   config.drop_when_full = true;  // above capacity: count drops
-  config.num_threads = 2;
+  config.num_shards = 2;
   config.max_windows_in_flight = 2;
   config.overload.enabled = true;
   config.overload.high_watermark = 0.5;
@@ -661,8 +397,10 @@ class SlowSeqFilter : public StreamFilter {
 // these tests come from the window-latency EWMA alone.
 OnlineConfig LatencySignalOnlyConfig() {
   OnlineConfig config;
-  config.num_threads = 1;  // in-order inline marking: window latencies
-                           // are exactly the per-window mark costs
+  // One shard and one window in flight serialize close → mark → merge,
+  // so window latencies are exactly the per-window mark costs.
+  config.num_shards = 1;
+  config.max_windows_in_flight = 1;
   config.overload.enabled = true;
   config.overload.high_watermark = 2.0;
   config.overload.latency_high_seconds = 0.05;
@@ -719,7 +457,7 @@ TEST(OnlineOverload, DisabledControllerStaysLossyButLevelZero) {
   OnlineConfig config;
   config.queue_capacity = 8;
   config.drop_when_full = true;
-  config.num_threads = 1;
+  config.num_shards = 1;
   config.max_windows_in_flight = 1;
   config.overload.enabled = false;
   OnlineDlacep online(pattern, &filter, config);

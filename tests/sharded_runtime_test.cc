@@ -1,8 +1,8 @@
-// Sharded runtime tests: the thread-per-core sharded OnlineDlacep
-// (OnlineConfig::num_shards >= 1) must be byte-identical — marks,
-// matches, accounting, overload/health trajectories — to the legacy
-// worker-pool runtime and to the batch pipeline at EVERY shard count.
-// Routing is an implementation detail; only throughput may change.
+// Sharded runtime tests — the online runtime's correctness contract:
+// OnlineDlacep must be byte-identical — marks, matches, accounting,
+// overload/health trajectories — to the batch pipeline at EVERY shard
+// count and micro-batch size. Routing is an implementation detail; only
+// throughput may change.
 //
 // Also covers the ConsistentHashRing (determinism, coverage, minimal
 // remap on growth), window routing keys, per-shard stats aggregation,
@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "dlacep/event_filter.h"
 #include "dlacep/oracle_filter.h"
 #include "dlacep/pipeline.h"
 #include "dlacep/shedding_filter.h"
@@ -105,7 +106,7 @@ TEST(WindowRoutingSymbol, HeadNonBlankSymbolOrBlank) {
 }
 
 // ---------------------------------------------------------------------
-// Byte-equality across shard counts (the tentpole contract).
+// Byte-equality with the batch pipeline across shard counts.
 
 /// SEQ(S0 a, S1 b) with an ascending-volume condition — a two-symbol
 /// pattern over the stock schema, so type-shedding has irrelevant
@@ -176,10 +177,11 @@ PipelineResult BatchReference(const EqualityCase& c,
   return pipeline.Evaluate(*c.stream);
 }
 
-// Runs the sharded runtime at several shard counts and checks marks,
+// Runs the online runtime at shard counts {1, 2, 4, 8} and checks marks,
 // relayed-event counts, matches, accounting, and per-shard stats
-// aggregation against the batch pipeline result (which the legacy
-// runtime is already pinned to by tests/runtime_test.cc).
+// aggregation against the batch pipeline result. Micro-batching may
+// only change how a shard groups windows into filter calls, never a
+// window's marks or merge position, so c.batch_size must not matter.
 void CheckShardedMatchesBatch(const EqualityCase& c,
                               const PipelineResult& batch) {
   for (size_t shards : {1u, 2u, 4u, 8u}) {
@@ -194,14 +196,17 @@ void CheckShardedMatchesBatch(const EqualityCase& c,
     ReplaySource source(c.stream);
     const OnlineResult result = online.Run(&source);
 
-    EXPECT_EQ(result.marked_ids, batch.marked_ids) << "shards=" << shards;
+    EXPECT_EQ(result.marked_ids, batch.marked_ids)
+        << "shards=" << shards << " batch_size=" << c.batch_size;
     EXPECT_EQ(result.marked_events, batch.marked_events)
-        << "shards=" << shards;
+        << "shards=" << shards << " batch_size=" << c.batch_size;
     ExpectSameMatches(result.matches, batch.matches);
 
     EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
     EXPECT_EQ(result.stats.events_ingested, c.stream->size());
     EXPECT_EQ(result.stats.events_dropped_queue, 0u);
+    EXPECT_EQ(result.stats.overload_escalations, 0u);
+    EXPECT_EQ(result.stats.overload_level_at_exit, 0);
 
     // Per-shard accounting must aggregate to the global counters: every
     // closed window routed to exactly one shard and marked exactly once.
@@ -278,6 +283,167 @@ TEST(ShardedEquality, NonDefaultGeometryAndSmallStream) {
       c, BatchReference(c, std::make_unique<PassThroughFilter>()));
 }
 
+TEST(OnlineEquality, PassThroughFilter) {
+  const EventStream stream = SmallStream(600, 11);
+  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 3, 12);
+  PassThroughFilter filter;
+  EqualityCase c{&stream, &pattern, &filter};
+  CheckShardedMatchesBatch(
+      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
+}
+
+TEST(OnlineEquality, TypeSheddingFilter) {
+  const EventStream stream = SmallStream(800, 23, /*num_types=*/6);
+  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 3, 10);
+  TypeSheddingFilter filter(pattern);
+  EqualityCase c{&stream, &pattern, &filter};
+  CheckShardedMatchesBatch(
+      c, BatchReference(c, std::make_unique<TypeSheddingFilter>(pattern)));
+}
+
+TEST(OnlineEquality, RandomSheddingFilterKeepsWindowSalt) {
+  const EventStream stream = SmallStream(700, 37);
+  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
+  RandomSheddingFilter filter(0.4, 99);
+  EqualityCase c{&stream, &pattern, &filter};
+  CheckShardedMatchesBatch(
+      c, BatchReference(c, std::make_unique<RandomSheddingFilter>(0.4, 99)));
+}
+
+TEST(OnlineEquality, OracleFilter) {
+  const EventStream stream = SmallStream(400, 51);
+  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
+  OracleFilter filter(pattern);
+  EqualityCase c{&stream, &pattern, &filter};
+  CheckShardedMatchesBatch(
+      c, BatchReference(c, std::make_unique<OracleFilter>(pattern)));
+}
+
+/// A small trained event network over SmallStream(900, 61), evaluated
+/// in batch on SmallStream(500, 62).
+struct TrainedCase {
+  EventStream train = SmallStream(900, 61);
+  EventStream test = SmallStream(500, 62);
+  Pattern pattern = AscendingSeqPattern(train.schema_ptr(), 2, 8);
+  BuiltDlacep built = Build(pattern, train);
+  PipelineResult batch = built.pipeline->Evaluate(test);
+
+  static BuiltDlacep Build(const Pattern& pattern, const EventStream& train) {
+    DlacepConfig config;
+    config.network.hidden_dim = 6;
+    config.network.num_layers = 1;
+    config.train.max_epochs = 2;
+    return BuildDlacep(pattern, train, FilterKind::kEventNetwork, config);
+  }
+};
+
+TEST(OnlineEquality, TrainedEventNetworkFilter) {
+  const TrainedCase t;
+  // The pipeline owns the trained filter; borrow it for the online run.
+  EqualityCase c{&t.test, &t.pattern, &t.built.pipeline->filter()};
+  CheckShardedMatchesBatch(c, t.batch);
+}
+
+TEST(OnlineEquality, NonDefaultAssemblerGeometry) {
+  const EventStream stream = SmallStream(300, 71);
+  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 7);
+  PassThroughFilter filter;
+  // mark not a multiple of step, truncated tail windows.
+  EqualityCase c{&stream, &pattern, &filter, /*mark_size=*/11,
+                 /*step_size=*/4};
+  CheckShardedMatchesBatch(
+      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
+}
+
+TEST(OnlineEquality, StreamShorterThanOneWindow) {
+  const EventStream full = SmallStream(200, 81);
+  const EventStream stream = full.Slice(0, 5);  // N << mark_size
+  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 30);
+  PassThroughFilter filter;
+  EqualityCase c{&stream, &pattern, &filter};
+  CheckShardedMatchesBatch(
+      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
+}
+
+TEST(OnlineEquality, EmptyStream) {
+  const EventStream full = SmallStream(10, 91);
+  const EventStream stream = full.Slice(0, 0);
+  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
+  PassThroughFilter filter;
+  OnlineConfig config;
+  config.overload.enabled = false;
+  OnlineDlacep online(pattern, &filter, config);
+  ReplaySource source(&stream);
+  const OnlineResult result = online.Run(&source);
+  EXPECT_TRUE(result.matches.empty());
+  EXPECT_TRUE(result.marked_ids.empty());
+  EXPECT_EQ(result.stats.windows_closed, 0u);
+  EXPECT_TRUE(result.stats.Accounted());
+}
+
+// Micro-batched filtration (batch_size > 1): every (shards × batch_size)
+// cell must stay byte-identical to the per-window batch pipeline.
+
+TEST(OnlineBatching, PassThroughFilterMatchesBatchPipeline) {
+  const EventStream stream = SmallStream(600, 11);
+  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 3, 12);
+  PassThroughFilter filter;
+  EqualityCase c{&stream, &pattern, &filter};
+  const PipelineResult batch =
+      BatchReference(c, std::make_unique<PassThroughFilter>());
+  for (size_t batch_size : {2u, 4u, 7u}) {
+    c.batch_size = batch_size;
+    CheckShardedMatchesBatch(c, batch);
+  }
+}
+
+TEST(OnlineBatching, TrainedEventNetworkFilterMatchesBatchPipeline) {
+  const TrainedCase t;
+  EqualityCase c{&t.test, &t.pattern, &t.built.pipeline->filter()};
+  for (size_t batch_size : {2u, 4u, 7u}) {
+    c.batch_size = batch_size;
+    CheckShardedMatchesBatch(c, t.batch);
+  }
+}
+
+TEST(OnlineBatching, PartialBatchFlushesAtEndOfStream) {
+  // batch_size larger than the whole window count: a shard can only
+  // group what it has popped, so the last group of the stream is always
+  // partial. The run must still terminate and match byte for byte.
+  const EventStream stream = SmallStream(300, 71);
+  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 7);
+  PassThroughFilter filter;
+  EqualityCase c{&stream, &pattern, &filter, /*mark_size=*/11,
+                 /*step_size=*/4};
+  c.batch_size = 1000;
+  CheckShardedMatchesBatch(
+      c, BatchReference(c, std::make_unique<PassThroughFilter>()));
+}
+
+// A configuration the runtime cannot build is a Status, never a CHECK:
+// zero shards would route every window to nowhere, and a zero-capacity
+// ingest queue could never accept an event.
+TEST(OnlineConfigValidation, ZeroShardsOrQueueCapacityIsInvalidArgument) {
+  const EventStream stream = SmallStream(50, 3);
+  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
+  PassThroughFilter filter;
+  for (const bool zero_shards : {true, false}) {
+    OnlineConfig config;
+    if (zero_shards) {
+      config.num_shards = 0;
+    } else {
+      config.queue_capacity = 0;
+    }
+    OnlineDlacep online(pattern, &filter, config);
+    ReplaySource source(&stream);
+    OnlineResult result;
+    const Status status = online.Run(&source, &result);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "zero_shards=" << zero_shards << ": " << status.ToString();
+    EXPECT_EQ(result.stats.events_ingested, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Overload determinism across shard counts.
 
@@ -309,9 +475,9 @@ TEST(ShardedOverload, EscalationLadderIsShardCountInvariant) {
   base.overload.dwell_windows = 2;
   base.overload.shedding = SheddingPolicy::kRandom;
 
-  OnlineConfig legacy = base;
-  legacy.num_threads = 2;
-  const OnlineResult reference = RunOnline(stream, pattern, &filter, legacy);
+  OnlineConfig single = base;
+  single.num_shards = 1;
+  const OnlineResult reference = RunOnline(stream, pattern, &filter, single);
 
   // Windows 0..1 run at level 0, 1..2 boosted, everything after shed.
   EXPECT_EQ(reference.stats.overload_escalations, 2u);
@@ -321,7 +487,7 @@ TEST(ShardedOverload, EscalationLadderIsShardCountInvariant) {
             reference.stats.windows_closed - 3);
   EXPECT_TRUE(reference.stats.Accounted());
 
-  for (size_t shards : {1u, 2u, 4u}) {
+  for (size_t shards : {2u, 4u, 8u}) {
     OnlineConfig config = base;
     config.num_shards = shards;
     const OnlineResult result = RunOnline(stream, pattern, &filter, config);
@@ -372,7 +538,7 @@ class PoisonWindowFilter : public StreamFilter {
 TEST(ShardedDegrade, DegradeToExactIsShardCountInvariant) {
   // max_windows_in_flight = 1 serializes close → mark → merge, so the
   // degraded/probe trajectory (which depends on merge-vs-close order)
-  // is a pure function of the window index in every mode. The poisoned
+  // is a pure function of the window index at every shard count. The poisoned
   // begins (windows 3 and 40 of the 16-step geometry) each force one
   // quarantine + degrade; probes recover well before the next poison.
   const EventStream stream = SmallStream(2000, 55);
@@ -389,9 +555,9 @@ TEST(ShardedDegrade, DegradeToExactIsShardCountInvariant) {
   base.health.probe_period = 4;
   base.health.probe_passes = 2;
 
-  OnlineConfig legacy = base;
-  legacy.num_threads = 2;
-  const OnlineResult reference = RunOnline(stream, pattern, &filter, legacy);
+  OnlineConfig single = base;
+  single.num_shards = 1;
+  const OnlineResult reference = RunOnline(stream, pattern, &filter, single);
 
   EXPECT_EQ(reference.stats.windows_quarantined, 2u);
   EXPECT_EQ(reference.stats.health_degrades, 2u);
@@ -400,7 +566,7 @@ TEST(ShardedDegrade, DegradeToExactIsShardCountInvariant) {
   EXPECT_GT(reference.stats.probes_run, 0u);
   EXPECT_TRUE(reference.stats.Accounted());
 
-  for (size_t shards : {1u, 2u, 4u}) {
+  for (size_t shards : {2u, 4u, 8u}) {
     OnlineConfig config = base;
     config.num_shards = shards;
     const OnlineResult result = RunOnline(stream, pattern, &filter, config);
@@ -426,7 +592,7 @@ TEST(ShardedDegrade, DegradeToExactIsShardCountInvariant) {
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint/restore in sharded mode.
+// Checkpoint/restore across shard counts.
 
 std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
@@ -435,24 +601,24 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-TEST(ShardedCheckpoint, KillAndRestoreMatchesLegacyUninterruptedRun) {
+TEST(ShardedCheckpoint, KillAndRestoreMatchesSingleShardUninterruptedRun) {
   // Checkpoints are written quiescently (all shards drained), so the
-  // snapshot carries no shard-count state: a sharded run killed
-  // mid-stream restores into another sharded run and finishes
-  // byte-identical to a legacy-pool run that was never interrupted.
+  // snapshot carries no shard-count state: a 2-shard run killed
+  // mid-stream restores into a 4-shard run and finishes byte-identical
+  // to a single-shard run that was never interrupted.
   const EventStream stream = SmallStream(900, 77);
   const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
   const std::string dir = FreshDir("ck_sharded_restore");
 
   PassThroughFilter pass_a;
   OnlineConfig config_a;
-  config_a.num_threads = 2;
+  config_a.num_shards = 1;
   config_a.overload.enabled = false;
   OnlineDlacep online_a(pattern, &pass_a, config_a);
   ReplaySource source_a(&stream);
   const OnlineResult a = online_a.Run(&source_a);
 
-  // Run B: sharded, permanent source failure mid-stream ("kill"), with
+  // Run B: 2 shards, permanent source failure mid-stream ("kill"), with
   // a final checkpoint written at abort.
   FaultPlan plan;
   plan.source_fail = true;
@@ -472,7 +638,7 @@ TEST(ShardedCheckpoint, KillAndRestoreMatchesLegacyUninterruptedRun) {
   EXPECT_TRUE(b.stats.source_aborted);
   EXPECT_TRUE(b.stats.Accounted());
 
-  // Run C: sharded (different shard count), restored from B's
+  // Run C: 4 shards, restored from B's
   // checkpoint over a fresh source.
   PassThroughFilter pass_c;
   OnlineConfig config_c;

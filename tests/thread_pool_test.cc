@@ -44,21 +44,31 @@ TEST(ThreadPool, WaitIsReusableAcrossBatches) {
 TEST(ThreadPool, ParallelForTouchesEachIndexExactlyOnce) {
   ThreadPool pool(3);
   std::vector<int> slots(257, 0);
-  ParallelFor(&pool, slots.size(), [&](size_t i) { slots[i] += 1; });
+  std::atomic<bool> worker_in_range{true};
+  ParallelForWorker(&pool, slots.size(), [&](size_t worker, size_t i) {
+    if (worker >= pool.num_threads()) worker_in_range = false;
+    slots[i] += 1;
+  });
   EXPECT_EQ(std::accumulate(slots.begin(), slots.end(), 0), 257);
   for (int v : slots) EXPECT_EQ(v, 1);
+  EXPECT_TRUE(worker_in_range.load());
 }
 
 TEST(ThreadPool, ParallelForWithNullPoolRunsSequentiallyInOrder) {
   std::vector<size_t> order;
-  ParallelFor(nullptr, 5, [&](size_t i) { order.push_back(i); });
+  std::vector<size_t> workers;
+  ParallelForWorker(nullptr, 5, [&](size_t worker, size_t i) {
+    workers.push_back(worker);
+    order.push_back(i);
+  });
   EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(workers, (std::vector<size_t>(5, 0)));
 }
 
 TEST(ThreadPool, ParallelForZeroCountIsANoOp) {
   ThreadPool pool(2);
   bool called = false;
-  ParallelFor(&pool, 0, [&](size_t) { called = true; });
+  ParallelForWorker(&pool, 0, [&](size_t, size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 

@@ -15,14 +15,13 @@
 //       set through the sharded online runtime and the match sets are
 //       cross-checked.
 //   replay    --query Q --data F.csv [--filter KIND] [--rate R]
-//             [--queue_capacity N] [--num_threads N | --shards N]
+//             [--queue_capacity N] [--shards N] [--batch_size N]
 //             [--drop 0|1]
 //       Stream a CSV through the online runtime (bounded ingest queue,
-//       worker pool or thread-per-core shards, overload control) and
-//       print RuntimeStats at exit. --shards N >= 1 selects the sharded
-//       runtime (consistent-hash routing, per-shard rings, core
-//       pinning; --pin 0 disables the pinning); output is byte-identical
-//       to --num_threads mode at any N.
+//       N thread-per-core shards with consistent-hash routing, overload
+//       control) and print RuntimeStats at exit. --shards defaults to
+//       1; --pin 0 disables core pinning. Output is byte-identical at
+//       any shard count and batch size.
 //   serve     --query Q [--events N] [--symbols N] [--seed S]
 //             [--filter KIND] [--rate R] [--queue_capacity N] ...
 //       Like replay, but the source is live stock-market simulation.
@@ -130,6 +129,24 @@ class Args {
   bool ok_ = true;
 };
 
+/// The runtime count flags are cast to size_t: a negative value would
+/// wrap to a huge count and a non-numeric one would silently read as 0,
+/// so both are rejected before any command runs.
+Status CheckCountFlags(const Args& args) {
+  for (const std::string name : {"shards", "queue_capacity", "batch_size"}) {
+    if (!args.Has(name)) continue;
+    const std::string text = args.Get(name);
+    char* end = nullptr;
+    const long value = std::strtol(text.c_str(), &end, 10);
+    if (text.empty() || *end != '\0' || value < 0) {
+      return Status::InvalidArgument("--" + name +
+                                     " must be a non-negative integer, got '" +
+                                     text + "'");
+    }
+  }
+  return Status::Ok();
+}
+
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
@@ -145,15 +162,14 @@ int Usage() {
                "       [--save model.bin | --load model.bin]\n"
                "  dlacep replay --query Q --data F.csv [--filter KIND]\n"
                "       [--rate EV_PER_SEC] [--queue_capacity N]"
-               " [--num_threads N | --shards N [--pin 0|1]]\n"
-               "       [--batch_size N] [--batch_timeout_ms MS]\n"
+               " [--shards N [--pin 0|1]]\n"
+               "       [--batch_size N]\n"
                "       [--drop 0|1] [--overload 0|1] [--train F.csv]\n"
                "  dlacep serve --query Q [--events N] [--symbols N]"
                " [--seed S]\n"
                "       [--filter KIND] [--rate EV_PER_SEC]"
                " [--queue_capacity N]\n"
-               "       [--num_threads N | --shards N [--pin 0|1]]"
-               " [--batch_size N] [--batch_timeout_ms MS]\n"
+               "       [--shards N [--pin 0|1]] [--batch_size N]\n"
                "       [--drop 0|1] [--overload 0|1]"
                " [--train F.csv]\n"
                "  (online filter KINDs: pass | type-shed | random-shed |"
@@ -441,7 +457,6 @@ OnlineConfig MakeOnlineConfig(const Args& args) {
   OnlineConfig config;
   config.queue_capacity =
       static_cast<size_t>(args.GetInt("queue_capacity", 1024));
-  config.num_threads = static_cast<size_t>(args.GetInt("num_threads", 1));
   config.drop_when_full = args.GetInt("drop", 0) != 0;
   config.overload.enabled = args.GetInt("overload", 1) != 0;
   config.drift.enabled = args.Has("drift_reference");
@@ -459,8 +474,7 @@ OnlineConfig MakeOnlineConfig(const Args& args) {
       static_cast<uint64_t>(args.GetInt("checkpoint_every", 0));
   config.checkpoint.restore = args.GetInt("restore", 0) != 0;
   config.batch_size = static_cast<size_t>(args.GetInt("batch_size", 1));
-  config.batch_timeout_ms = args.GetDouble("batch_timeout_ms", 2.0);
-  config.num_shards = static_cast<size_t>(args.GetInt("shards", 0));
+  config.num_shards = static_cast<size_t>(args.GetInt("shards", 1));
   config.pin_shard_threads = args.GetInt("pin", 1) != 0;
   const std::string engine = args.Get("engine", "nfa");
   config.engine = engine == "tree"       ? EngineKind::kTree
@@ -1068,6 +1082,10 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const Args args(argc, argv);
   if (!args.ok()) return Usage();
+  if (const Status counts = CheckCountFlags(args); !counts.ok()) {
+    std::fprintf(stderr, "%s\n", counts.ToString().c_str());
+    return 1;
+  }
   const std::string command = argv[1];
   if (command == "generate") return Generate(args);
   if (command == "run") return RunQuery(args);
