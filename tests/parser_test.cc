@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "pattern/lexer.h"
 #include "pattern/parser.h"
 #include "stream/generator.h"
@@ -147,6 +149,11 @@ struct BadQuery {
   const char* query;
   const char* why;
 };
+
+// Prints a case as its reason. Without this gtest prints the struct's
+// pointer bytes, which change with every load address, and ctest names
+// each case after that printout.
+void PrintTo(const BadQuery& bad, std::ostream* os) { *os << bad.why; }
 
 class ParserErrors : public ::testing::TestWithParam<BadQuery> {};
 
