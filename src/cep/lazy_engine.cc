@@ -1,6 +1,7 @@
 #include "cep/lazy_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "stream/window.h"
@@ -51,10 +52,8 @@ class LazySearch {
     candidates_.resize(plan_.num_positions());
     for (const Event& e : events_) {
       if (e.is_blank()) continue;
-      for (size_t p = 0; p < plan_.num_positions(); ++p) {
-        if (plan_.positions[p].Matches(e.type)) {
-          candidates_[p].push_back(&e);
-        }
+      for (uint64_t m = plan_.PositionsOf(e.type); m != 0; m &= m - 1) {
+        candidates_[static_cast<size_t>(std::countr_zero(m))].push_back(&e);
       }
     }
     // Lazy evaluation order: ascending frequency of the position's
@@ -95,10 +94,26 @@ class LazySearch {
     return false;
   }
 
+  /// Tests the checkable conditions of position `p`, just bound. The
+  /// plan has no Kleene position, so no check is aligned and every one
+  /// becomes checkable when its last position is bound.
+  bool Passes(size_t p) const {
+    for (const PositionCheck& check : plan_.checks[p]) {
+      if ((check.needs & ~bound_mask_) != 0) continue;
+      if (check.is_flat() ? !plan_.HoldsFlat(check, bound_.data())
+                          : !check.condition->Eval(binding_)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   void Rec(size_t order_index) {
     if (budget_->exceeded()) return;
     if (order_index == order_.size()) {
-      for (const Condition* condition : plan_.pos_conditions) {
+      // Conditions with variables were tested when their last position
+      // was bound; the rest are the plan's emission checks.
+      for (const Condition* condition : plan_.emission_checks) {
         if (!condition->Eval(binding_)) return;
       }
       if (!FitsWindow(binding_.AllEvents(), pattern_.window())) return;
@@ -108,6 +123,7 @@ class LazySearch {
     }
     const size_t p = order_[order_index];
     const PlanPosition& pos = plan_.positions[p];
+    const uint64_t bit = uint64_t{1} << p;
     const auto& bucket = candidates_[p];
     if (bucket.empty()) return;
 
@@ -175,29 +191,15 @@ class LazySearch {
       }
       binding_.Bind(pos.var, e);
       bound_[p] = e;
-      bool pass = true;
-      for (const Condition* condition : plan_.pos_conditions) {
-        bool references = false;
-        for (VarId v : condition->Vars()) {
-          if (v == pos.var) {
-            references = true;
-            break;
-          }
-        }
-        if (!references) continue;
-        if (!ReadyForPruningEval(*condition, binding_, pattern_)) continue;
-        if (!condition->Eval(binding_)) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) {
+      bound_mask_ |= bit;
+      if (Passes(p)) {
         ++stats_->partial_matches;  // a surviving search node
         if (!budget_->OnPartialMatch()) return;
         Rec(order_index + 1);
       } else {
         ++stats_->partial_matches_pruned;
       }
+      bound_mask_ &= ~bit;
       bound_[p] = nullptr;
       binding_.Unbind(pos.var);
     }
@@ -211,6 +213,7 @@ class LazySearch {
   EngineBudget* budget_;
   Binding binding_;
   std::vector<const Event*> bound_;  ///< per plan position
+  uint64_t bound_mask_ = 0;          ///< positions bound in bound_
   std::vector<std::vector<const Event*>> candidates_;  ///< per position
   std::vector<size_t> order_;
 };

@@ -1,6 +1,10 @@
 #include "cep/nfa_engine.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+
+#include "stream/window.h"
 
 namespace dlacep {
 
@@ -16,177 +20,293 @@ StatusOr<std::unique_ptr<NfaEngine>> NfaEngine::Create(
   return engine;
 }
 
-bool NfaEngine::PassesPruning(const LinearPlan& plan, const Binding& binding,
-                              VarId var) const {
-  for (const Condition* condition : plan.pos_conditions) {
-    bool references = false;
-    for (VarId v : condition->Vars()) {
-      if (v == var) {
-        references = true;
-        break;
+namespace {
+
+constexpr uint32_t kNoParent = std::numeric_limits<uint32_t>::max();
+constexpr uint32_t kNothingLoaded = kNoParent - 1;
+
+/// One stored partial match: the event it bound last, linked to the
+/// partial match it extended. Its assignment is the chain of events from
+/// the root record to itself, in arrival order. Every record of a chain
+/// shares the chain's anchor (first event), so a chain expires as a
+/// whole and a live record's ancestors are always live.
+struct Record {
+  const Event* event;
+  uint64_t mask;      ///< positions filled in the current repetition
+  EventId first_id;   ///< the anchor's id and timestamp
+  double first_ts;
+  uint32_t parent;    ///< index of the extended record, or kNoParent
+  uint32_t reps;      ///< completed group repetitions
+  uint32_t position;  ///< plan position `event` is bound to
+};
+
+/// One EvaluatePlan() pass over a span.
+///
+/// Records are appended in event order to one vector. While an event
+/// extends the stored records, expired ones are compacted away in place
+/// and the survivors' parent links remapped; the event's new records are
+/// appended behind the stored range and slide down over the gap after.
+class NfaRun {
+ public:
+  NfaRun(const LinearPlan& plan, const Pattern& pattern,
+         const EngineOptions& options, std::span<const Event> events,
+         EngineStats* stats, MatchSet* out, EngineBudget* budget)
+      : plan_(plan),
+        window_(pattern.window()),
+        max_stored_(options.max_partial_matches),
+        events_(events),
+        stats_(stats),
+        out_(out),
+        budget_(budget),
+        full_mask_(plan.num_positions() >= 64
+                       ? ~uint64_t{0}
+                       : (uint64_t{1} << plan.num_positions()) - 1),
+        by_pos_(plan.num_positions(), nullptr),
+        binding_(pattern.num_vars()) {
+    for (size_t p = 0; p < plan.num_positions(); ++p) {
+      if (plan.positions[p].kleene) kleene_mask_ |= uint64_t{1} << p;
+    }
+  }
+
+  void Run() {
+    for (const Event& e : events_) {
+      if (e.is_blank()) continue;
+      if (budget_->exceeded()) return;
+      const uint64_t matching = plan_.PositionsOf(e.type);
+      loaded_ = kNothingLoaded;
+      stored_before_ = records_.size();
+      remap_.resize(stored_before_);
+
+      // Extend every live stored record (skip-till-any-match keeps the
+      // original stored), compacting expired records away in the same
+      // pass. Only records stored before this event are candidates.
+      size_t write = 0;
+      for (size_t s = 0; s < stored_before_; ++s) {
+        if (!budget_->OnWork()) return;
+        Record rec = records_[s];
+        if (Expired(rec, e)) continue;
+        if (rec.parent != kNoParent) rec.parent = remap_[rec.parent];
+        remap_[s] = static_cast<uint32_t>(write);
+        records_[write] = rec;
+        const uint32_t src = static_cast<uint32_t>(write++);
+        if (matching != 0) Extend(rec, src, e, matching);
+      }
+
+      // Start fresh partial matches at positions with no predecessors.
+      for (uint64_t m = matching & plan_.roots; m != 0; m &= m - 1) {
+        const uint32_t p = static_cast<uint32_t>(std::countr_zero(m));
+        const Record c{&e, uint64_t{1} << p, e.id, e.timestamp, kNoParent,
+                       0, p};
+        Consider(c, write);
+      }
+
+      records_.erase(records_.begin() + static_cast<ptrdiff_t>(write),
+                     records_.begin() +
+                         static_cast<ptrdiff_t>(stored_before_));
+    }
+  }
+
+ private:
+  bool Expired(const Record& rec, const Event& e) const {
+    // Extensions only add events at or after `e`, so a prefix whose
+    // anchor is out of `e`'s window range can never complete.
+    if (window_.kind == WindowKind::kCount) {
+      return e.id - rec.first_id >
+             static_cast<EventId>(window_.count_size()) - 1;
+    }
+    return e.timestamp - rec.first_ts > window_.size;
+  }
+
+  /// Every candidate extension `rec` (stored at `src`) admits for `e`.
+  void Extend(const Record& rec, uint32_t src, const Event& e,
+              uint64_t matching) {
+    for (uint64_t m = matching; m != 0; m &= m - 1) {
+      const uint32_t p = static_cast<uint32_t>(std::countr_zero(m));
+      const uint64_t bit = uint64_t{1} << p;
+      if ((rec.mask & bit) == 0) {
+        // Fill a fresh position: all predecessors must be filled.
+        if ((plan_.preds[p] & rec.mask) != plan_.preds[p]) continue;
+        Consider(Record{&e, rec.mask | bit, rec.first_id, rec.first_ts, src,
+                        rec.reps, p},
+                 stored_before_);
+      } else if ((kleene_mask_ & bit) != 0) {
+        // Absorb another event into a Kleene position, allowed only
+        // while no successor position has been filled yet.
+        if ((plan_.succs[p] & rec.mask) != 0) continue;
+        const PlanPosition& pos = plan_.positions[p];
+        if (CountInChain(src, p) >= pos.max_reps * (rec.reps + 1)) continue;
+        Consider(Record{&e, rec.mask, rec.first_id, rec.first_ts, src,
+                        rec.reps, p},
+                 stored_before_);
       }
     }
-    if (!references) continue;
-    if (!ReadyForPruningEval(*condition, binding, pattern_)) continue;
-    if (!condition->Eval(binding)) return false;
-  }
-  return true;
-}
-
-void NfaEngine::MaybeEmit(const LinearPlan& plan, const PartialMatch& pm,
-                          std::span<const Event> events, MatchSet* out) {
-  if (pm.mask != full_mask_) return;
-  // Kleene positions must have reached their minimum absorption.
-  for (size_t i = 0; i < plan.num_positions(); ++i) {
-    const PlanPosition& pos = plan.positions[i];
-    if (pos.kleene &&
-        pm.binding.Of(pos.var).size() < pos.min_reps * (pm.reps + 1)) {
-      return;
+    // Group repetition: a complete prefix may loop back to position 0.
+    if (plan_.group_repeat && rec.mask == full_mask_ &&
+        rec.reps + 1 < plan_.group_max_reps && (matching & 1) != 0) {
+      Consider(Record{&e, 1, rec.first_id, rec.first_ts, src, rec.reps + 1,
+                      0},
+               stored_before_);
     }
   }
-  if (plan.group_repeat && pm.reps + 1 < plan.group_min_reps) return;
-  // Full condition check (covers aligned-Kleene semantics that pruning
-  // skips mid-repetition).
-  for (const Condition* condition : plan.pos_conditions) {
-    if (!condition->Eval(pm.binding)) return;
+
+  /// One transition: prunes the candidate or stores it. Every candidate
+  /// counts as one transition and either prunes or is counted as a
+  /// partial match, so across a run
+  /// transitions == partial_matches + partial_matches_pruned.
+  /// `stored` is the stored-record count the legacy cap compares with.
+  void Consider(const Record& c, size_t stored) {
+    ++stats_->transitions;
+    if (!Passes(c)) {
+      ++stats_->partial_matches_pruned;
+      return;
+    }
+    ++stats_->partial_matches;
+    if (!budget_->OnPartialMatch()) return;
+    const size_t created = records_.size() - stored_before_;
+    if (stored + created >= max_stored_) {
+      ++stats_->partial_matches_dropped;
+      return;
+    }
+    MaybeEmit(c);
+    records_.push_back(c);
   }
-  if (!FitsWindow(pm.binding.AllEvents(), pattern_.window())) return;
-  if (ViolatesNegation(plan, pm.binding, events)) return;
-  ++stats_.matches_emitted;
-  out->Insert(MatchFromBinding(pm.binding));
-}
+
+  /// Tests the checkable conditions of the candidate's position.
+  bool Passes(const Record& c) {
+    binding_for_ = nullptr;
+    const uint64_t bound = c.reps > 0 ? full_mask_ : c.mask;
+    for (const PositionCheck& check : plan_.checks[c.position]) {
+      if ((check.needs & ~bound) != 0) continue;
+      if (check.is_flat()) {
+        LoadChain(c.parent);
+        by_pos_[c.position] = c.event;
+        if (!plan_.HoldsFlat(check, by_pos_.data())) return false;
+        continue;
+      }
+      const Binding& binding = Materialize(c);
+      if (check.aligned() && !AlignedLengths(check, binding)) continue;
+      if (!check.condition->Eval(binding)) return false;
+    }
+    return true;
+  }
+
+  /// Emits the candidate's match if it is complete and valid. Conditions
+  /// with variables were tested when their last variable was bound; only
+  /// the plan's emission checks are re-evaluated.
+  void MaybeEmit(const Record& c) {
+    if (c.mask != full_mask_) return;
+    // Kleene positions must have reached their minimum absorption.
+    for (uint64_t m = kleene_mask_; m != 0; m &= m - 1) {
+      const uint32_t p = static_cast<uint32_t>(std::countr_zero(m));
+      const size_t len = CountInChain(c.parent, p) + (c.position == p);
+      if (len < plan_.positions[p].min_reps * (c.reps + 1)) return;
+    }
+    if (plan_.group_repeat && c.reps + 1 < plan_.group_min_reps) return;
+    for (const Condition* condition : plan_.emission_checks) {
+      if (!condition->Eval(Materialize(c))) return;
+    }
+    // The chain's ids, collected newest first, and its window span. A
+    // full chain holds at least one event per position.
+    std::vector<EventId> ids;
+    ids.reserve(plan_.num_positions());
+    ids.push_back(c.event->id);
+    EventId lo_id = c.event->id, hi_id = c.event->id;
+    double lo_ts = c.event->timestamp, hi_ts = c.event->timestamp;
+    for (uint32_t i = c.parent; i != kNoParent; i = records_[i].parent) {
+      const Event* e = records_[i].event;
+      ids.push_back(e->id);
+      lo_id = std::min(lo_id, e->id);
+      hi_id = std::max(hi_id, e->id);
+      lo_ts = std::min(lo_ts, e->timestamp);
+      hi_ts = std::max(hi_ts, e->timestamp);
+    }
+    if (window_.kind == WindowKind::kCount
+            ? hi_id - lo_id > static_cast<EventId>(window_.count_size()) - 1
+            : hi_ts - lo_ts > window_.size) {
+      return;
+    }
+    if (!plan_.negs.empty() &&
+        ViolatesNegation(plan_, Materialize(c), events_)) {
+      return;
+    }
+    ++stats_->matches_emitted;
+    std::reverse(ids.begin(), ids.end());
+    out_->Insert(Match(std::move(ids)));
+  }
+
+  /// Points by_pos_ at the events of the chain ending at `index`.
+  void LoadChain(uint32_t index) {
+    if (index == loaded_) return;
+    for (uint32_t i = index; i != kNoParent; i = records_[i].parent) {
+      by_pos_[records_[i].position] = records_[i].event;
+    }
+    loaded_ = index;
+  }
+
+  size_t CountInChain(uint32_t index, uint32_t position) const {
+    size_t count = 0;
+    for (uint32_t i = index; i != kNoParent; i = records_[i].parent) {
+      count += records_[i].position == position;
+    }
+    return count;
+  }
+
+  /// The candidate's assignment as a Binding (built once per candidate).
+  const Binding& Materialize(const Record& c) {
+    if (binding_for_ == &c) return binding_;
+    for (auto& slot : binding_.slots) slot.clear();
+    // Newest first along the chain, then each list into arrival order.
+    binding_.Bind(plan_.positions[c.position].var, c.event);
+    for (uint32_t i = c.parent; i != kNoParent; i = records_[i].parent) {
+      binding_.Bind(plan_.positions[records_[i].position].var,
+                    records_[i].event);
+    }
+    for (auto& slot : binding_.slots) std::reverse(slot.begin(), slot.end());
+    binding_for_ = &c;
+    return binding_;
+  }
+
+  bool AlignedLengths(const PositionCheck& check,
+                      const Binding& binding) const {
+    size_t len = 0;
+    bool first = true;
+    for (uint64_t m = check.kleene; m != 0; m &= m - 1) {
+      const VarId v = plan_.positions[std::countr_zero(m)].var;
+      const size_t n = binding.Of(v).size();
+      if (!first && n != len) return false;
+      len = n;
+      first = false;
+    }
+    return true;
+  }
+
+  const LinearPlan& plan_;
+  const WindowSpec& window_;
+  const size_t max_stored_;
+  std::span<const Event> events_;
+  EngineStats* stats_;
+  MatchSet* out_;
+  EngineBudget* budget_;
+  const uint64_t full_mask_;
+  uint64_t kleene_mask_ = 0;
+
+  std::vector<Record> records_;
+  size_t stored_before_ = 0;
+  std::vector<uint32_t> remap_;  ///< old index -> compacted index
+
+  std::vector<const Event*> by_pos_;  ///< flat checks' events by position
+  uint32_t loaded_ = kNothingLoaded;  ///< chain by_pos_ was loaded from
+  Binding binding_;                   ///< fallback / emission binding
+  const Record* binding_for_ = nullptr;
+};
+
+}  // namespace
 
 void NfaEngine::EvaluatePlan(const LinearPlan& plan,
                              std::span<const Event> events, MatchSet* out,
                              EngineBudget* budget) {
-  const size_t n = plan.num_positions();
-  full_mask_ = n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
-  const WindowSpec& window = pattern_.window();
-
-  std::vector<PartialMatch> storage;
-
-  for (const Event& e : events) {
-    if (e.is_blank()) continue;
-    if (budget->exceeded()) return;
-
-    auto is_expired = [&](const PartialMatch& pm) {
-      // Extensions only add events at or after `e`, so a prefix whose
-      // anchor is out of `e`'s window range can never complete.
-      if (window.kind == WindowKind::kCount) {
-        return e.id - pm.first_id >
-               static_cast<EventId>(window.count_size()) - 1;
-      }
-      return e.timestamp - pm.first_ts > window.size;
-    };
-
-    const size_t stored_before = storage.size();
-    std::vector<PartialMatch> created;
-
-    auto try_store = [&](PartialMatch&& pm) {
-      ++stats_.partial_matches;
-      if (!budget->OnPartialMatch()) return;
-      if (storage.size() + created.size() >= options_.max_partial_matches) {
-        ++stats_.partial_matches_dropped;
-        return;
-      }
-      MaybeEmit(plan, pm, events, out);
-      created.push_back(std::move(pm));
-    };
-
-    // Extend every live stored prefix (skip-till-any-match keeps the
-    // original stored), compacting expired prefixes away in the same
-    // pass. Only prefixes created before this event are candidates;
-    // `stored_before` freezes the range.
-    size_t write = 0;
-    for (size_t s = 0; s < stored_before; ++s) {
-      if (!budget->OnWork()) return;
-      if (is_expired(storage[s])) continue;
-      if (write != s) storage[write] = std::move(storage[s]);
-      const PartialMatch& pm = storage[write];
-      ++write;
-      for (size_t p = 0; p < n; ++p) {
-        const PlanPosition& pos = plan.positions[p];
-        if (!pos.Matches(e.type)) continue;
-        const bool filled = (pm.mask >> p) & 1;
-        if (!filled) {
-          // Fill a fresh position: all predecessors must be filled.
-          if ((plan.preds[p] & pm.mask) != plan.preds[p]) continue;
-          PartialMatch next = pm;
-          next.mask |= uint64_t{1} << p;
-          next.binding.Bind(pos.var, &e);
-          // Every candidate below counts as one transition and either
-          // prunes or reaches try_store, so across a run
-          // transitions == partial_matches + partial_matches_pruned.
-          ++stats_.transitions;
-          if (!PassesPruning(plan, next.binding, pos.var)) {
-            ++stats_.partial_matches_pruned;
-            continue;
-          }
-          try_store(std::move(next));
-        } else if (pos.kleene) {
-          // Absorb another event into a Kleene position, allowed only
-          // while no successor position has been filled yet.
-          const size_t limit = pos.max_reps * (pm.reps + 1);
-          if (pm.binding.Of(pos.var).size() >= limit) continue;
-          bool successor_filled = false;
-          for (size_t q = 0; q < n; ++q) {
-            if (((plan.preds[q] >> p) & 1) && ((pm.mask >> q) & 1)) {
-              successor_filled = true;
-              break;
-            }
-          }
-          if (successor_filled) continue;
-          PartialMatch next = pm;
-          next.binding.Bind(pos.var, &e);
-          ++stats_.transitions;
-          if (!PassesPruning(plan, next.binding, pos.var)) {
-            ++stats_.partial_matches_pruned;
-            continue;
-          }
-          try_store(std::move(next));
-        }
-      }
-      // Group repetition: a complete prefix may loop back to position 0.
-      if (plan.group_repeat && pm.mask == full_mask_ &&
-          pm.reps + 1 < plan.group_max_reps &&
-          plan.positions[0].Matches(e.type)) {
-        PartialMatch next = pm;
-        next.mask = uint64_t{1} << 0;
-        next.reps = pm.reps + 1;
-        next.binding.Bind(plan.positions[0].var, &e);
-        ++stats_.transitions;
-        if (PassesPruning(plan, next.binding, plan.positions[0].var)) {
-          try_store(std::move(next));
-        } else {
-          ++stats_.partial_matches_pruned;
-        }
-      }
-    }
-
-    storage.resize(write);
-
-    // Start fresh prefixes at positions with no predecessors.
-    for (size_t p = 0; p < n; ++p) {
-      const PlanPosition& pos = plan.positions[p];
-      if (!pos.Matches(e.type) || plan.preds[p] != 0) continue;
-      PartialMatch pm;
-      pm.mask = uint64_t{1} << p;
-      pm.binding = Binding(pattern_.num_vars());
-      pm.binding.Bind(pos.var, &e);
-      pm.first_id = e.id;
-      pm.first_ts = e.timestamp;
-      ++stats_.transitions;
-      if (!PassesPruning(plan, pm.binding, pos.var)) {
-        ++stats_.partial_matches_pruned;
-        continue;
-      }
-      try_store(std::move(pm));
-    }
-
-    for (PartialMatch& pm : created) {
-      storage.push_back(std::move(pm));
-    }
-  }
+  NfaRun run(plan, pattern_, options_, events, &stats_, out, budget);
+  run.Run();
 }
 
 Status NfaEngine::Evaluate(std::span<const Event> events, MatchSet* out) {

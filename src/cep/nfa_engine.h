@@ -4,9 +4,16 @@
 // Each stored partial match is an automaton "prefix": a partial
 // assignment of events to plan positions. Under skip-till-any-match,
 // every arriving event may extend every stored partial match (creating a
-// copy — the original remains stored) or start a new one. This is the
+// new one — the original remains stored) or start a new one. This is the
 // mechanism whose partial-match count explodes exponentially with the
 // window size, motivating DLACEP.
+//
+// Partial matches live in a shared-prefix store: a fixed-width record
+// holds the one event it added and links to the partial match it
+// extended, so an extension copies nothing of its prefix. A candidate
+// extension is tested against its position's compiled check list
+// (LinearPlan::checks) before anything is stored; a Binding is built
+// only for conditions without a flat lowering and at emission.
 //
 // Supports the full pattern class of pattern.h: SEQ/CONJ/DISJ branches,
 // KC positions, top-level KC(SEQ) group repetition, and NEG sub-patterns
@@ -35,31 +42,12 @@ class NfaEngine : public CepEngine {
  private:
   NfaEngine(Pattern pattern, EngineOptions options);
 
-  /// One automaton prefix.
-  struct PartialMatch {
-    uint64_t mask = 0;    ///< positions filled in the current repetition
-    uint32_t reps = 0;    ///< completed group repetitions
-    Binding binding;
-    EventId first_id = 0;
-    double first_ts = 0.0;
-  };
-
   void EvaluatePlan(const LinearPlan& plan, std::span<const Event> events,
                     MatchSet* out, EngineBudget* budget);
-
-  /// Prunes conditions made checkable by binding `var`; returns false
-  /// when the candidate partial match is contradicted.
-  bool PassesPruning(const LinearPlan& plan, const Binding& binding,
-                     VarId var) const;
-
-  /// Emits the match if the partial match is complete and valid.
-  void MaybeEmit(const LinearPlan& plan, const PartialMatch& pm,
-                 std::span<const Event> events, MatchSet* out);
 
   Pattern pattern_;
   EngineOptions options_;
   std::vector<LinearPlan> plans_;
-  uint64_t full_mask_ = 0;  // per-plan value computed during evaluation
 };
 
 }  // namespace dlacep

@@ -169,6 +169,98 @@ void AttachConditions(const Pattern& pattern, LinearPlan* plan) {
   }
 }
 
+FlatTerm LowerTerm(const Term& term, const std::vector<int32_t>& var_pos) {
+  FlatTerm flat;
+  flat.constant = term.constant;
+  if (term.ref.has_value()) {
+    flat.pos = var_pos[static_cast<size_t>(term.ref->var)];
+    flat.attr = static_cast<uint32_t>(term.ref->attr);
+    flat.coeff = term.coeff;
+  }
+  return flat;
+}
+
+// Appends the flat lowering of a tree of AND / comparisons to `out`;
+// returns false (leaving `out` partly extended) on any other node.
+bool LowerFlat(const Condition& condition,
+               const std::vector<int32_t>& var_pos,
+               std::vector<FlatCompare>* out) {
+  if (const auto* cmp = dynamic_cast<const CompareCondition*>(&condition)) {
+    out->push_back(FlatCompare{LowerTerm(cmp->lhs(), var_pos), cmp->op(),
+                               LowerTerm(cmp->rhs(), var_pos)});
+    return true;
+  }
+  if (const auto* conj = dynamic_cast<const AndCondition*>(&condition)) {
+    for (const auto& child : conj->children()) {
+      if (!LowerFlat(*child, var_pos, out)) return false;
+    }
+    return true;
+  }
+  return false;
+}
+
+// Builds the plan's per-position check lists and lookup masks.
+void CompileChecks(const Pattern& pattern, LinearPlan* plan) {
+  const size_t n = plan->num_positions();
+  std::vector<int32_t> var_pos(pattern.num_vars(), -1);
+  uint64_t lists = plan->group_repeat ? ~uint64_t{0} : 0;
+  for (size_t p = 0; p < n; ++p) {
+    const PlanPosition& pos = plan->positions[p];
+    var_pos[static_cast<size_t>(pos.var)] = static_cast<int32_t>(p);
+    if (pos.kleene || pattern.vars()[static_cast<size_t>(pos.var)].kleene) {
+      lists |= uint64_t{1} << p;
+    }
+  }
+
+  plan->checks.assign(n, {});
+  for (const Condition* condition : plan->pos_conditions) {
+    PositionCheck check;
+    check.condition = condition;
+    const std::vector<VarId> vars = condition->Vars();
+    for (VarId v : vars) {
+      const int32_t p = var_pos[static_cast<size_t>(v)];
+      DLACEP_CHECK_GE(p, 0);
+      check.needs |= uint64_t{1} << p;
+      if (pattern.vars()[static_cast<size_t>(v)].kleene) {
+        check.kleene |= uint64_t{1} << p;
+      }
+    }
+    if ((check.needs & lists) == 0) {
+      const size_t begin = plan->flat.size();
+      if (LowerFlat(*condition, var_pos, &plan->flat)) {
+        check.flat_begin = static_cast<uint32_t>(begin);
+        check.flat_end = static_cast<uint32_t>(plan->flat.size());
+      } else {
+        plan->flat.resize(begin);
+      }
+    }
+    if (vars.empty() || check.aligned()) {
+      plan->emission_checks.push_back(condition);
+    }
+    for (VarId v : vars) {
+      plan->checks[static_cast<size_t>(var_pos[static_cast<size_t>(v)])]
+          .push_back(check);
+    }
+  }
+
+  plan->succs.assign(n, 0);
+  for (size_t p = 0; p < n; ++p) {
+    const uint64_t bit = uint64_t{1} << p;
+    if (plan->preds[p] == 0) plan->roots |= bit;
+    for (size_t q = 0; q < n; ++q) {
+      if ((plan->preds[p] >> q) & 1) plan->succs[q] |= bit;
+    }
+    for (TypeId type : plan->positions[p].types) {
+      if (type < 0) continue;
+      const size_t t = static_cast<size_t>(type);
+      if (t >= plan->type_positions.size()) {
+        plan->type_positions.resize(t + 1, 0);
+      }
+      plan->type_positions[t] |= bit;
+    }
+  }
+}
+
 }  // namespace
 
 StatusOr<std::vector<LinearPlan>> CompilePlans(const Pattern& pattern) {
@@ -180,31 +272,17 @@ StatusOr<std::vector<LinearPlan>> CompilePlans(const Pattern& pattern) {
       LinearPlan plan;
       DLACEP_RETURN_IF_ERROR(CompileBranch(*branch, pattern, &plan));
       AttachConditions(pattern, &plan);
+      CompileChecks(pattern, &plan);
       plans.push_back(std::move(plan));
     }
   } else {
     LinearPlan plan;
     DLACEP_RETURN_IF_ERROR(CompileBranch(root, pattern, &plan));
     AttachConditions(pattern, &plan);
+    CompileChecks(pattern, &plan);
     plans.push_back(std::move(plan));
   }
   return plans;
-}
-
-bool ReadyForPruningEval(const Condition& condition, const Binding& binding,
-                         const Pattern& pattern) {
-  size_t kleene_len = 0;
-  size_t num_kleene = 0;
-  for (VarId v : condition.Vars()) {
-    if (!binding.IsBound(v)) return false;
-    if (pattern.vars()[static_cast<size_t>(v)].kleene) {
-      const size_t len = binding.Of(v).size();
-      if (num_kleene > 0 && len != kleene_len) return false;
-      kleene_len = len;
-      ++num_kleene;
-    }
-  }
-  return true;
 }
 
 namespace {

@@ -61,6 +61,9 @@ class Reader {
 
   bool Read(void* out, size_t n) {
     if (n > len_ - pos_) return false;
+    // An empty vector's data() may be null, and memcpy forbids null
+    // pointers even for zero bytes.
+    if (n == 0) return true;
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return true;

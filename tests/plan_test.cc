@@ -1,6 +1,6 @@
 // Unit tests for plan compilation: position layouts, precedence masks,
-// group repetition, negation anchoring, condition splitting, pruning
-// readiness, and negation-violation checking.
+// group repetition, negation anchoring, condition splitting, the
+// per-position check lists, and negation-violation checking.
 
 #include <gtest/gtest.h>
 
@@ -134,34 +134,62 @@ TEST(PlanCompile, MultiTypePositionsCarryTheirSets) {
 }
 
 TEST(ReadyForPruning, RequiresEqualKleeneListLengths) {
+  // a.vol < bb.vol over one KC(SEQ) group: both variables bind lists, so
+  // the compiled check is aligned (prunable only while the lists have
+  // equal lengths), has no flat lowering, and is re-checked at emission.
   PatternBuilder b(TestSchema());
   auto root = b.Kleene(b.Seq(b.Prim("A", "a"), b.Prim("B", "bb")), 1, 3);
   b.WhereCmp(1.0, "a", "vol", CmpOp::kLt, 1.0, "bb");
   const Pattern pattern = b.BuildOrDie(std::move(root),
                                        WindowSpec::Count(10));
-  const Condition& condition = *pattern.conditions()[0];
-  const VarId va = 0;
-  const VarId vb = 1;
-
-  Event e1(0, 0, 0, {1.0});
-  Event e2(1, 1, 1, {2.0});
-  Event e3(2, 0, 2, {3.0});
-  Binding binding(2);
-  binding.Bind(pattern.vars()[0].name == "a" ? va : vb, &e1);
-  // Identify which var is "a" by the VarInfo list.
-  VarId a_var = -1;
-  VarId b_var = -1;
-  for (size_t i = 0; i < pattern.vars().size(); ++i) {
-    if (pattern.vars()[i].name == "a") a_var = static_cast<VarId>(i);
-    if (pattern.vars()[i].name == "bb") b_var = static_cast<VarId>(i);
+  auto plans = CompilePlans(pattern);
+  ASSERT_TRUE(plans.ok());
+  const LinearPlan& plan = plans.value()[0];
+  ASSERT_EQ(plan.num_positions(), 2u);
+  for (size_t p = 0; p < 2; ++p) {
+    ASSERT_EQ(plan.checks[p].size(), 1u);
+    const PositionCheck& check = plan.checks[p][0];
+    EXPECT_EQ(check.condition, pattern.conditions()[0].get());
+    EXPECT_EQ(check.needs, 0b11u);
+    EXPECT_EQ(check.kleene, 0b11u);
+    EXPECT_TRUE(check.aligned());
+    EXPECT_FALSE(check.is_flat());
   }
-  Binding fresh(2);
-  fresh.Bind(a_var, &e1);
-  EXPECT_FALSE(ReadyForPruningEval(condition, fresh, pattern));  // bb unbound
-  fresh.Bind(b_var, &e2);
-  EXPECT_TRUE(ReadyForPruningEval(condition, fresh, pattern));  // 1 vs 1
-  fresh.Bind(a_var, &e3);
-  EXPECT_FALSE(ReadyForPruningEval(condition, fresh, pattern));  // 2 vs 1
+  EXPECT_EQ(plan.emission_checks,
+            std::vector<const Condition*>{pattern.conditions()[0].get()});
+}
+
+TEST(PositionChecks, BandConditionLowersToFlatComparisons) {
+  PatternBuilder b(TestSchema());
+  auto root = b.Seq(b.Prim("A", "a"), b.Prim("B", "bb"), b.Prim("C", "c"));
+  b.Where(MakeBandCondition(b.Var("c"), 0, b.Var("a"), 0, 0.9, 1.1));
+  const Pattern pattern = b.BuildOrDie(std::move(root),
+                                       WindowSpec::Count(10));
+  auto plans = CompilePlans(pattern);
+  ASSERT_TRUE(plans.ok());
+  const LinearPlan& plan = plans.value()[0];
+  EXPECT_EQ(plan.checks[0].size(), 1u);
+  EXPECT_TRUE(plan.checks[1].empty());
+  ASSERT_EQ(plan.checks[2].size(), 1u);
+  const PositionCheck& check = plan.checks[2][0];
+  EXPECT_EQ(check.needs, 0b101u);
+  EXPECT_FALSE(check.aligned());
+  ASSERT_TRUE(check.is_flat());
+  EXPECT_EQ(check.flat_end - check.flat_begin, 2u);
+  EXPECT_TRUE(plan.emission_checks.empty());
+
+  // 0.9 * a.vol < c.vol < 1.1 * a.vol, read by position.
+  Event a(0, 0, 0, {10.0});
+  Event c_in(2, 2, 2, {10.5});
+  Event c_out(2, 2, 2, {12.0});
+  const Event* inside[] = {&a, nullptr, &c_in};
+  const Event* outside[] = {&a, nullptr, &c_out};
+  EXPECT_TRUE(plan.HoldsFlat(check, inside));
+  EXPECT_FALSE(plan.HoldsFlat(check, outside));
+  EXPECT_EQ(plan.PositionsOf(1), 0b010u);
+  EXPECT_EQ(plan.PositionsOf(99), 0u);
+  EXPECT_EQ(plan.roots, 0b001u);
+  EXPECT_EQ(plan.succs[0], 0b110u);
 }
 
 TEST(ViolatesNegationCheck, DetectsAndRespectsConditions) {
