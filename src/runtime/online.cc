@@ -72,16 +72,14 @@ struct OnlineDlacep::RunState {
   size_t in_flight = 0;
   size_t next_merge = 0;
 
-  // Router-side shadow of every dispatched-but-unmerged window: its
-  // owner shard tells the merge which ring to pop, and a deadline
-  // abandon synthesizes a quarantined stand-in from it without the
-  // worker's cooperation. Keyed by dispatch sequence.
+  // Router-side shadow of every dispatched-but-unmerged window: a
+  // deadline abandon synthesizes a quarantined stand-in from it without
+  // the worker's cooperation. Keyed by dispatch sequence.
   struct Pending {
     size_t begin = 0;
     int level = 0;
     double close_seconds = 0.0;
     std::shared_ptr<EventStream> events;
-    size_t shard = 0;  ///< owner shard: where to pop the result from
   };
   std::map<size_t, Pending> pending;
 
@@ -170,11 +168,8 @@ OnlineDlacep::OnlineDlacep(const Pattern& pattern, const StreamFilter* filter,
   DLACEP_CHECK_GT(mark_size_, 0u);
   DLACEP_CHECK_GT(step_size_, 0u);
   num_shards_ = config_.num_shards;
-  // One routing ring and one scratch arena per shard, reused across
-  // runs. num_shards_ == 0 builds neither; Run() rejects it.
-  if (num_shards_ > 0) {
-    hash_ring_ = std::make_unique<ConsistentHashRing>(num_shards_);
-  }
+  // One scratch arena per shard, reused across runs. num_shards_ == 0
+  // builds none; Run() rejects it.
   for (size_t i = 0; i < num_shards_; ++i) {
     contexts_.push_back(std::make_unique<InferenceContext>());
   }
@@ -309,14 +304,14 @@ void OnlineDlacep::MergeOne(RunState* state, DoneWindow window) {
 void OnlineDlacep::DrainMerges(RunState* state, size_t target_in_flight) {
   const double deadline =
       config_.health.enabled ? config_.health.mark_deadline_seconds : 0.0;
-  // The merge line is the global dispatch sequence; the owner shard of
-  // the next sequence was recorded at dispatch. Anything popped below
+  // The merge line is the global dispatch sequence, and sequence `seq`
+  // was dispatched to shard `seq % num_shards_`. Anything popped below
   // the line is the late result of a previously abandoned window —
   // stale, discard.
   while (state->in_flight > target_in_flight) {
     auto pit = state->pending.find(state->next_merge);
     DLACEP_CHECK(pit != state->pending.end());
-    RunState::Shard& shard = *state->shards[pit->second.shard];
+    RunState::Shard& shard = *state->shards[state->next_merge % num_shards_];
     DoneWindow window;
     bool have = false;
     for (;;) {
@@ -363,7 +358,7 @@ void OnlineDlacep::DrainMerges(RunState* state, size_t target_in_flight) {
   while (state->in_flight > 0) {
     auto pit = state->pending.find(state->next_merge);
     DLACEP_CHECK(pit != state->pending.end());
-    RunState::Shard& shard = *state->shards[pit->second.shard];
+    RunState::Shard& shard = *state->shards[state->next_merge % num_shards_];
     DoneWindow window;
     bool have = false;
     RunState::SeqDone done;
@@ -544,15 +539,18 @@ void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
   ++state->in_flight;
   obs::WindowsInFlight()->Set(static_cast<double>(state->in_flight));
 
-  // Exchange stage: the detached window is forwarded whole to the shard
-  // that owns its head symbol. Occupancy is bounded by in_flight
-  // (capped at max_in_flight_ - 1 by the DrainMerges above), so the
-  // push lands without blocking unless deadline abandons have piled
-  // extra tasks onto a wedged shard — then blocking here is the
-  // intended backpressure.
-  const size_t owner = hash_ring_->ShardFor(WindowRoutingSymbol(*events));
+  // Exchange stage: the detached window is forwarded whole to shard
+  // seq mod N. Windows are fixed-size, so round-robin gives every shard
+  // an equal share of the marking, and the owner is a pure function of
+  // the dispatch sequence (a restored run resumes at its
+  // windows_dispatched). Occupancy is bounded by in_flight (capped at
+  // max_in_flight_ - 1 by the DrainMerges above), so the push lands
+  // without blocking unless deadline abandons have piled extra tasks
+  // onto a wedged shard — then blocking here is the intended
+  // backpressure.
+  const size_t owner = seq % num_shards_;
   state->pending.emplace(
-      seq, RunState::Pending{begin, level, close_seconds, events, owner});
+      seq, RunState::Pending{begin, level, close_seconds, events});
   RunState::Shard& shard = *state->shards[owner];
   RunState::WindowTask task{seq,   begin, level,
                             probe, close_seconds, std::move(events)};

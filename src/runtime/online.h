@@ -12,15 +12,17 @@
 // watermark (a window closes exactly when its last event has arrived,
 // reproducing InputAssembler::Windows / CountWindows window by window),
 // detaches each closed window and forwards it — the exchange stage —
-// through consistent hashing on its head symbol to an owner shard.
-// Window close stays global and serial (the count geometry is a
-// property of the whole stream); only the marking is sharded. Each
-// shard is a core-pinned worker thread with its own SPSC work and
-// completion rings and its own nn::InferenceContext; it micro-batches
-// adjacent batchable windows of a burst into one filter call. The
-// router merges completions strictly by dispatch sequence (the owner of
-// the next sequence is recorded at dispatch; a shard's completion ring
-// is FIFO and hence sequence-ordered), so:
+// round-robin by dispatch sequence: window `seq` goes to shard
+// `seq mod N`. Every window has the same size (MarkSize events), so
+// this gives each shard an equal share of the marking. Window close
+// stays global and serial (the count geometry is a property of the
+// whole stream); only the marking is sharded. Each shard is a
+// core-pinned worker thread with its own SPSC work and completion
+// rings and its own nn::InferenceContext; it micro-batches adjacent
+// batchable windows of a burst into one filter call. The router merges
+// completions strictly by dispatch sequence (the owner of the next
+// sequence is `seq mod N`; a shard's completion ring is FIFO and hence
+// sequence-ordered), so:
 //
 //   CORRECTNESS CONTRACT (tests/sharded_runtime_test.cc): with a
 //   lossless producer and the overload controller disabled or never
@@ -80,7 +82,6 @@
 #include "runtime/health.h"
 #include "runtime/overload.h"
 #include "runtime/ring_queue.h"
-#include "runtime/shard.h"
 #include "runtime/source.h"
 #include "runtime/stats.h"
 
@@ -108,8 +109,10 @@ struct OnlineConfig {
   /// Shard workers (>= 1; 0 makes Run() return InvalidArgument). Each
   /// shard owns a single-producer/single-consumer work ring, a
   /// completion ring, its own nn::InferenceContext, and one worker
-  /// thread pinned to a core (best-effort). Marks, matches, and
-  /// accounting are byte-identical at every shard count.
+  /// thread pinned to a core (best-effort). Closed windows are
+  /// dispatched round-robin: window `seq` to shard `seq % num_shards`.
+  /// Marks, matches, and accounting are byte-identical at every shard
+  /// count.
   size_t num_shards = 1;
 
   /// Windows dispatched but not yet merged before the router stops
@@ -237,9 +240,9 @@ class OnlineDlacep {
   void MergeOne(RunState* state, DoneWindow window);
   /// Merges every completed window that is next in window order;
   /// blocks until `target_in_flight` or fewer windows remain pending.
-  /// The owner shard of the next sequence is known from the pending
-  /// map, and a shard's completion ring is sequence-ordered (its worker
-  /// is FIFO), so each step pops exactly the owner's ring. With a mark
+  /// The owner shard of sequence `seq` is `seq % num_shards_`, and a
+  /// shard's completion ring is sequence-ordered (its worker is FIFO),
+  /// so each step pops exactly the owner's ring. With a mark
   /// deadline configured, an overdue window is abandoned: a synthesized
   /// quarantined DoneWindow takes its place so a wedged shard can never
   /// stall the merge line.
@@ -260,9 +263,6 @@ class OnlineDlacep {
   size_t step_size_;
   size_t num_shards_;
   size_t max_in_flight_;
-  /// The symbol → owner-shard map (null when num_shards_ == 0, which
-  /// Run() rejects).
-  std::unique_ptr<ConsistentHashRing> hash_ring_;
   /// One scratch arena per shard, reused across windows and runs.
   std::vector<std::unique_ptr<InferenceContext>> contexts_;
   /// Level-2 fallbacks, built once from the pattern/config.

@@ -63,10 +63,14 @@ struct OverloadTransition {
   double latency_seconds = 0.0;
 };
 
-/// Per-shard accounting in the online runtime.
-/// Single-writer fields: `windows_routed` and `work_high_water` come
-/// from the router, the rest from the shard's worker thread; the
-/// snapshot is read only after the shard threads join.
+/// Per-shard accounting in the online runtime. The router dispatches
+/// closed windows round-robin by dispatch sequence (window `seq` goes
+/// to shard `seq mod N`), so `windows_routed` differs by at most 1
+/// across the shards of a run.
+/// Writers: the router counts `windows_routed`, the shard's worker
+/// thread the marking fields, and Run() copies `work_high_water` from
+/// the work ring's high_water() after the shard threads join; the
+/// snapshot is read only after that.
 struct ShardStats {
   uint64_t windows_routed = 0;  ///< closed windows forwarded here
   uint64_t windows_marked = 0;  ///< windows the worker finished marking

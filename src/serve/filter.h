@@ -1,11 +1,12 @@
 // The shared-inference filter: one StreamFilter that serves every
 // registered query.
 //
-// Per window (on whatever worker/shard thread the runtime dispatches
-// to) the filter acquires the current registry snapshot lock-free,
-// featurizes ONCE, runs ONE trunk forward (reusing the caller's
-// InferenceContext scratch arena, and the ForwardBatch slab on the
-// micro-batched path), and decodes per-query marks:
+// Per window (on whatever shard thread the runtime dispatches to) the
+// filter acquires the current registry snapshot (one pointer copy under
+// the registry's snapshot mutex), featurizes ONCE, runs ONE trunk
+// forward (reusing the caller's InferenceContext scratch arena, and the
+// ForwardBatch slab on the micro-batched path), and decodes per-query
+// marks:
 //
 //  * with a multi-head trunk (EventNetworkFilter): the CRF marginals
 //    are computed once and thresholded once per query — the cheap
@@ -15,9 +16,10 @@
 //
 // The runtime consumes the UNION of the per-query marks (an event is
 // relayed if any query wants it); the per-query attribution is recorded
-// in a sink the MultiQueryServer reads at extraction time. Recording is
-// one short mutex hold per window — window granularity, not event
-// granularity — which keeps the hot path lock-free everywhere else.
+// in a sink the MultiQueryServer reads at extraction time. Acquiring
+// and recording are one short mutex hold each per window — window
+// granularity, not event granularity; the featurize, forward and decode
+// in between take no lock.
 //
 // Equivalence contract (tests/multi_query_runtime_test.cc): in a
 // lossless below-capacity run, a query's recorded id set — and hence

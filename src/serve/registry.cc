@@ -25,7 +25,13 @@ void QueryRegistry::PublishLocked() {
     plan_queries.push_back(PlanQuery{entry.pattern.get(), entry.engine});
   }
   snapshot->plan = BuildSharedCepPlan(plan_queries);
-  snapshot_.store(std::move(snapshot), std::memory_order_release);
+  // The previous snapshot is released outside the reader lock, so its
+  // destructor never runs while a reader waits.
+  std::shared_ptr<const RegistrySnapshot> retired;
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    retired = std::exchange(snapshot_, std::move(snapshot));
+  }
   obs::RegistryQueries()->Set(static_cast<double>(live_.size()));
   if (version_ > 0) obs::RegistrySnapshots()->Increment();
 }
@@ -67,7 +73,8 @@ Status QueryRegistry::Unregister(QueryId id) {
 }
 
 std::shared_ptr<const RegistrySnapshot> QueryRegistry::Acquire() const {
-  return snapshot_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  return snapshot_;
 }
 
 size_t QueryRegistry::size() const {

@@ -3,17 +3,24 @@
 //
 // Registrations and unregistrations rebuild an immutable
 // RegistrySnapshot (query list + shared-CEP plan) under a writer mutex
-// and publish it with one atomic shared_ptr swap (RCU-style). Readers —
-// the ServeFilter on every worker/shard thread, once per window — do a
-// single lock-free atomic load and hold the snapshot for the duration
-// of the window; a concurrent unregister can therefore never invalidate
-// a pattern mid-mark. Mutations are O(live queries) for the plan
-// rebuild, which is the intended trade: churn is rare, windows are not.
+// and publish it by swapping one shared_ptr (RCU-style). Readers — the
+// ServeFilter on every shard thread, once per window — copy that
+// pointer under a second mutex that guards nothing else, so a read
+// waits only for another pointer copy or swap, never for a plan
+// rebuild. A reader holds its snapshot for the duration of the window;
+// a concurrent unregister can therefore never invalidate a pattern
+// mid-mark. Mutations are O(live queries) for the plan rebuild, which
+// is the intended trade: churn is rare, windows are not.
+//
+// A plain mutex rather than std::atomic<std::shared_ptr>: libstdc++
+// implements the atomic with an internal lock as well
+// (is_always_lock_free is false), and that lock bit is invisible to
+// ThreadSanitizer, which then reports a race between a publish and an
+// Acquire.
 
 #ifndef DLACEP_SERVE_REGISTRY_H_
 #define DLACEP_SERVE_REGISTRY_H_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -70,8 +77,8 @@ class QueryRegistry {
   /// never registered or already removed.
   Status Unregister(QueryId id);
 
-  /// Lock-free: one atomic shared_ptr load. Never null; the empty
-  /// registry is a snapshot with no queries.
+  /// Copies the current snapshot pointer under snapshot_mu_. Never
+  /// null; the empty registry is a snapshot with no queries.
   std::shared_ptr<const RegistrySnapshot> Acquire() const;
 
   size_t size() const;
@@ -79,11 +86,13 @@ class QueryRegistry {
  private:
   void PublishLocked();
 
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  ///< writers: live_, next_id_, version_
   std::vector<QueryEntry> live_;
   QueryId next_id_ = 1;
   uint64_t version_ = 0;
-  std::atomic<std::shared_ptr<const RegistrySnapshot>> snapshot_;
+  /// Guards only snapshot_, so Acquire never waits for a plan rebuild.
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<const RegistrySnapshot> snapshot_;
 };
 
 }  // namespace serve

@@ -4,19 +4,23 @@
 // count and micro-batch size. Routing is an implementation detail; only
 // throughput may change.
 //
-// Also covers the ConsistentHashRing (determinism, coverage, minimal
-// remap on growth), window routing keys, per-shard stats aggregation,
-// and checkpoint kill-and-restore across runtime modes. The whole file
-// must pass under TSan (see the CI sanitizer job).
+// Also covers round-robin window dispatch (window `seq` runs on shard
+// `seq mod N`, also after a restore), per-shard stats aggregation, and
+// checkpoint kill-and-restore across shard counts. The whole file must
+// pass under TSan (see the CI sanitizer job).
 
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dlacep/event_filter.h"
@@ -27,7 +31,6 @@
 #include "runtime/checkpoint.h"
 #include "runtime/fault_injection.h"
 #include "runtime/online.h"
-#include "runtime/shard.h"
 #include "runtime/source.h"
 #include "stream/stocksim.h"
 #include "test_util.h"
@@ -44,74 +47,12 @@ void ExpectSameMatches(const MatchSet& a, const MatchSet& b) {
 }
 
 // ---------------------------------------------------------------------
-// ConsistentHashRing.
-
-TEST(ConsistentHashRing, DeterministicAndInRange) {
-  const ConsistentHashRing a(4);
-  const ConsistentHashRing b(4);
-  for (TypeId symbol = -1; symbol < 500; ++symbol) {
-    const size_t shard = a.ShardFor(symbol);
-    EXPECT_LT(shard, 4u);
-    EXPECT_EQ(shard, b.ShardFor(symbol)) << "symbol=" << symbol;
-  }
-}
-
-TEST(ConsistentHashRing, EveryShardOwnsSomeSymbols) {
-  const ConsistentHashRing ring(8);
-  std::set<size_t> seen;
-  for (TypeId symbol = 0; symbol < 5000; ++symbol) {
-    seen.insert(ring.ShardFor(symbol));
-  }
-  EXPECT_EQ(seen.size(), 8u);
-}
-
-TEST(ConsistentHashRing, SingleShardOwnsEverything) {
-  const ConsistentHashRing ring(1);
-  for (TypeId symbol = -1; symbol < 100; ++symbol) {
-    EXPECT_EQ(ring.ShardFor(symbol), 0u);
-  }
-}
-
-TEST(ConsistentHashRing, GrowthRemapsOnlyToTheNewShard) {
-  // The consistent-hashing contract: adding shard 4 may steal keys from
-  // the existing shards, but every key that moves must move TO the new
-  // shard (vnode points are independent of the shard count, so only a
-  // new vnode can change a key's successor), and only a minority of
-  // keys move at all.
-  const ConsistentHashRing before(4);
-  const ConsistentHashRing after(5);
-  size_t moved = 0;
-  const TypeId kKeys = 2000;
-  for (TypeId symbol = 0; symbol < kKeys; ++symbol) {
-    const size_t old_shard = before.ShardFor(symbol);
-    const size_t new_shard = after.ShardFor(symbol);
-    if (old_shard != new_shard) {
-      ++moved;
-      EXPECT_EQ(new_shard, 4u) << "symbol=" << symbol;
-    }
-  }
-  EXPECT_GT(moved, 0u);
-  // Expected move fraction is 1/5; modulo hashing would move ~4/5.
-  EXPECT_LT(moved, static_cast<size_t>(kKeys) / 2);
-}
-
-TEST(WindowRoutingSymbol, HeadNonBlankSymbolOrBlank) {
-  EventStream window(MakeStockSchema(4));
-  EXPECT_EQ(WindowRoutingSymbol(window), kBlankType);  // empty
-  window.AppendBlank(0.0);
-  EXPECT_EQ(WindowRoutingSymbol(window), kBlankType);  // all blank
-  window.Append(2, 1.0, {5.0});
-  window.Append(0, 2.0, {6.0});
-  EXPECT_EQ(WindowRoutingSymbol(window), 2);  // first non-blank wins
-}
-
-// ---------------------------------------------------------------------
 // Byte-equality with the batch pipeline across shard counts.
 
 /// SEQ(S0 a, S1 b) with an ascending-volume condition — a two-symbol
 /// pattern over the stock schema, so type-shedding has irrelevant
-/// traffic to drop and the exchange stage sees symbol sets that span
-/// shards at every shard count.
+/// traffic to drop and a match's events span windows that different
+/// shards mark at every shard count.
 Pattern StockSeqPattern(std::shared_ptr<const Schema> schema,
                         size_t window) {
   PatternBuilder builder(std::move(schema));
@@ -147,8 +88,8 @@ class VolGateFilter : public StreamFilter {
   double gate_;
 };
 
-/// A Zipf-skewed stock stream: hot symbols concentrate on few shards,
-/// which is exactly the routing regime that must not perturb output.
+/// A Zipf-skewed stock stream: a few hot symbols dominate, so windows
+/// differ widely in content but never in size.
 EventStream ZipfStream() {
   StockSimConfig config;
   config.num_events = 4000;
@@ -656,6 +597,142 @@ TEST(ShardedCheckpoint, KillAndRestoreMatchesSingleShardUninterruptedRun) {
   EXPECT_EQ(c.marked_ids, a.marked_ids);
   EXPECT_EQ(c.marked_events, a.marked_events);
   ExpectSameMatches(c.matches, a.matches);
+}
+
+// ---------------------------------------------------------------------
+// Round-robin dispatch: window `seq` runs on shard `seq mod N`.
+
+/// The worker thread that marked each dispatch sequence of a run,
+/// recorded through OnlineConfig::worker_window_hook.
+class WorkerLog {
+ public:
+  void Attach(OnlineConfig* config) {
+    config->worker_window_hook = [this](uint64_t seq) {
+      std::lock_guard<std::mutex> lock(mu_);
+      worker_[seq] = std::this_thread::get_id();
+    };
+  }
+  const std::map<uint64_t, std::thread::id>& worker() const {
+    return worker_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<uint64_t, std::thread::id> worker_;
+};
+
+/// Checks that windows [first, last) ran round-robin over `shards`
+/// shards: one worker thread per residue class of seq mod shards, and
+/// ShardStats::windows_routed of shard s equal to the number of
+/// sequences in the range with seq % shards == s.
+void ExpectRoundRobin(const WorkerLog& log, const OnlineResult& result,
+                      size_t shards, uint64_t first, uint64_t last) {
+  ASSERT_EQ(result.stats.shards.size(), shards);
+  ASSERT_EQ(log.worker().size(), last - first) << "shards=" << shards;
+  ASSERT_EQ(log.worker().begin()->first, first) << "shards=" << shards;
+  std::map<uint64_t, std::thread::id> owner;  // residue -> worker thread
+  std::set<std::thread::id> threads;
+  for (const auto& [seq, thread] : log.worker()) {
+    const auto [it, fresh] = owner.emplace(seq % shards, thread);
+    if (fresh) threads.insert(thread);
+    EXPECT_EQ(it->second, thread)
+        << "shards=" << shards << " seq=" << seq << " changed worker";
+  }
+  EXPECT_EQ(threads.size(), owner.size()) << "shards=" << shards;
+
+  uint64_t least = last;
+  uint64_t most = 0;
+  for (size_t s = 0; s < shards; ++s) {
+    uint64_t expected = 0;
+    for (uint64_t seq = first; seq < last; ++seq) {
+      if (seq % shards == s) ++expected;
+    }
+    const uint64_t routed = result.stats.shards[s].windows_routed;
+    EXPECT_EQ(routed, expected) << "shards=" << shards << " shard=" << s;
+    least = std::min(least, routed);
+    most = std::max(most, routed);
+  }
+  EXPECT_LE(most - least, 1u) << "shards=" << shards;
+}
+
+TEST(RoundRobinDispatch, BalancedAtEveryShardCount) {
+  // Most windows of the Zipf stream start with one of a few hot
+  // symbols, so any routing keyed on window content would load one
+  // shard far more than the others. Dispatch by sequence splits the
+  // fixed-size windows evenly anyway.
+  const EventStream stream = ZipfStream();
+  const Pattern pattern = StockSeqPattern(stream.schema_ptr(), 12);
+  PassThroughFilter filter;
+  for (size_t shards : {1u, 2u, 3u, 4u, 8u}) {
+    OnlineConfig config;
+    config.num_shards = shards;
+    config.overload.enabled = false;
+    WorkerLog log;
+    log.Attach(&config);
+    const OnlineResult result = RunOnline(stream, pattern, &filter, config);
+    ASSERT_GT(result.stats.windows_closed, 8u);
+    ExpectRoundRobin(log, result, shards, 0, result.stats.windows_closed);
+  }
+}
+
+TEST(RoundRobinDispatch, RestoredRunContinuesFromDispatchedCount) {
+  // A 2-shard run killed mid-stream checkpoints windows_dispatched = D.
+  // A 3-shard run restored from it dispatches windows D, D+1, ... to
+  // shards D mod 3, (D+1) mod 3, ...: the owner is a function of the
+  // global sequence, so output stays byte-identical to batch Evaluate.
+  const EventStream stream = SmallStream(908, 77);
+  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
+  const std::string dir = FreshDir("ck_round_robin_resume");
+  PassThroughFilter filter;
+  const PipelineResult batch =
+      BatchReference(EqualityCase{&stream, &pattern, &filter},
+                     std::make_unique<PassThroughFilter>());
+
+  FaultPlan plan;
+  plan.source_fail = true;
+  plan.fail_at = 500;
+  plan.fail_count = 0;
+  FaultInjector injector(plan);
+  auto killed_source =
+      injector.WrapSource(std::make_unique<ReplaySource>(&stream));
+  OnlineConfig killed;
+  killed.num_shards = 2;
+  killed.overload.enabled = false;
+  killed.checkpoint.dir = dir;
+  killed.checkpoint.every_events = 128;
+  OnlineDlacep killed_run(pattern, &filter, killed);
+  OnlineResult partial;
+  ASSERT_TRUE(killed_run.Run(killed_source.get(), &partial).ok());
+  ASSERT_TRUE(partial.stats.source_aborted);
+
+  const StatusOr<CheckpointState> checkpoint = LoadCheckpoint(dir);
+  ASSERT_TRUE(checkpoint.ok());
+  const uint64_t resumed_at = checkpoint.value().windows_dispatched;
+
+  OnlineConfig restored;
+  restored.num_shards = 3;
+  restored.overload.enabled = false;
+  restored.checkpoint.dir = dir;
+  restored.checkpoint.restore = true;
+  WorkerLog log;
+  log.Attach(&restored);
+  OnlineDlacep restored_run(pattern, &filter, restored);
+  ReplaySource source(&stream);
+  OnlineResult result;
+  ASSERT_TRUE(restored_run.Run(&source, &result).ok());
+
+  EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
+  EXPECT_EQ(result.stats.events_ingested, stream.size());
+  EXPECT_EQ(result.marked_ids, batch.marked_ids);
+  EXPECT_EQ(result.marked_events, batch.marked_events);
+  ExpectSameMatches(result.matches, batch.matches);
+  // "Continue at D" and "start again at 0" give different per-shard
+  // counts only if neither D nor the number of resumed windows is a
+  // multiple of 3.
+  const uint64_t windows = result.stats.windows_closed;
+  ASSERT_NE(resumed_at % 3, 0u);
+  ASSERT_NE((windows - resumed_at) % 3, 0u);
+  ExpectRoundRobin(log, result, 3, resumed_at, windows);
 }
 
 }  // namespace

@@ -18,9 +18,9 @@
 //             [--queue_capacity N] [--shards N] [--batch_size N]
 //             [--drop 0|1]
 //       Stream a CSV through the online runtime (bounded ingest queue,
-//       N thread-per-core shards with consistent-hash routing, overload
-//       control) and print RuntimeStats at exit. --shards defaults to
-//       1; --pin 0 disables core pinning. Output is byte-identical at
+//       N thread-per-core shards fed round-robin, overload control)
+//       and print RuntimeStats at exit. --shards defaults to 1;
+//       --pin 0 disables core pinning. Output is byte-identical at
 //       any shard count and batch size.
 //   serve     --query Q [--events N] [--symbols N] [--seed S]
 //             [--filter KIND] [--rate R] [--queue_capacity N] ...
