@@ -193,18 +193,7 @@ Status AdaptiveEngine::Evaluate(std::span<const Event> events,
   // and reusability after an abort are exactly the selected engine's.
   const EngineStats before = c.engine->stats();
   const Status status = c.engine->Evaluate(events, out);
-  const EngineStats& after = c.engine->stats();
-  stats_.events_processed += after.events_processed - before.events_processed;
-  stats_.partial_matches += after.partial_matches - before.partial_matches;
-  stats_.matches_emitted += after.matches_emitted - before.matches_emitted;
-  stats_.partial_matches_dropped +=
-      after.partial_matches_dropped - before.partial_matches_dropped;
-  stats_.transitions += after.transitions - before.transitions;
-  stats_.partial_matches_pruned +=
-      after.partial_matches_pruned - before.partial_matches_pruned;
-  stats_.budget_aborts += after.budget_aborts - before.budget_aborts;
-  stats_.evaluations += after.evaluations - before.evaluations;
-  stats_.elapsed_seconds += after.elapsed_seconds - before.elapsed_seconds;
+  stats_ += c.engine->stats() - before;
   return status;
 }
 

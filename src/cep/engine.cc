@@ -7,6 +7,56 @@
 
 namespace dlacep {
 
+EngineStats EngineStats::operator-(const EngineStats& before) const {
+  EngineStats d;
+  d.events_processed = events_processed - before.events_processed;
+  d.partial_matches = partial_matches - before.partial_matches;
+  d.matches_emitted = matches_emitted - before.matches_emitted;
+  d.transitions = transitions - before.transitions;
+  d.partial_matches_pruned =
+      partial_matches_pruned - before.partial_matches_pruned;
+  d.budget_aborts = budget_aborts - before.budget_aborts;
+  d.evaluations = evaluations - before.evaluations;
+  d.elapsed_seconds = elapsed_seconds - before.elapsed_seconds;
+  return d;
+}
+
+EngineStats& EngineStats::operator+=(const EngineStats& delta) {
+  events_processed += delta.events_processed;
+  partial_matches += delta.partial_matches;
+  matches_emitted += delta.matches_emitted;
+  transitions += delta.transitions;
+  partial_matches_pruned += delta.partial_matches_pruned;
+  budget_aborts += delta.budget_aborts;
+  evaluations += delta.evaluations;
+  elapsed_seconds += delta.elapsed_seconds;
+  return *this;
+}
+
+Status CepEngine::EvaluatePlans(
+    std::span<const Event> events, MatchSet* out,
+    const EngineOptions& options, size_t num_plans,
+    const std::function<void(size_t, MatchSet*, EngineBudget*)>&
+        eval_plan) {
+  DLACEP_CHECK(out != nullptr);
+  Stopwatch watch;
+  EngineBudget budget(options);
+  MatchSet local;
+  MatchSet* sink = budget.armed() ? &local : out;
+  for (size_t i = 0; i < num_plans && !budget.exceeded(); ++i) {
+    eval_plan(i, sink, &budget);
+  }
+  stats_.events_processed += events.size();
+  ++stats_.evaluations;
+  stats_.elapsed_seconds += watch.ElapsedSeconds();
+  if (budget.exceeded()) {
+    ++stats_.budget_aborts;
+    return budget.ToStatus(name().c_str());
+  }
+  if (budget.armed()) out->Merge(local);
+  return Status::Ok();
+}
+
 Status EngineBudget::ToStatus(const char* engine) const {
   std::string msg(engine);
   if (pm_budget_ > 0 && pm_created_ > pm_budget_) {

@@ -8,6 +8,7 @@
 #ifndef DLACEP_CEP_ENGINE_H_
 #define DLACEP_CEP_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -27,8 +28,6 @@ struct EngineStats {
   uint64_t partial_matches = 0;
   /// Full matches emitted before deduplication.
   uint64_t matches_emitted = 0;
-  /// Partial matches dropped by the storage cap (0 in normal operation).
-  uint64_t partial_matches_dropped = 0;
   /// Extension attempts: candidate (partial match, event) combinations
   /// the engine examined — NFA edge traversals, tree join probes, lazy
   /// chain steps. The per-operator cost the latency histograms can't
@@ -59,26 +58,12 @@ struct EngineStats {
                : static_cast<double>(transitions + partial_matches) /
                      static_cast<double>(evaluations);
   }
-};
 
-/// Evaluation-engine base. Implementations are single-threaded (matching
-/// the paper's single-core measurement protocol) and keep no state across
-/// Evaluate() calls except the stats counters.
-class CepEngine {
- public:
-  virtual ~CepEngine() = default;
-
-  virtual std::string name() const = 0;
-
-  /// Evaluates `events` (sorted by id) and merges all full matches into
-  /// `out`. Timing and counters accumulate into stats().
-  virtual Status Evaluate(std::span<const Event> events, MatchSet* out) = 0;
-
-  const EngineStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = EngineStats{}; }
-
- protected:
-  EngineStats stats_;
+  /// Field-wise difference and sum: `after - before` is the work of the
+  /// calls in between, and += folds such a delta into another engine's
+  /// counters.
+  EngineStats operator-(const EngineStats& before) const;
+  EngineStats& operator+=(const EngineStats& delta);
 };
 
 enum class EngineKind {
@@ -91,17 +76,16 @@ enum class EngineKind {
 const char* EngineKindName(EngineKind kind);
 
 /// Tuning knobs common to all engines.
+///
+/// partial_match_budget and deadline_seconds are the only limits on
+/// exact extraction: an engine never drops a candidate to save work, so
+/// a run either returns every match or aborts with kBudgetExceeded.
 struct EngineOptions {
-  /// Safety cap on simultaneously stored partial matches (per plan).
-  /// Exceeding it drops the newest candidates and counts them in
-  /// partial_matches_dropped rather than aborting the run.
-  size_t max_partial_matches = 50'000'000;
   /// Hard budget on partial matches created in one Evaluate() call,
-  /// summed across plans. 0 disables. Unlike max_partial_matches (which
-  /// truncates silently and loses recall), exhausting this budget aborts
-  /// the call with kBudgetExceeded: no partial output is merged, the
-  /// abort is deterministic (counted work, not wall clock), and the
-  /// engine remains reusable — the next Evaluate() starts fresh.
+  /// summed across plans. 0 disables. Exhausting it aborts the call
+  /// with kBudgetExceeded: no partial output is merged, the abort is
+  /// deterministic (counted work, not wall clock), and the engine
+  /// remains reusable — the next Evaluate() starts fresh.
   uint64_t partial_match_budget = 0;
   /// Wall-clock deadline for one Evaluate() call, in seconds. 0
   /// disables. Checked cooperatively every ~1k work units, so an abort
@@ -131,10 +115,10 @@ struct EngineOptions {
 /// Engines call OnPartialMatch() for every partial match they create and
 /// OnWork() for every extension attempt; both return false once a budget
 /// is blown, after which the engine unwinds promptly (checking
-/// exceeded() at loop heads) and returns ToStatus(). The partial-match
-/// budget is a deterministic counter; the deadline samples the wall
-/// clock only every kDeadlineCheckInterval work units to keep the hot
-/// path free of clock reads.
+/// exceeded() at loop heads) and CepEngine::EvaluatePlans() returns
+/// ToStatus(). The partial-match budget is a deterministic counter; the
+/// deadline samples the wall clock only every kDeadlineCheckInterval
+/// work units to keep the hot path free of clock reads.
 class EngineBudget {
  public:
   explicit EngineBudget(const EngineOptions& options)
@@ -157,6 +141,9 @@ class EngineBudget {
 
   bool exceeded() const { return exceeded_; }
 
+  /// Whether either budget is set; an unarmed budget never blows.
+  bool armed() const { return pm_budget_ > 0 || deadline_seconds_ > 0.0; }
+
   /// The kBudgetExceeded status describing which budget blew.
   Status ToStatus(const char* engine) const;
 
@@ -169,6 +156,39 @@ class EngineBudget {
   uint64_t pm_created_ = 0;
   uint64_t work_ = 0;
   bool exceeded_ = false;
+};
+
+/// Evaluation-engine base. Implementations are single-threaded (matching
+/// the paper's single-core measurement protocol) and keep no state across
+/// Evaluate() calls except the stats counters.
+class CepEngine {
+ public:
+  virtual ~CepEngine() = default;
+
+  virtual std::string name() const = 0;
+
+  /// Evaluates `events` (sorted by id) and merges all full matches into
+  /// `out`. Timing and counters accumulate into stats().
+  virtual Status Evaluate(std::span<const Event> events, MatchSet* out) = 0;
+
+  const EngineStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = EngineStats{}; }
+
+ protected:
+  /// The Evaluate() body of the static engines: calls `eval_plan(i,
+  /// sink, budget)` for each plan i < num_plans under one EngineBudget
+  /// and stops at the first blown budget. events_processed, evaluations
+  /// and elapsed_seconds count the call whether or not it aborts. With a
+  /// budget armed the plans emit into a local set that is merged into
+  /// `out` only on success, so an abort leaves `out` untouched, counts
+  /// one budget_abort and returns kBudgetExceeded.
+  Status EvaluatePlans(
+      std::span<const Event> events, MatchSet* out,
+      const EngineOptions& options, size_t num_plans,
+      const std::function<void(size_t, MatchSet*, EngineBudget*)>&
+          eval_plan);
+
+  EngineStats stats_;
 };
 
 /// Creates an engine for `pattern`. The pattern is copied; the engine

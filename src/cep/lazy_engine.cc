@@ -220,35 +220,14 @@ class LazySearch {
 
 }  // namespace
 
-void LazyEngine::EvaluatePlan(const LinearPlan& plan,
-                              std::span<const Event> events, MatchSet* out,
-                              EngineBudget* budget) {
-  LazySearch search(plan, pattern_, events, type_frequencies_, &stats_, out,
-                    budget);
-  search.Run();
-}
-
 Status LazyEngine::Evaluate(std::span<const Event> events, MatchSet* out) {
-  DLACEP_CHECK(out != nullptr);
-  Stopwatch watch;
-  EngineBudget budget(options_);
-  const bool budgeted =
-      options_.partial_match_budget > 0 || options_.deadline_seconds > 0.0;
-  MatchSet local;
-  MatchSet* sink = budgeted ? &local : out;
-  for (const LinearPlan& plan : plans_) {
-    EvaluatePlan(plan, events, sink, &budget);
-    if (budget.exceeded()) break;
-  }
-  stats_.events_processed += events.size();
-  ++stats_.evaluations;
-  stats_.elapsed_seconds += watch.ElapsedSeconds();
-  if (budget.exceeded()) {
-    ++stats_.budget_aborts;
-    return budget.ToStatus("lazy");
-  }
-  if (budgeted) out->Merge(local);
-  return Status::Ok();
+  return EvaluatePlans(
+      events, out, options_, plans_.size(),
+      [&](size_t i, MatchSet* sink, EngineBudget* budget) {
+        LazySearch(plans_[i], pattern_, events, type_frequencies_, &stats_,
+                   sink, budget)
+            .Run();
+      });
 }
 
 }  // namespace dlacep

@@ -49,9 +49,6 @@ class LazyEngine : public CepEngine {
  private:
   LazyEngine(Pattern pattern, EngineOptions options);
 
-  void EvaluatePlan(const LinearPlan& plan, std::span<const Event> events,
-                    MatchSet* out, EngineBudget* budget);
-
   Pattern pattern_;
   EngineOptions options_;
   std::vector<LinearPlan> plans_;

@@ -49,11 +49,10 @@ struct Record {
 class NfaRun {
  public:
   NfaRun(const LinearPlan& plan, const Pattern& pattern,
-         const EngineOptions& options, std::span<const Event> events,
-         EngineStats* stats, MatchSet* out, EngineBudget* budget)
+         std::span<const Event> events, EngineStats* stats, MatchSet* out,
+         EngineBudget* budget)
       : plan_(plan),
         window_(pattern.window()),
-        max_stored_(options.max_partial_matches),
         events_(events),
         stats_(stats),
         out_(out),
@@ -97,7 +96,7 @@ class NfaRun {
         const uint32_t p = static_cast<uint32_t>(std::countr_zero(m));
         const Record c{&e, uint64_t{1} << p, e.id, e.timestamp, kNoParent,
                        0, p};
-        Consider(c, write);
+        Consider(c);
       }
 
       records_.erase(records_.begin() + static_cast<ptrdiff_t>(write),
@@ -127,8 +126,7 @@ class NfaRun {
         // Fill a fresh position: all predecessors must be filled.
         if ((plan_.preds[p] & rec.mask) != plan_.preds[p]) continue;
         Consider(Record{&e, rec.mask | bit, rec.first_id, rec.first_ts, src,
-                        rec.reps, p},
-                 stored_before_);
+                        rec.reps, p});
       } else if ((kleene_mask_ & bit) != 0) {
         // Absorb another event into a Kleene position, allowed only
         // while no successor position has been filled yet.
@@ -136,16 +134,14 @@ class NfaRun {
         const PlanPosition& pos = plan_.positions[p];
         if (CountInChain(src, p) >= pos.max_reps * (rec.reps + 1)) continue;
         Consider(Record{&e, rec.mask, rec.first_id, rec.first_ts, src,
-                        rec.reps, p},
-                 stored_before_);
+                        rec.reps, p});
       }
     }
     // Group repetition: a complete prefix may loop back to position 0.
     if (plan_.group_repeat && rec.mask == full_mask_ &&
         rec.reps + 1 < plan_.group_max_reps && (matching & 1) != 0) {
       Consider(Record{&e, 1, rec.first_id, rec.first_ts, src, rec.reps + 1,
-                      0},
-               stored_before_);
+                      0});
     }
   }
 
@@ -153,8 +149,7 @@ class NfaRun {
   /// counts as one transition and either prunes or is counted as a
   /// partial match, so across a run
   /// transitions == partial_matches + partial_matches_pruned.
-  /// `stored` is the stored-record count the legacy cap compares with.
-  void Consider(const Record& c, size_t stored) {
+  void Consider(const Record& c) {
     ++stats_->transitions;
     if (!Passes(c)) {
       ++stats_->partial_matches_pruned;
@@ -162,11 +157,6 @@ class NfaRun {
     }
     ++stats_->partial_matches;
     if (!budget_->OnPartialMatch()) return;
-    const size_t created = records_.size() - stored_before_;
-    if (stored + created >= max_stored_) {
-      ++stats_->partial_matches_dropped;
-      return;
-    }
     MaybeEmit(c);
     records_.push_back(c);
   }
@@ -282,7 +272,6 @@ class NfaRun {
 
   const LinearPlan& plan_;
   const WindowSpec& window_;
-  const size_t max_stored_;
   std::span<const Event> events_;
   EngineStats* stats_;
   MatchSet* out_;
@@ -302,36 +291,12 @@ class NfaRun {
 
 }  // namespace
 
-void NfaEngine::EvaluatePlan(const LinearPlan& plan,
-                             std::span<const Event> events, MatchSet* out,
-                             EngineBudget* budget) {
-  NfaRun run(plan, pattern_, options_, events, &stats_, out, budget);
-  run.Run();
-}
-
 Status NfaEngine::Evaluate(std::span<const Event> events, MatchSet* out) {
-  DLACEP_CHECK(out != nullptr);
-  Stopwatch watch;
-  EngineBudget budget(options_);
-  // With a budget armed, emit into a local set so an abort leaves `out`
-  // untouched: callers see all-or-nothing per Evaluate() call.
-  const bool budgeted =
-      options_.partial_match_budget > 0 || options_.deadline_seconds > 0.0;
-  MatchSet local;
-  MatchSet* sink = budgeted ? &local : out;
-  for (const LinearPlan& plan : plans_) {
-    EvaluatePlan(plan, events, sink, &budget);
-    if (budget.exceeded()) break;
-  }
-  stats_.events_processed += events.size();
-  ++stats_.evaluations;
-  stats_.elapsed_seconds += watch.ElapsedSeconds();
-  if (budget.exceeded()) {
-    ++stats_.budget_aborts;
-    return budget.ToStatus("nfa");
-  }
-  if (budgeted) out->Merge(local);
-  return Status::Ok();
+  return EvaluatePlans(
+      events, out, options_, plans_.size(),
+      [&](size_t i, MatchSet* sink, EngineBudget* budget) {
+        NfaRun(plans_[i], pattern_, events, &stats_, sink, budget).Run();
+      });
 }
 
 }  // namespace dlacep

@@ -42,9 +42,6 @@ class NfaEngine : public CepEngine {
  private:
   NfaEngine(Pattern pattern, EngineOptions options);
 
-  void EvaluatePlan(const LinearPlan& plan, std::span<const Event> events,
-                    MatchSet* out, EngineBudget* budget);
-
   Pattern pattern_;
   EngineOptions options_;
   std::vector<LinearPlan> plans_;

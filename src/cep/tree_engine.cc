@@ -241,11 +241,7 @@ std::vector<TreeEngine::Item> TreeEngine::EvalNode(
       }
       ++stats_.partial_matches;
       if (!budget->OnPartialMatch()) return out;
-      if (out.size() < options_.max_partial_matches) {
-        out.push_back(std::move(item));
-      } else {
-        ++stats_.partial_matches_dropped;
-      }
+      out.push_back(std::move(item));
     }
   }
   return out;
@@ -273,36 +269,23 @@ void TreeEngine::EvaluatePlan(size_t plan_index,
 }
 
 Status TreeEngine::Evaluate(std::span<const Event> events, MatchSet* out) {
-  DLACEP_CHECK(out != nullptr);
-  Stopwatch watch;
   if (!trees_built_) {
     // ZStream derives its plan from workload statistics; sample them from
-    // the first evaluated span.
+    // the first evaluated span. The build counts toward elapsed time.
+    Stopwatch watch;
     for (size_t i = 0; i < plans_.size(); ++i) {
       const PlanStatistics stats = EstimatePlanStatistics(
           plans_[i], events, options_.seed, options_.selectivity_samples);
       BuildTree(plans_[i], stats, &trees_[i]);
     }
     trees_built_ = true;
+    stats_.elapsed_seconds += watch.ElapsedSeconds();
   }
-  EngineBudget budget(options_);
-  const bool budgeted =
-      options_.partial_match_budget > 0 || options_.deadline_seconds > 0.0;
-  MatchSet local;
-  MatchSet* sink = budgeted ? &local : out;
-  for (size_t i = 0; i < plans_.size(); ++i) {
-    EvaluatePlan(i, events, sink, &budget);
-    if (budget.exceeded()) break;
-  }
-  stats_.events_processed += events.size();
-  ++stats_.evaluations;
-  stats_.elapsed_seconds += watch.ElapsedSeconds();
-  if (budget.exceeded()) {
-    ++stats_.budget_aborts;
-    return budget.ToStatus("zstream-tree");
-  }
-  if (budgeted) out->Merge(local);
-  return Status::Ok();
+  return EvaluatePlans(
+      events, out, options_, plans_.size(),
+      [&](size_t i, MatchSet* sink, EngineBudget* budget) {
+        EvaluatePlan(i, events, sink, budget);
+      });
 }
 
 std::string TreeEngine::PlanTreeString(size_t plan_index) const {

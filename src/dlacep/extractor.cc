@@ -6,6 +6,17 @@
 
 namespace dlacep {
 
+void PublishEngineStats(const std::string& engine, const EngineStats& stats,
+                        uint64_t matches) {
+  obs::CepEvents(engine)->Increment(stats.events_processed);
+  obs::CepPartialMatches(engine)->Increment(stats.partial_matches);
+  obs::CepPartialMatchesPruned(engine)->Increment(
+      stats.partial_matches_pruned);
+  obs::CepTransitions(engine)->Increment(stats.transitions);
+  obs::CepMatches(engine)->Increment(matches);
+  obs::CepBudgetAborts(engine)->Increment(stats.budget_aborts);
+}
+
 CepExtractor::CepExtractor(const Pattern& pattern, EngineKind engine_kind,
                            const EngineOptions& options) {
   auto engine = CreateEngine(engine_kind, pattern, options);
@@ -43,25 +54,8 @@ Status CepExtractor::Extract(std::vector<const Event*> marked,
       std::span<const Event>(filtered.data(), filtered.size()), out);
   // Engine stats accumulate across Evaluate() calls and reset between
   // runs; the labelled counters want the monotone per-call delta.
-  const EngineStats& after = engine_->stats();
-  const std::string& engine_name = engine_->name();
-  obs::CepEvents(engine_name)
-      ->Increment(after.events_processed - before.events_processed);
-  obs::CepPartialMatches(engine_name)
-      ->Increment(after.partial_matches - before.partial_matches);
-  obs::CepPartialMatchesPruned(engine_name)
-      ->Increment(after.partial_matches_pruned -
-                  before.partial_matches_pruned);
-  obs::CepTransitions(engine_name)
-      ->Increment(after.transitions - before.transitions);
-  obs::CepMatches(engine_name)->Increment(out->size() - matches_before);
-  // Silent recall loss under the legacy storage cap is surfaced, not
-  // swallowed: the counter feeds the CLI's end-of-run warning.
-  obs::CepPartialMatchesDropped(engine_name)
-      ->Increment(after.partial_matches_dropped -
-                  before.partial_matches_dropped);
-  obs::CepBudgetAborts(engine_name)
-      ->Increment(after.budget_aborts - before.budget_aborts);
+  PublishEngineStats(engine_->name(), engine_->stats() - before,
+                     out->size() - matches_before);
   return status;
 }
 

@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "cep/adaptive_engine.h"
@@ -20,6 +21,12 @@
 #include "pattern/pattern.h"
 
 namespace dlacep {
+
+/// Adds `stats` (the work of one or more Evaluate() calls) and `matches`
+/// (the distinct matches they added) to the dlacep_cep_*_total counters
+/// labelled with `engine`.
+void PublishEngineStats(const std::string& engine, const EngineStats& stats,
+                        uint64_t matches);
 
 class CepExtractor {
  public:

@@ -146,9 +146,6 @@ Counter* CepTransitions(const std::string& engine) {
 Counter* CepMatches(const std::string& engine) {
   return Cep("matches", engine);
 }
-Counter* CepPartialMatchesDropped(const std::string& engine) {
-  return Cep("partial_matches_dropped", engine);
-}
 Counter* CepBudgetAborts(const std::string& engine) {
   return Cep("budget_aborts", engine);
 }
@@ -397,7 +394,6 @@ void TouchStandardMetrics() {
     CepPartialMatchesPruned(engine);
     CepTransitions(engine);
     CepMatches(engine);
-    CepPartialMatchesDropped(engine);
     CepBudgetAborts(engine);
     EngineSelected(engine, "default");
   }

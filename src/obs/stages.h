@@ -74,16 +74,13 @@ Counter* OverloadTransitions(int from, int to);
 // --- CEP engine counters (labelled by engine name) -------------------
 // dlacep_cep_events_total / dlacep_cep_partial_matches_total /
 // dlacep_cep_partial_matches_pruned_total / dlacep_cep_transitions_total /
-// dlacep_cep_matches_total, each {engine="nfa"|"tree"|"lazy"}.
+// dlacep_cep_matches_total, each {engine="nfa"|"zstream-tree"|"lazy"|
+// "adaptive"}, all added to by PublishEngineStats (dlacep/extractor.h).
 Counter* CepEvents(const std::string& engine);
 Counter* CepPartialMatches(const std::string& engine);
 Counter* CepPartialMatchesPruned(const std::string& engine);
 Counter* CepTransitions(const std::string& engine);
 Counter* CepMatches(const std::string& engine);
-/// dlacep_cep_partial_matches_dropped_total{engine}: partial matches
-/// silently truncated by the legacy storage cap — nonzero means the run
-/// may have lost recall (the CLI warns at end of run).
-Counter* CepPartialMatchesDropped(const std::string& engine);
 /// dlacep_cep_budget_aborts_total{engine}: Evaluate() calls aborted
 /// with kBudgetExceeded under a cooperative engine budget.
 Counter* CepBudgetAborts(const std::string& engine);

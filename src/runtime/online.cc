@@ -144,8 +144,8 @@ struct OnlineDlacep::RunState {
 Status OnlineDlacep::ValidateForOnline(const Pattern& pattern) {
   if (pattern.window().kind != WindowKind::kCount) {
     return Status::InvalidArgument(
-        "the online runtime requires a count window; time-window "
-        "queries run through the batch pipeline");
+        "DLACEP filtering requires a count window (WITHIN N EVENTS); "
+        "run time-window queries on the exact engines with `dlacep run`");
   }
   return Status::Ok();
 }
@@ -950,8 +950,6 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
     DLACEP_CHECK_MSG(status.ok(), status.ToString());
     state.stats.extract_seconds = extract_watch.ElapsedSeconds();
     obs::StageCepEval()->Observe(state.stats.extract_seconds);
-    state.stats.cep_partial_matches_dropped =
-        extractor_.stats().partial_matches_dropped;
     // Selection lives in the adaptive engine, not EngineStats, so it
     // survives the ResetStats() above; read it after the final Evaluate
     // in case a windowless run selected on the extraction span itself.

@@ -135,11 +135,6 @@ struct RuntimeStats {
   /// Adaptive reselections that changed the engine choice (0 for static
   /// engines and for adaptive runs that never switched).
   uint64_t engine_switches = 0;
-  /// Partial matches silently truncated by the engine's legacy storage
-  /// cap during extraction. Nonzero means the run may have lost recall;
-  /// the CLI prints an end-of-run warning (not checkpoint-serialized —
-  /// extraction happens after the stream drains).
-  uint64_t cep_partial_matches_dropped = 0;
   double extract_seconds = 0.0;
   double elapsed_seconds = 0.0;  ///< whole Run() wall clock
 

@@ -10,6 +10,7 @@
 
 #include "cep/engine.h"
 #include "common/timer.h"
+#include "dlacep/extractor.h"
 #include "obs/stages.h"
 
 namespace dlacep {
@@ -66,8 +67,6 @@ Status MultiQueryServer::Run(StreamSource* source, MultiQueryResult* result) {
   raw.stats.extract_seconds = extract_watch.ElapsedSeconds();
   obs::StageCepEval()->Observe(raw.stats.extract_seconds);
   raw.stats.matches = result->total_matches();
-  raw.stats.cep_partial_matches_dropped =
-      result->sharing.partial_matches_dropped;
   result->stats = std::move(raw.stats);
 
   for (const QueryResult& query : result->queries) {
@@ -373,19 +372,8 @@ Status MultiQueryServer::ExtractShared(const RegistrySnapshot& snapshot,
     if (unit.ran) {
       ++result->sharing.engines_run;
       result->sharing.engines_shared += unit.members.size() - 1;
-      const EngineStats& stats = unit.engine->stats();
-      const std::string engine_name = unit.engine->name();
-      obs::CepEvents(engine_name)->Increment(stats.events_processed);
-      obs::CepPartialMatches(engine_name)->Increment(stats.partial_matches);
-      obs::CepPartialMatchesPruned(engine_name)
-          ->Increment(stats.partial_matches_pruned);
-      obs::CepTransitions(engine_name)->Increment(stats.transitions);
-      obs::CepMatches(engine_name)->Increment(unit.matches.size());
-      obs::CepPartialMatchesDropped(engine_name)
-          ->Increment(stats.partial_matches_dropped);
-      obs::CepBudgetAborts(engine_name)->Increment(stats.budget_aborts);
-      result->sharing.partial_matches_dropped +=
-          stats.partial_matches_dropped;
+      PublishEngineStats(unit.engine->name(), unit.engine->stats(),
+                         unit.matches.size());
     }
     for (size_t i = 0; i < unit.members.size(); ++i) {
       result->queries[unit.members[i]].matches.Merge(unit.matches);

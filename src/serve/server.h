@@ -91,9 +91,6 @@ struct SharingStats {
   size_t chunks_skipped = 0;  ///< every runnable member was suspended
   size_t budget_aborts = 0;   ///< chunks aborted with kBudgetExceeded
   size_t breaker_trips = 0;   ///< trips that occurred during this Run()
-  /// Partial matches silently truncated by the legacy storage cap
-  /// across all shared engine runs (recall-loss warning signal).
-  uint64_t partial_matches_dropped = 0;
 };
 
 struct MultiQueryResult {

@@ -1,7 +1,8 @@
 #!/bin/sh
-# CLI argument validation for the runtime count flags: each bad value
-# must make `dlacep replay` exit 1 with a message naming the problem —
-# never a CHECK failure, an uncaught exception, or a silent wrap-around.
+# CLI argument validation for the integer count flags and for queries
+# a command cannot run: each bad input must make the command exit 1
+# with a message naming the problem — never a CHECK failure, an
+# uncaught exception, a hang, or a silent wrap-around.
 #
 # usage: cli_count_flags_test.sh path/to/dlacep
 set -u
@@ -13,16 +14,22 @@ trap 'rm -rf "$dir"' EXIT
   > /dev/null || { echo "generate failed"; exit 1; }
 
 failures=0
-# expect_reject MESSAGE FLAG VALUE
-expect_reject() {
-  "$cli" replay --query "SEQ(S0 a, S1 b) WITHIN 8" --data "$dir/s.csv" \
-    --filter pass "$2" "$3" > "$dir/out.log" 2>&1
+# expect_fail MESSAGE COMMAND [FLAGS...]
+expect_fail() {
+  message="$1"
+  shift
+  "$cli" "$@" > "$dir/out.log" 2>&1
   code=$?
-  if [ "$code" -ne 1 ] || ! grep -q -- "$1" "$dir/out.log"; then
-    echo "FAIL: $2 $3 exited $code; expected 1 with '$1':"
+  if [ "$code" -ne 1 ] || ! grep -q -- "$message" "$dir/out.log"; then
+    echo "FAIL: $* exited $code; expected 1 with '$message':"
     cat "$dir/out.log"
     failures=$((failures + 1))
   fi
+}
+# expect_reject MESSAGE FLAG VALUE: one bad flag on a valid replay.
+expect_reject() {
+  expect_fail "$1" replay --query "SEQ(S0 a, S1 b) WITHIN 8" \
+    --data "$dir/s.csv" --filter pass "$2" "$3"
 }
 
 expect_reject "queue_capacity must be at least 1" --queue_capacity 0
@@ -33,6 +40,43 @@ expect_reject "--queue_capacity must be a non-negative integer" \
   --queue_capacity -5
 expect_reject "--batch_size must be a non-negative integer" --batch_size -1
 expect_reject "--batch_size must be a non-negative integer" --batch_size 4x
+expect_reject "--query_pm_budget must be a non-negative integer" \
+  --query_pm_budget -1
+expect_reject "--breaker_trips must be a non-negative integer" \
+  --breaker_trips -2
+expect_reject "--checkpoint_every must be a non-negative integer" \
+  --checkpoint_every -1
+expect_reject "--anomaly_streak must be a non-negative integer" \
+  --anomaly_streak x
+expect_reject "--probe_period must be a non-negative integer" \
+  --probe_period -8
+expect_reject "--probe_passes must be a non-negative integer" \
+  --probe_passes -3
+for flag in num_threads hidden layers epochs; do
+  kind=non-negative
+  case "$flag" in hidden|layers) kind=positive ;; esac
+  expect_fail "--$flag must be a $kind integer" compare \
+    --query "SEQ(S0 a, S1 b) WITHIN 8" --train "$dir/s.csv" \
+    --test "$dir/s.csv" "--$flag" -1
+done
+expect_fail "--hidden must be a positive integer" compare \
+  --query "SEQ(S0 a, S1 b) WITHIN 8" --train "$dir/s.csv" \
+  --test "$dir/s.csv" --hidden 0
+expect_fail "--layers must be a positive integer" compare \
+  --query "SEQ(S0 a, S1 b) WITHIN 8" --train "$dir/s.csv" \
+  --test "$dir/s.csv" --layers abc
+expect_fail "--events must be a non-negative integer" generate \
+  --kind stock --events -5 --out "$dir/neg.csv"
+expect_fail "--symbols must be a positive integer" serve \
+  --query "SEQ(S0 a, S1 b) WITHIN 8" --symbols 0
+
+# Time-window queries run on the exact engines only: compare fails
+# before training and replay names the command that runs them.
+timed="PATTERN SEQ(S1 a, S2 b) WITHIN 5 TIME"
+expect_fail "dlacep run" compare --query "$timed" --train "$dir/s.csv" \
+  --test "$dir/s.csv"
+expect_fail "dlacep run" replay --query "$timed" --data "$dir/s.csv" \
+  --filter pass
 
 # A valid run still succeeds.
 "$cli" replay --query "SEQ(S0 a, S1 b) WITHIN 8" --data "$dir/s.csv" \

@@ -1,9 +1,11 @@
-// Engine budget tests: the cooperative abort contract shared by all
-// three CEP engines —
+// Engine budget tests: the cooperative abort contract shared by every
+// CEP engine, the adaptive one included —
 //
 //   * a blown partial-match budget aborts Evaluate() with
 //     kBudgetExceeded and leaves the output MatchSet untouched
-//     (all-or-nothing per call, no half-merged results);
+//     (all-or-nothing per call, no half-merged results), while the
+//     aborted call still counts in evaluations and events_processed,
+//     which the adaptive cost model reads;
 //   * an aborted engine stays reusable: a later Evaluate() that fits
 //     the budget returns exactly what a fresh engine returns;
 //   * budget 0 disables everything — results and stats are identical
@@ -27,7 +29,7 @@ using testing_util::AscendingSeqPattern;
 using testing_util::SmallStream;
 
 const EngineKind kKinds[] = {EngineKind::kNfa, EngineKind::kTree,
-                             EngineKind::kLazy};
+                             EngineKind::kLazy, EngineKind::kAdaptive};
 
 bool SameMatches(const MatchSet& a, const MatchSet& b) {
   return a.size() == b.size() && a.IntersectionSize(b) == a.size();
@@ -58,14 +60,21 @@ TEST(EngineBudget, BlownBudgetAbortsAndLeavesOutputUntouched) {
     EngineOptions options;
     options.partial_match_budget = 10;
     auto engine = MakeEngine(kind, pattern, options);
+    // A match from an earlier call that the abort must leave in place.
     MatchSet matches;
+    matches.Insert(Match({1, 2, 3}));
+    const MatchSet before = matches;
     const Status status =
         engine->Evaluate({stream.events().data(), stream.size()}, &matches);
     EXPECT_EQ(status.code(), StatusCode::kBudgetExceeded)
         << engine->name() << ": " << status.ToString();
-    EXPECT_EQ(matches.size(), 0u)
-        << engine->name() << " leaked partial results past an abort";
+    EXPECT_TRUE(SameMatches(matches, before))
+        << engine->name() << " touched the output past an abort: "
+        << matches.size() << " matches";
     EXPECT_EQ(engine->stats().budget_aborts, 1u) << engine->name();
+    EXPECT_EQ(engine->stats().evaluations, 1u) << engine->name();
+    EXPECT_EQ(engine->stats().events_processed, stream.size())
+        << engine->name();
   }
 }
 

@@ -1,6 +1,6 @@
 // Edge-case and robustness tests for the CEP engines: degenerate
-// streams, degenerate windows, blank events, the partial-match storage
-// cap, and engine statistics accounting.
+// streams, degenerate windows, blank events, and engine statistics
+// accounting.
 
 #include <gtest/gtest.h>
 
@@ -102,25 +102,6 @@ INSTANTIATE_TEST_SUITE_P(Engines, AllEngines,
                          ::testing::Values(EngineKind::kNfa,
                                            EngineKind::kTree,
                                            EngineKind::kLazy));
-
-TEST(NfaStorageCap, DropsInsteadOfExploding) {
-  const EventStream stream = SmallStream(200, 103, /*num_types=*/2);
-  PatternBuilder b(stream.schema_ptr());
-  auto root = b.Seq(b.Prim("A", "a"), b.Prim("A", "a2"),
-                    b.Prim("B", "bb"));
-  const Pattern pattern =
-      b.BuildOrDie(std::move(root), WindowSpec::Count(50));
-
-  EngineOptions options;
-  options.max_partial_matches = 100;  // absurdly small
-  auto engine = CreateEngine(EngineKind::kNfa, pattern, options);
-  ASSERT_TRUE(engine.ok());
-  MatchSet out;
-  ASSERT_TRUE(engine.value()
-                  ->Evaluate({stream.events().data(), stream.size()}, &out)
-                  .ok());
-  EXPECT_GT(engine.value()->stats().partial_matches_dropped, 0u);
-}
 
 TEST(KleeneBounds, MinRepsTwoRequiresTwoEvents) {
   auto schema = MakeSyntheticSchema(3, 1);

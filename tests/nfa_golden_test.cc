@@ -148,7 +148,6 @@ TEST_P(NfaGolden, MatchesReferenceAndRecordedCounters) {
   EXPECT_EQ(stats.matches_emitted, c.emitted);
   EXPECT_EQ(stats.transitions,
             stats.partial_matches + stats.partial_matches_pruned);
-  EXPECT_EQ(stats.partial_matches_dropped, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -129,19 +129,33 @@ class Args {
   bool ok_ = true;
 };
 
-/// The runtime count flags are cast to size_t: a negative value would
-/// wrap to a huge count and a non-numeric one would silently read as 0,
-/// so both are rejected before any command runs.
+/// The integer flags the commands cast to an unsigned type, each with
+/// the least value the library accepts. A negative value would wrap to
+/// a huge count and a non-numeric one would silently read as 0, so both
+/// are rejected before any command runs, as is a value below the least.
+struct CountFlag {
+  const char* name;
+  long least;
+};
+constexpr CountFlag kCountFlags[] = {
+    {"shards", 0},          {"queue_capacity", 0},  {"batch_size", 0},
+    {"num_threads", 0},     {"hidden", 1},          {"layers", 1},
+    {"epochs", 0},          {"events", 0},          {"symbols", 1},
+    {"query_pm_budget", 0}, {"breaker_trips", 0},   {"checkpoint_every", 0},
+    {"anomaly_streak", 0},  {"probe_period", 0},    {"probe_passes", 0},
+};
+
 Status CheckCountFlags(const Args& args) {
-  for (const std::string name : {"shards", "queue_capacity", "batch_size"}) {
-    if (!args.Has(name)) continue;
-    const std::string text = args.Get(name);
+  for (const CountFlag& flag : kCountFlags) {
+    if (!args.Has(flag.name)) continue;
+    const std::string text = args.Get(flag.name);
     char* end = nullptr;
     const long value = std::strtol(text.c_str(), &end, 10);
-    if (text.empty() || *end != '\0' || value < 0) {
-      return Status::InvalidArgument("--" + name +
-                                     " must be a non-negative integer, got '" +
-                                     text + "'");
+    if (text.empty() || *end != '\0' || value < flag.least) {
+      return Status::InvalidArgument(
+          "--" + std::string(flag.name) + " must be a " +
+          (flag.least > 0 ? "positive" : "non-negative") +
+          " integer, got '" + text + "'");
     }
   }
   return Status::Ok();
@@ -301,6 +315,12 @@ int Compare(const Args& args) {
     std::fprintf(stderr, "%s\n", pattern.status().ToString().c_str());
     return 1;
   }
+  // The batch pipeline and the --shards replay both need a count window.
+  const Status online_ok = OnlineDlacep::ValidateForOnline(pattern.value());
+  if (!online_ok.ok()) {
+    std::fprintf(stderr, "%s\n", online_ok.ToString().c_str());
+    return 1;
+  }
 
   DlacepConfig config;
   config.network.hidden_dim =
@@ -362,11 +382,6 @@ int Compare(const Args& args) {
   // CLI.
   const long shards = args.GetInt("shards", 0);
   if (shards > 0) {
-    const Status online_ok = OnlineDlacep::ValidateForOnline(pattern.value());
-    if (!online_ok.ok()) {
-      std::fprintf(stderr, "--shards: %s\n", online_ok.ToString().c_str());
-      return 1;
-    }
     OnlineConfig online_config;
     online_config.num_shards = static_cast<size_t>(shards);
     online_config.batch_size = config.batch_size;
@@ -484,19 +499,6 @@ OnlineConfig MakeOnlineConfig(const Args& args) {
   return config;
 }
 
-/// End-of-run recall-loss warning: nonzero means the engine's legacy
-/// storage cap silently truncated partial matches during extraction and
-/// the reported match sets may be missing answers.
-void WarnDroppedPartialMatches(const RuntimeStats& stats) {
-  if (stats.cep_partial_matches_dropped == 0) return;
-  std::fprintf(stderr,
-               "WARNING: %llu partial matches silently dropped by the "
-               "engine storage cap — recall may be lost; raise the cap or "
-               "set an explicit --query_pm_budget to fail loudly\n",
-               static_cast<unsigned long long>(
-                   stats.cep_partial_matches_dropped));
-}
-
 int StreamOnline(const Args& args, const Pattern& pattern,
                  std::unique_ptr<StreamSource> source) {
   const Status online_ok = OnlineDlacep::ValidateForOnline(pattern);
@@ -570,7 +572,6 @@ int StreamOnline(const Args& args, const Pattern& pattern,
   std::printf("pattern : %s\n", pattern.ToString().c_str());
   std::printf("filter  : %s\n", filter.value().filter->name().c_str());
   std::printf("%s", result.stats.ToString().c_str());
-  WarnDroppedPartialMatches(result.stats);
   size_t shown = 0;
   for (const Match& match : result.matches) {
     if (++shown > 10) {
@@ -898,7 +899,6 @@ int StreamMultiQuery(const Args& args, std::vector<Pattern> patterns,
                 static_cast<unsigned long long>(churn_cycles.load()));
   }
   std::printf("%s", result.stats.ToString().c_str());
-  WarnDroppedPartialMatches(result.stats);
   PrintSharing(result.sharing);
   PrintHeadline(result);
 
