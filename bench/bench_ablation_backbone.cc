@@ -10,7 +10,6 @@
 #include "dlacep/event_filter.h"
 #include "dlacep/oracle_filter.h"
 #include "dlacep/pipeline.h"
-#include "dlacep/tcn_filter.h"
 #include "workloads/queries_a.h"
 #include "workloads/recipes.h"
 
@@ -84,8 +83,8 @@ int Run() {
                             config.event_threshold);
   evaluate(&bilstm, "BiLSTM+BI-CRF");
 
-  TcnEventFilter tcn(&featurizer, config.network, config.event_threshold,
-                     /*kernel=*/3);
+  EventNetworkFilter tcn(&featurizer, config.network, config.event_threshold,
+                         EventBackbone::Tcn(/*kernel=*/3));
   evaluate(&tcn, "TCN+BI-CRF");
 
   std::printf("\n(paper §4.1: the BiLSTM backbone was empirically "

@@ -18,6 +18,11 @@ namespace {
 constexpr double kLazySurcharge = 1.15;
 constexpr double kTreeSurcharge = 1.35;
 
+// A challenger engine must undercut the incumbent's modelled cost by
+// this factor before the selector switches — hysteresis against
+// flapping on near-ties.
+constexpr double kHysteresis = 0.9;
+
 // Prefix products are clamped so a pathological estimate can't reach
 // inf and poison the comparison.
 constexpr double kCostCap = 1e18;
@@ -144,7 +149,7 @@ void AdaptiveEngine::Reselect() {
   const double incumbent_cost = CostOf(incumbent, calibration);
   size_t best = selected_;
   // A challenger must beat the incumbent by the hysteresis margin.
-  double best_cost = incumbent_cost * options_.adaptive_hysteresis;
+  double best_cost = incumbent_cost * kHysteresis;
   for (size_t i = 0; i < candidates_.size(); ++i) {
     if (i == selected_) continue;
     const double cost = CostOf(candidates_[i], calibration);

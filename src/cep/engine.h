@@ -101,10 +101,6 @@ struct EngineOptions {
   /// online reselection cadence). Also the decay period of the type
   /// frequency estimator.
   size_t adaptive_reselect_windows = 16;
-  /// A challenger engine must undercut the incumbent's modelled cost by
-  /// this factor before the selector switches — hysteresis against
-  /// flapping on near-ties.
-  double adaptive_hysteresis = 0.9;
   /// Label for dlacep_engine_selected_total{engine,pattern}; callers
   /// that serve several patterns set a distinguishing name here.
   std::string pattern_label = "query";

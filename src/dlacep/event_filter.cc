@@ -8,23 +8,65 @@
 
 namespace dlacep {
 
+namespace {
+
+bool IsTcn(const EventBackbone& backbone) {
+  return backbone.kind == EventBackbone::Kind::kTcn;
+}
+
+std::string LayerName(const EventBackbone& backbone, const char* layer) {
+  return std::string(IsTcn(backbone) ? "tcn." : "event.") + layer;
+}
+
+std::variant<StackedBiLstm, Tcn> MakeBackbone(const EventBackbone& backbone,
+                                              size_t in_dim,
+                                              const NetworkConfig& network,
+                                              Rng* rng) {
+  const std::string name = LayerName(backbone, "stack");
+  if (IsTcn(backbone)) {
+    return std::variant<StackedBiLstm, Tcn>(
+        std::in_place_type<Tcn>, name, in_dim, network.hidden_dim,
+        network.num_layers, backbone.kernel, rng);
+  }
+  return std::variant<StackedBiLstm, Tcn>(
+      std::in_place_type<StackedBiLstm>, name, in_dim, network.hidden_dim,
+      network.num_layers, rng);
+}
+
+size_t OutDim(const std::variant<StackedBiLstm, Tcn>& backbone) {
+  return std::visit([](const auto& b) { return b.out_dim(); }, backbone);
+}
+
+}  // namespace
+
 EventNetworkFilter::EventNetworkFilter(const Featurizer* featurizer,
                                        const NetworkConfig& network,
-                                       double event_threshold)
-    : featurizer_(featurizer),
+                                       double event_threshold,
+                                       EventBackbone backbone)
+    : TrainableFilter(featurizer),
       event_threshold_(event_threshold),
-      init_rng_(network.seed),
-      stack_("event.stack", featurizer->feature_dim(), network.hidden_dim,
-             network.num_layers, &init_rng_),
-      head_fwd_("event.head_fwd", stack_.out_dim(), 2, &init_rng_),
-      head_bwd_("event.head_bwd", stack_.out_dim(), 2, &init_rng_),
-      crf_("event.crf", 2, &init_rng_) {
-  DLACEP_CHECK(featurizer_ != nullptr);
+      init_rng_(network.seed + (IsTcn(backbone) ? 2 : 0)),
+      backbone_(MakeBackbone(backbone, featurizer->feature_dim(), network,
+                             &init_rng_)),
+      head_fwd_(LayerName(backbone, "head_fwd"), OutDim(backbone_), 2,
+                &init_rng_),
+      head_bwd_(LayerName(backbone, "head_bwd"), OutDim(backbone_), 2,
+                &init_rng_),
+      crf_(LayerName(backbone, "crf"), 2, &init_rng_) {
   Refreeze();
 }
 
+std::string EventNetworkFilter::name() const {
+  return std::holds_alternative<Tcn>(backbone_) ? "tcn-event-network"
+                                                : "event-network";
+}
+
 void EventNetworkFilter::Refreeze() {
-  frozen_.stack = Freeze(stack_);
+  frozen_.backbone = std::visit(
+      [](const auto& b) -> std::variant<StackedBiLstmInfer, TcnInfer> {
+        return Freeze(b);
+      },
+      backbone_);
   frozen_.head_fwd = Freeze(head_fwd_);
   frozen_.head_bwd = Freeze(head_bwd_);
 }
@@ -33,7 +75,9 @@ void EventNetworkFilter::OnParamsChanged() { Refreeze(); }
 
 std::pair<Var, Var> EventNetworkFilter::Emissions(
     Tape* tape, const Matrix& features) const {
-  Var h = stack_.Forward(tape, tape->Input(features));
+  const Var x = tape->Input(features);
+  Var h = std::visit([&](const auto& b) { return b.Forward(tape, x); },
+                     backbone_);
   return {head_fwd_.Forward(tape, h), head_bwd_.Forward(tape, h)};
 }
 
@@ -43,7 +87,8 @@ Var EventNetworkFilter::Loss(Tape* tape, const Sample& sample) {
 }
 
 std::vector<Parameter*> EventNetworkFilter::Params() {
-  std::vector<Parameter*> params = stack_.Params();
+  std::vector<Parameter*> params =
+      std::visit([](auto& b) { return b.Params(); }, backbone_);
   for (Parameter* p : head_fwd_.Params()) params.push_back(p);
   for (Parameter* p : head_bwd_.Params()) params.push_back(p);
   for (Parameter* p : crf_.Params()) params.push_back(p);
@@ -67,118 +112,80 @@ std::vector<int> EventNetworkFilter::Threshold(const Matrix& marginals,
   return marks;
 }
 
-std::vector<int> EventNetworkFilter::MarkFeaturesAt(
-    const Matrix& features, InferenceContext* ctx,
-    double threshold) const {
+Matrix EventNetworkFilter::Marginals(const Matrix& features,
+                                     InferenceContext* ctx) const {
   obs::TraceSpan forward_span(obs::StageNnForwardInfer());
   InferenceContext local;
   InferenceContext* c = ctx != nullptr ? ctx : &local;
   c->Reset();
-  const Matrix& h = frozen_.stack.Forward(c, features);
+  const Matrix& h = std::visit(
+      [&](const auto& b) -> const Matrix& { return b.Forward(c, features); },
+      frozen_.backbone);
   Matrix& emissions_f = c->Acquire(features.rows(), 2);
   Matrix& emissions_b = c->Acquire(features.rows(), 2);
   frozen_.head_fwd.Forward(h, &emissions_f);
   frozen_.head_bwd.Forward(h, &emissions_b);
-  return Threshold(crf_.Marginals(emissions_f, emissions_b), threshold);
+  return crf_.Marginals(emissions_f, emissions_b);
 }
 
-void EventNetworkFilter::MarkFeaturesBatchAt(
-    std::span<const Matrix> features, InferenceContext* ctx,
-    std::span<const double> thresholds, std::vector<int>* marks) const {
-  const size_t batch = features.size();
-  if (batch == 0) return;
+std::vector<Matrix> EventNetworkFilter::SlabMarginals(
+    std::span<const Matrix> features, InferenceContext* ctx) const {
   obs::TraceSpan forward_span(obs::StageNnForwardInfer());
   InferenceContext local;
   InferenceContext* c = ctx != nullptr ? ctx : &local;
   c->Reset();
-
-  std::vector<size_t> offsets(batch + 1, 0);
-  for (size_t w = 0; w < batch; ++w) {
-    offsets[w + 1] = offsets[w] + features[w].rows();
-  }
-  Matrix& x_all = c->Acquire(offsets[batch], features[0].cols());
-  for (size_t w = 0; w < batch; ++w) {
-    std::copy_n(features[w].data(), features[w].rows() * features[w].cols(),
-                x_all.data() + offsets[w] * x_all.cols());
-  }
-
-  const Matrix& h = frozen_.stack.ForwardBatch(c, x_all, offsets);
+  std::vector<size_t> offsets;
+  const Matrix& x_all = StackWindows(c, features, &offsets);
+  const Matrix& h = std::visit(
+      [&](const auto& b) -> const Matrix& {
+        return b.ForwardBatch(c, x_all, offsets);
+      },
+      frozen_.backbone);
   // The emission heads are row-local dot products (MatMulTransBInto),
   // so one stacked call over the slab equals per-window heads bit for
   // bit.
-  Matrix& emissions_f = c->Acquire(offsets[batch], 2);
-  Matrix& emissions_b = c->Acquire(offsets[batch], 2);
+  Matrix& emissions_f = c->Acquire(offsets.back(), 2);
+  Matrix& emissions_b = c->Acquire(offsets.back(), 2);
   frozen_.head_fwd.ForwardBatch(h, &emissions_f);
   frozen_.head_bwd.ForwardBatch(h, &emissions_b);
 
   // The CRF chains stay per-window: slice each window's emissions back
-  // out and decode against its own threshold (batched windows may carry
-  // different overload boosts).
-  for (size_t w = 0; w < batch; ++w) {
+  // out of the slab.
+  std::vector<Matrix> marginals;
+  marginals.reserve(features.size());
+  for (size_t w = 0; w < features.size(); ++w) {
     const size_t t_len = offsets[w + 1] - offsets[w];
     Matrix& ef = c->Acquire(t_len, 2);
     Matrix& eb = c->Acquire(t_len, 2);
     std::copy_n(emissions_f.data() + offsets[w] * 2, t_len * 2, ef.data());
     std::copy_n(emissions_b.data() + offsets[w] * 2, t_len * 2, eb.data());
-    marks[w] = Threshold(crf_.Marginals(ef, eb), thresholds[w]);
+    marginals.push_back(crf_.Marginals(ef, eb));
   }
+  return marginals;
 }
 
-void EventNetworkFilter::MarkBatchWith(const EventStream& stream,
-                                       std::span<const WindowRange> windows,
-                                       InferenceContext* ctx,
-                                       std::vector<int>* marks) const {
-  if (windows.empty()) return;
-  std::vector<Matrix> features;
-  features.reserve(windows.size());
-  {
-    obs::TraceSpan feature_span(obs::StageFeatureBuild());
-    for (const WindowRange& range : windows) {
-      features.push_back(
-          featurizer_->Encode(stream.View(range.begin, range.size())));
-    }
-  }
-  const std::vector<double> thresholds(windows.size(), event_threshold_);
-  MarkFeaturesBatchAt(features, ctx, thresholds, marks);
+std::vector<int> EventNetworkFilter::DecodeWindow(const Matrix& features,
+                                                  InferenceContext* ctx,
+                                                  double boost) const {
+  return Threshold(Marginals(features, ctx), event_threshold_ + boost);
 }
 
-void EventNetworkFilter::MarkBatchOnline(std::span<const OnlineWindow> windows,
-                                         InferenceContext* ctx,
-                                         std::vector<int>* marks) const {
-  if (windows.empty()) return;
-  std::vector<Matrix> features;
-  std::vector<double> thresholds;
-  features.reserve(windows.size());
-  thresholds.reserve(windows.size());
-  {
-    obs::TraceSpan feature_span(obs::StageFeatureBuild());
-    for (const OnlineWindow& w : windows) {
-      features.push_back(
-          featurizer_->Encode(w.events->View(0, w.events->size())));
-      thresholds.push_back(event_threshold_ + w.threshold_boost);
-    }
+void EventNetworkFilter::DecodeSlab(std::span<const Matrix> features,
+                                    InferenceContext* ctx,
+                                    std::span<const double> boosts,
+                                    std::vector<int>* marks) const {
+  const std::vector<Matrix> marginals = SlabMarginals(features, ctx);
+  for (size_t w = 0; w < marginals.size(); ++w) {
+    marks[w] = Threshold(marginals[w], event_threshold_ + boosts[w]);
   }
-  MarkFeaturesBatchAt(features, ctx, thresholds, marks);
 }
 
 void EventNetworkFilter::MarkOnlineMultiHead(
     const EventStream& window, InferenceContext* ctx,
     std::span<const double> thresholds,
     std::vector<std::vector<int>>* marks) const {
-  obs::TraceSpan feature_span(obs::StageFeatureBuild());
-  Matrix features = featurizer_->Encode(window.View(0, window.size()));
-  feature_span.Finish();
-
-  obs::TraceSpan forward_span(obs::StageNnForwardInfer());
-  InferenceContext local;
-  InferenceContext* c = ctx != nullptr ? ctx : &local;
-  c->Reset();
-  const Matrix& h = frozen_.stack.Forward(c, features);
-  Matrix& emissions_f = c->Acquire(features.rows(), 2);
-  Matrix& emissions_b = c->Acquire(features.rows(), 2);
-  frozen_.head_fwd.Forward(h, &emissions_f);
-  frozen_.head_bwd.Forward(h, &emissions_b);
-  const Matrix marginals = crf_.Marginals(emissions_f, emissions_b);
+  const Matrix marginals =
+      Marginals(Featurize(window.View(0, window.size())), ctx);
   marks->resize(thresholds.size());
   for (size_t q = 0; q < thresholds.size(); ++q) {
     (*marks)[q] = Threshold(marginals, thresholds[q]);
@@ -189,61 +196,17 @@ void EventNetworkFilter::MarkBatchOnlineMultiHead(
     std::span<const OnlineWindow> windows, InferenceContext* ctx,
     std::span<const double> thresholds,
     std::vector<std::vector<std::vector<int>>>* marks) const {
-  const size_t batch = windows.size();
-  marks->assign(batch, {});
-  if (batch == 0) return;
-  std::vector<Matrix> features;
-  features.reserve(batch);
-  {
-    obs::TraceSpan feature_span(obs::StageFeatureBuild());
-    for (const OnlineWindow& w : windows) {
-      features.push_back(
-          featurizer_->Encode(w.events->View(0, w.events->size())));
-    }
-  }
-
-  obs::TraceSpan forward_span(obs::StageNnForwardInfer());
-  InferenceContext local;
-  InferenceContext* c = ctx != nullptr ? ctx : &local;
-  c->Reset();
-  std::vector<size_t> offsets(batch + 1, 0);
-  for (size_t w = 0; w < batch; ++w) {
-    offsets[w + 1] = offsets[w] + features[w].rows();
-  }
-  Matrix& x_all = c->Acquire(offsets[batch], features[0].cols());
-  for (size_t w = 0; w < batch; ++w) {
-    std::copy_n(features[w].data(), features[w].rows() * features[w].cols(),
-                x_all.data() + offsets[w] * x_all.cols());
-  }
-  const Matrix& h = frozen_.stack.ForwardBatch(c, x_all, offsets);
-  Matrix& emissions_f = c->Acquire(offsets[batch], 2);
-  Matrix& emissions_b = c->Acquire(offsets[batch], 2);
-  frozen_.head_fwd.ForwardBatch(h, &emissions_f);
-  frozen_.head_bwd.ForwardBatch(h, &emissions_b);
-
-  for (size_t w = 0; w < batch; ++w) {
-    const size_t t_len = offsets[w + 1] - offsets[w];
-    Matrix& ef = c->Acquire(t_len, 2);
-    Matrix& eb = c->Acquire(t_len, 2);
-    std::copy_n(emissions_f.data() + offsets[w] * 2, t_len * 2, ef.data());
-    std::copy_n(emissions_b.data() + offsets[w] * 2, t_len * 2, eb.data());
-    const Matrix marginals = crf_.Marginals(ef, eb);
+  marks->assign(windows.size(), {});
+  if (windows.empty()) return;
+  const std::vector<Matrix> marginals =
+      SlabMarginals(Featurize(Views(windows)), ctx);
+  for (size_t w = 0; w < windows.size(); ++w) {
     (*marks)[w].resize(thresholds.size());
     for (size_t q = 0; q < thresholds.size(); ++q) {
       (*marks)[w][q] =
-          Threshold(marginals, thresholds[q] + windows[w].threshold_boost);
+          Threshold(marginals[w], thresholds[q] + windows[w].threshold_boost);
     }
   }
-}
-
-std::vector<int> EventNetworkFilter::MarkFeaturesWith(
-    const Matrix& features, InferenceContext* ctx) const {
-  return MarkFeaturesAt(features, ctx, event_threshold_);
-}
-
-std::vector<int> EventNetworkFilter::MarkFeatures(
-    const Matrix& features) const {
-  return MarkFeaturesWith(features, nullptr);
 }
 
 std::vector<int> EventNetworkFilter::MarkFeaturesTape(
@@ -253,31 +216,6 @@ std::vector<int> EventNetworkFilter::MarkFeaturesTape(
   auto [emissions_f, emissions_b] = Emissions(&tape, features);
   return Threshold(crf_.Marginals(emissions_f.value(), emissions_b.value()),
                    event_threshold_);
-}
-
-std::vector<int> EventNetworkFilter::Mark(const EventStream& stream,
-                                          WindowRange range) const {
-  return MarkWith(stream, range, nullptr);
-}
-
-std::vector<int> EventNetworkFilter::MarkWith(const EventStream& stream,
-                                              WindowRange range,
-                                              InferenceContext* ctx) const {
-  obs::TraceSpan feature_span(obs::StageFeatureBuild());
-  Matrix features =
-      featurizer_->Encode(stream.View(range.begin, range.size()));
-  feature_span.Finish();
-  return MarkFeaturesWith(features, ctx);
-}
-
-std::vector<int> EventNetworkFilter::MarkOnline(
-    const EventStream& window, size_t stream_begin, InferenceContext* ctx,
-    double threshold_boost) const {
-  (void)stream_begin;  // content-based: marks don't depend on position
-  obs::TraceSpan feature_span(obs::StageFeatureBuild());
-  Matrix features = featurizer_->Encode(window.View(0, window.size()));
-  feature_span.Finish();
-  return MarkFeaturesAt(features, ctx, event_threshold_ + threshold_boost);
 }
 
 TrainResult EventNetworkFilter::Fit(const std::vector<Sample>& samples,

@@ -1,14 +1,20 @@
-// The event-network filter (paper §4.3, Fig 7): stacked BiLSTM feature
-// extractor topped with a BI-CRF that labels every event of the input
-// window as participating / not participating in a full match. The
-// bidirectional CRF is fed by two separate linear emission heads (one per
-// chain direction), and decoding takes the per-position argmax of the
-// averaged posterior marginals against `event_threshold`.
+// The event-network filter (paper §4.3, Fig 7): a sequence backbone
+// topped with a BI-CRF that labels every event of the input window as
+// participating / not participating in a full match. The bidirectional
+// CRF is fed by two separate linear emission heads (one per chain
+// direction), and decoding takes the per-position argmax of the averaged
+// posterior marginals against `event_threshold`.
+//
+// The backbone is the paper's stacked BiLSTM by default. The TCN
+// alternative that the paper's preliminary experiments evaluated and
+// rejected (§4.1: "BiLSTM was empirically shown to be superior to other
+// approaches such as TCN") shares the head, decode and API;
+// bench_ablation_backbone reproduces the comparison.
 
 #ifndef DLACEP_DLACEP_EVENT_FILTER_H_
 #define DLACEP_DLACEP_EVENT_FILTER_H_
 
-#include <memory>
+#include <variant>
 
 #include "dlacep/config.h"
 #include "dlacep/featurizer.h"
@@ -18,27 +24,26 @@
 
 namespace dlacep {
 
+/// The event network's sequence backbone. Each keeps its own parameter
+/// names and init seed, so saved models stay loadable: the BiLSTM's are
+/// `event.*` seeded with NetworkConfig::seed, the TCN's `tcn.*` seeded
+/// with seed + 2.
+struct EventBackbone {
+  enum class Kind { kBiLstm, kTcn };
+  Kind kind = Kind::kBiLstm;
+  size_t kernel = 3;  ///< TCN convolution width
+
+  static EventBackbone Tcn(size_t kernel) { return {Kind::kTcn, kernel}; }
+};
+
 class EventNetworkFilter : public TrainableFilter, public SequenceModel {
  public:
   EventNetworkFilter(const Featurizer* featurizer,
-                     const NetworkConfig& network, double event_threshold);
+                     const NetworkConfig& network, double event_threshold,
+                     EventBackbone backbone = {});
 
-  std::string name() const override { return "event-network"; }
+  std::string name() const override;
 
-  std::vector<int> Mark(const EventStream& stream,
-                        WindowRange range) const override;
-  std::vector<int> MarkWith(const EventStream& stream, WindowRange range,
-                            InferenceContext* ctx) const override;
-  std::vector<int> MarkOnline(const EventStream& window, size_t stream_begin,
-                              InferenceContext* ctx,
-                              double threshold_boost) const override;
-  void MarkBatchWith(const EventStream& stream,
-                     std::span<const WindowRange> windows,
-                     InferenceContext* ctx,
-                     std::vector<int>* marks) const override;
-  void MarkBatchOnline(std::span<const OnlineWindow> windows,
-                       InferenceContext* ctx,
-                       std::vector<int>* marks) const override;
   /// Multi-head decoding for the serving layer (src/serve): featurize
   /// and run the trunk + CRF-marginal pass once, then decode the shared
   /// marginals against one threshold per registered query. (*marks)[q]
@@ -57,9 +62,6 @@ class EventNetworkFilter : public TrainableFilter, public SequenceModel {
       std::span<const double> thresholds,
       std::vector<std::vector<std::vector<int>>>* marks) const;
   double event_threshold() const { return event_threshold_; }
-  std::vector<int> MarkFeatures(const Matrix& features) const override;
-  std::vector<int> MarkFeaturesWith(const Matrix& features,
-                                    InferenceContext* ctx) const override;
   std::vector<int> MarkFeaturesTape(const Matrix& features) const override;
   void OnParamsChanged() override;
 
@@ -73,25 +75,27 @@ class EventNetworkFilter : public TrainableFilter, public SequenceModel {
   std::vector<Parameter*> Params() override;
 
  private:
+  std::vector<int> DecodeWindow(const Matrix& features, InferenceContext* ctx,
+                                double boost) const override;
+  void DecodeSlab(std::span<const Matrix> features, InferenceContext* ctx,
+                  std::span<const double> boosts,
+                  std::vector<int>* marks) const override;
+  /// CRF posterior marginals (T×2) of one window via the backbone's
+  /// per-window Forward.
+  Matrix Marginals(const Matrix& features, InferenceContext* ctx) const;
+  /// Per-window marginals of a micro-batch: the backbone and emission
+  /// heads run once over the stacked slab (ForwardBatch); the CRF
+  /// chains stay per window.
+  std::vector<Matrix> SlabMarginals(std::span<const Matrix> features,
+                                    InferenceContext* ctx) const;
   std::pair<Var, Var> Emissions(Tape* tape, const Matrix& features) const;
   std::vector<int> Threshold(const Matrix& marginals,
                              double threshold) const;
-  std::vector<int> MarkFeaturesAt(const Matrix& features,
-                                  InferenceContext* ctx,
-                                  double threshold) const;
-  /// Batched MarkFeaturesAt: stacks the feature matrices batch-major,
-  /// runs the trunk + emission heads once over the slab, then decodes
-  /// each window's CRF chain against its own threshold.
-  void MarkFeaturesBatchAt(std::span<const Matrix> features,
-                           InferenceContext* ctx,
-                           std::span<const double> thresholds,
-                           std::vector<int>* marks) const;
   void Refreeze();
 
-  const Featurizer* featurizer_;  ///< not owned
   double event_threshold_;
   Rng init_rng_;  ///< declared before the layers it initializes
-  StackedBiLstm stack_;
+  std::variant<StackedBiLstm, Tcn> backbone_;
   Dense head_fwd_;
   Dense head_bwd_;
   BiCrf crf_;
@@ -99,7 +103,7 @@ class EventNetworkFilter : public TrainableFilter, public SequenceModel {
   /// Fit, OnParamsChanged). Read-only during Mark — shared across the
   /// pipeline's worker threads.
   struct FrozenModel {
-    StackedBiLstmInfer stack;
+    std::variant<StackedBiLstmInfer, TcnInfer> backbone;
     DenseInfer head_fwd;
     DenseInfer head_bwd;
   } frozen_;

@@ -17,6 +17,7 @@
 
 namespace dlacep {
 
+class Featurizer;
 class InferenceContext;
 
 /// Sentinel mark value: the filter's scores were numerically invalid
@@ -119,9 +120,34 @@ class StreamFilter {
   }
 };
 
-/// A filter backed by a trainable network.
+/// A filter backed by a trainable network. It owns the routing of every
+/// marking entry point: each featurizes its window(s) under one
+/// StageFeatureBuild span, then hands the features to one of two decode
+/// hooks — DecodeWindow for a single window (the network's per-window
+/// Forward) or DecodeSlab for a micro-batch (one ForwardBatch over the
+/// stacked slab). Subclasses implement only the network and its decode.
 class TrainableFilter : public StreamFilter {
  public:
+  /// `featurizer` is not owned and must outlive the filter.
+  explicit TrainableFilter(const Featurizer* featurizer);
+
+  std::vector<int> Mark(const EventStream& stream,
+                        WindowRange range) const override;
+  std::vector<int> MarkWith(const EventStream& stream, WindowRange range,
+                            InferenceContext* ctx) const override;
+  /// Content-based: `stream_begin` is ignored; `threshold_boost` is
+  /// added to the decision threshold.
+  std::vector<int> MarkOnline(const EventStream& window, size_t stream_begin,
+                              InferenceContext* ctx,
+                              double threshold_boost) const override;
+  void MarkBatchWith(const EventStream& stream,
+                     std::span<const WindowRange> windows,
+                     InferenceContext* ctx,
+                     std::vector<int>* marks) const override;
+  void MarkBatchOnline(std::span<const OnlineWindow> windows,
+                       InferenceContext* ctx,
+                       std::vector<int>* marks) const override;
+
   /// Trains on pre-encoded samples (see BuildFilterDataset); returns the
   /// trainer's result.
   virtual TrainResult Fit(const std::vector<Sample>& samples,
@@ -130,16 +156,13 @@ class TrainableFilter : public StreamFilter {
   /// Marks from pre-encoded features (used during evaluation so that the
   /// featurization cost is attributed to the filter). Const/re-entrant
   /// under the same contract as Mark().
-  virtual std::vector<int> MarkFeatures(const Matrix& features) const = 0;
+  std::vector<int> MarkFeatures(const Matrix& features) const;
 
   /// MarkFeatures() with a caller-provided scratch arena (nullptr = use
   /// a call-local one). Same re-entrancy contract; a given `ctx` must
   /// not be shared across concurrent calls.
-  virtual std::vector<int> MarkFeaturesWith(const Matrix& features,
-                                            InferenceContext* ctx) const {
-    (void)ctx;
-    return MarkFeatures(features);
-  }
+  std::vector<int> MarkFeaturesWith(const Matrix& features,
+                                    InferenceContext* ctx) const;
 
   /// Golden-reference marks via the autograd tape forward (the training
   /// machinery). Slow — kept so equivalence tests and before/after
@@ -158,6 +181,35 @@ class TrainableFilter : public StreamFilter {
   /// entity-level P/R/F1 (§4.3) — entities are events for the event
   /// network and windows for the window network.
   virtual BinaryMetrics Score(const std::vector<Sample>& samples) const = 0;
+
+ protected:
+  /// Encodes one window under a StageFeatureBuild span.
+  Matrix Featurize(std::span<const Event> window) const;
+  /// Encodes every window of a micro-batch under one StageFeatureBuild
+  /// span.
+  std::vector<Matrix> Featurize(
+      std::span<const std::span<const Event>> windows) const;
+  /// The events of each online window, in order.
+  static std::vector<std::span<const Event>> Views(
+      std::span<const OnlineWindow> windows);
+
+ private:
+  /// Marks one window from its features via the network's per-window
+  /// forward; `boost` is added to the decision threshold. `ctx` may be
+  /// null (use a call-local arena).
+  virtual std::vector<int> DecodeWindow(const Matrix& features,
+                                        InferenceContext* ctx,
+                                        double boost) const = 0;
+  /// Marks a non-empty micro-batch with one ForwardBatch over the
+  /// stacked slab, writing features.size() mark vectors to marks[0..B);
+  /// window w's threshold is raised by boosts[w]. Marks must equal
+  /// DecodeWindow's byte for byte.
+  virtual void DecodeSlab(std::span<const Matrix> features,
+                          InferenceContext* ctx,
+                          std::span<const double> boosts,
+                          std::vector<int>* marks) const = 0;
+
+  const Featurizer* featurizer_;  ///< not owned
 };
 
 }  // namespace dlacep

@@ -12,13 +12,12 @@ namespace dlacep {
 WindowNetworkFilter::WindowNetworkFilter(const Featurizer* featurizer,
                                          const NetworkConfig& network,
                                          double window_threshold)
-    : featurizer_(featurizer),
+    : TrainableFilter(featurizer),
       window_threshold_(window_threshold),
       init_rng_(network.seed + 1),
       stack_("window.stack", featurizer->feature_dim(), network.hidden_dim,
              network.num_layers, &init_rng_),
       head_("window.head", stack_.out_dim(), 1, &init_rng_) {
-  DLACEP_CHECK(featurizer_ != nullptr);
   Refreeze();
 }
 
@@ -97,29 +96,20 @@ std::vector<int> MarksForProbability(bool applicable, double probability,
 
 }  // namespace
 
-void WindowNetworkFilter::MarkFeaturesBatchAt(
-    std::span<const Matrix> features, InferenceContext* ctx,
-    std::span<const double> boosts, std::vector<int>* marks) const {
-  const size_t batch = features.size();
-  if (batch == 0) return;
+void WindowNetworkFilter::DecodeSlab(std::span<const Matrix> features,
+                                     InferenceContext* ctx,
+                                     std::span<const double> boosts,
+                                     std::vector<int>* marks) const {
   obs::TraceSpan forward_span(obs::StageNnForwardInfer());
   InferenceContext local;
   InferenceContext* c = ctx != nullptr ? ctx : &local;
   c->Reset();
-
-  std::vector<size_t> offsets(batch + 1, 0);
-  for (size_t w = 0; w < batch; ++w) {
-    offsets[w + 1] = offsets[w] + features[w].rows();
-  }
-  Matrix& x_all = c->Acquire(offsets[batch], features[0].cols());
-  for (size_t w = 0; w < batch; ++w) {
-    std::copy_n(features[w].data(), features[w].rows() * features[w].cols(),
-                x_all.data() + offsets[w] * x_all.cols());
-  }
-
+  std::vector<size_t> offsets;
+  const Matrix& x_all = StackWindows(c, features, &offsets);
   const Matrix& h = frozen_.stack.ForwardBatch(c, x_all, offsets);
   // Per-window column max pooling into one B×2H matrix, so the 1-unit
   // head runs as a single B-row GEMM (row-local → bit-identical logits).
+  const size_t batch = features.size();
   Matrix& pooled = c->Acquire(batch, h.cols());
   for (size_t w = 0; w < batch; ++w) {
     for (size_t j = 0; j < h.cols(); ++j) {
@@ -139,86 +129,17 @@ void WindowNetworkFilter::MarkFeaturesBatchAt(
   }
 }
 
-void WindowNetworkFilter::MarkBatchWith(const EventStream& stream,
-                                        std::span<const WindowRange> windows,
-                                        InferenceContext* ctx,
-                                        std::vector<int>* marks) const {
-  if (windows.empty()) return;
-  std::vector<Matrix> features;
-  features.reserve(windows.size());
-  {
-    obs::TraceSpan feature_span(obs::StageFeatureBuild());
-    for (const WindowRange& range : windows) {
-      features.push_back(
-          featurizer_->Encode(stream.View(range.begin, range.size())));
-    }
-  }
-  const std::vector<double> boosts(windows.size(), 0.0);
-  MarkFeaturesBatchAt(features, ctx, boosts, marks);
-}
-
-void WindowNetworkFilter::MarkBatchOnline(
-    std::span<const OnlineWindow> windows, InferenceContext* ctx,
-    std::vector<int>* marks) const {
-  if (windows.empty()) return;
-  std::vector<Matrix> features;
-  std::vector<double> boosts;
-  features.reserve(windows.size());
-  boosts.reserve(windows.size());
-  {
-    obs::TraceSpan feature_span(obs::StageFeatureBuild());
-    for (const OnlineWindow& w : windows) {
-      features.push_back(
-          featurizer_->Encode(w.events->View(0, w.events->size())));
-      boosts.push_back(w.threshold_boost);
-    }
-  }
-  MarkFeaturesBatchAt(features, ctx, boosts, marks);
-}
-
-std::vector<int> WindowNetworkFilter::MarkFeaturesWith(
-    const Matrix& features, InferenceContext* ctx) const {
+std::vector<int> WindowNetworkFilter::DecodeWindow(const Matrix& features,
+                                                   InferenceContext* ctx,
+                                                   double boost) const {
   const double p = ProbabilityWith(features, ctx);
-  return MarksForProbability(IsApplicable(p), p, features.rows());
-}
-
-std::vector<int> WindowNetworkFilter::MarkFeatures(
-    const Matrix& features) const {
-  return MarkFeaturesWith(features, nullptr);
+  return MarksForProbability(IsApplicable(p, boost), p, features.rows());
 }
 
 std::vector<int> WindowNetworkFilter::MarkFeaturesTape(
     const Matrix& features) const {
   const double p = WindowProbabilityTape(features);
   return MarksForProbability(IsApplicable(p), p, features.rows());
-}
-
-std::vector<int> WindowNetworkFilter::Mark(const EventStream& stream,
-                                           WindowRange range) const {
-  return MarkWith(stream, range, nullptr);
-}
-
-std::vector<int> WindowNetworkFilter::MarkWith(const EventStream& stream,
-                                               WindowRange range,
-                                               InferenceContext* ctx) const {
-  obs::TraceSpan feature_span(obs::StageFeatureBuild());
-  Matrix features =
-      featurizer_->Encode(stream.View(range.begin, range.size()));
-  feature_span.Finish();
-  return MarkFeaturesWith(features, ctx);
-}
-
-std::vector<int> WindowNetworkFilter::MarkOnline(
-    const EventStream& window, size_t stream_begin, InferenceContext* ctx,
-    double threshold_boost) const {
-  (void)stream_begin;  // content-based: marks don't depend on position
-  obs::TraceSpan feature_span(obs::StageFeatureBuild());
-  const Matrix features =
-      featurizer_->Encode(window.View(0, window.size()));
-  feature_span.Finish();
-  const double p = ProbabilityWith(features, ctx);
-  return MarksForProbability(IsApplicable(p, threshold_boost), p,
-                             features.rows());
 }
 
 TrainResult WindowNetworkFilter::Fit(const std::vector<Sample>& samples,

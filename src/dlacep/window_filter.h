@@ -24,23 +24,6 @@ class WindowNetworkFilter : public TrainableFilter, public SequenceModel {
 
   std::string name() const override { return "window-network"; }
 
-  std::vector<int> Mark(const EventStream& stream,
-                        WindowRange range) const override;
-  std::vector<int> MarkWith(const EventStream& stream, WindowRange range,
-                            InferenceContext* ctx) const override;
-  std::vector<int> MarkOnline(const EventStream& window, size_t stream_begin,
-                              InferenceContext* ctx,
-                              double threshold_boost) const override;
-  void MarkBatchWith(const EventStream& stream,
-                     std::span<const WindowRange> windows,
-                     InferenceContext* ctx,
-                     std::vector<int>* marks) const override;
-  void MarkBatchOnline(std::span<const OnlineWindow> windows,
-                       InferenceContext* ctx,
-                       std::vector<int>* marks) const override;
-  std::vector<int> MarkFeatures(const Matrix& features) const override;
-  std::vector<int> MarkFeaturesWith(const Matrix& features,
-                                    InferenceContext* ctx) const override;
   std::vector<int> MarkFeaturesTape(const Matrix& features) const override;
   void OnParamsChanged() override;
 
@@ -68,19 +51,18 @@ class WindowNetworkFilter : public TrainableFilter, public SequenceModel {
   }
 
  private:
+  std::vector<int> DecodeWindow(const Matrix& features, InferenceContext* ctx,
+                                double boost) const override;
+  /// One trunk ForwardBatch over the stacked feature slab, per-window
+  /// max pooling into a B×2H matrix, a single B-row head GEMM, then
+  /// each window's sigmoid + threshold (with its own boost).
+  void DecodeSlab(std::span<const Matrix> features, InferenceContext* ctx,
+                  std::span<const double> boosts,
+                  std::vector<int>* marks) const override;
   Var Logit(Tape* tape, const Matrix& features) const;
   double ProbabilityWith(const Matrix& features, InferenceContext* ctx) const;
-  /// Batched marking core: one trunk ForwardBatch over the stacked
-  /// feature slab, per-window max pooling into a B×2H matrix, a single
-  /// B-row head GEMM, then each window's sigmoid + threshold (with its
-  /// own boost).
-  void MarkFeaturesBatchAt(std::span<const Matrix> features,
-                           InferenceContext* ctx,
-                           std::span<const double> boosts,
-                           std::vector<int>* marks) const;
   void Refreeze();
 
-  const Featurizer* featurizer_;  ///< not owned
   double window_threshold_;
   Rng init_rng_;
   StackedBiLstm stack_;

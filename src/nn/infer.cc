@@ -527,6 +527,22 @@ const Matrix& StackedBiLstmInfer::ForwardBatch(
   return *last;
 }
 
+const Matrix& StackWindows(InferenceContext* ctx,
+                           std::span<const Matrix> windows,
+                           std::vector<size_t>* offsets) {
+  DLACEP_CHECK(!windows.empty());
+  offsets->assign(windows.size() + 1, 0);
+  for (size_t w = 0; w < windows.size(); ++w) {
+    (*offsets)[w + 1] = (*offsets)[w] + windows[w].rows();
+  }
+  Matrix& x_all = ctx->Acquire(offsets->back(), windows[0].cols());
+  for (size_t w = 0; w < windows.size(); ++w) {
+    std::copy_n(windows[w].data(), windows[w].rows() * windows[w].cols(),
+                x_all.data() + (*offsets)[w] * x_all.cols());
+  }
+  return x_all;
+}
+
 const Matrix& TcnInfer::Forward(InferenceContext* ctx,
                                 const Matrix& x) const {
   DLACEP_CHECK(!layers.empty());

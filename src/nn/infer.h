@@ -200,6 +200,14 @@ struct TcnInfer {
                              std::span<const size_t> offsets) const;
 };
 
+/// Stacks B windows' feature matrices (all with the same column count)
+/// batch-major into one ΣT×D slab acquired from `ctx` — the input of the
+/// ForwardBatch entry points — and sets `offsets` to its B+1 row prefix
+/// sums. `windows` must be non-empty.
+const Matrix& StackWindows(InferenceContext* ctx,
+                           std::span<const Matrix> windows,
+                           std::vector<size_t>* offsets);
+
 // Freeze-time repacking: snapshot the layer's current parameter values
 // into the transposed/fused inference layout. Call again after any
 // parameter mutation (training step, LoadParameters) that should be

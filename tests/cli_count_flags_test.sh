@@ -1,6 +1,7 @@
 #!/bin/sh
-# CLI argument validation for the integer count flags and for queries
-# a command cannot run: each bad input must make the command exit 1
+# CLI argument validation for the integer count flags, for unknown
+# engine and filter names, and for queries a command cannot run: each
+# bad input must make the command exit 1
 # with a message naming the problem — never a CHECK failure, an
 # uncaught exception, a hang, or a silent wrap-around.
 #
@@ -69,6 +70,17 @@ expect_fail "--events must be a non-negative integer" generate \
   --kind stock --events -5 --out "$dir/neg.csv"
 expect_fail "--symbols must be a positive integer" serve \
   --query "SEQ(S0 a, S1 b) WITHIN 8" --symbols 0
+
+# Unknown engine and filter names are rejected, never mapped to a
+# default.
+expect_fail "unknown --engine 'bogus'" run --query "SEQ(S0 a, S1 b) WITHIN 8" \
+  --data "$dir/s.csv" --engine bogus
+expect_reject "unknown --engine 'bogus'" --engine bogus
+expect_fail "unknown --filter 'bogus'" compare \
+  --query "SEQ(S0 a, S1 b) WITHIN 8" --train "$dir/s.csv" \
+  --test "$dir/s.csv" --filter bogus
+expect_fail "unknown online filter kind: bogus" replay \
+  --query "SEQ(S0 a, S1 b) WITHIN 8" --data "$dir/s.csv" --filter bogus
 
 # Time-window queries run on the exact engines only: compare fails
 # before training and replay names the command that runs them.

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "dlacep/event_filter.h"
-#include "dlacep/tcn_filter.h"
 #include "dlacep/window_filter.h"
 #include "nn/infer.h"
 #include "nn/layers.h"
@@ -287,13 +286,14 @@ TEST_F(InferFilterEquivalence, EventNetworkFilter) {
   }
 }
 
-TEST_F(InferFilterEquivalence, TcnEventFilter) {
+TEST_F(InferFilterEquivalence, EventNetworkFilterTcn) {
   for (uint64_t seed : {41u, 42u, 43u}) {
     NetworkConfig network;
     network.hidden_dim = 6 + seed % 5;
     network.num_layers = 1 + seed % 2;
     network.seed = seed;
-    TcnEventFilter filter(&featurizer_, network, 0.5);
+    EventNetworkFilter filter(&featurizer_, network, 0.5,
+                              EventBackbone::Tcn(3));
     CheckFilter(filter, 2000 + seed);
   }
 }
@@ -321,9 +321,8 @@ TEST_F(InferFilterEquivalence, WindowNetworkFilter) {
 
 // ---------------------------------------------------------------------
 // Batched marking: MarkBatchWith must reproduce per-window MarkWith
-// marks exactly for every batch grouping, across all three filter
-// types (the TCN filter overrides MarkBatchWith; MarkBatchOnline there
-// exercises the base-class per-window loop).
+// marks exactly for every batch grouping, across all three network
+// kinds (BiLSTM event, TCN event, window).
 
 TEST_F(InferFilterEquivalence, EventNetworkFilterBatchMarks) {
   for (uint64_t seed : {31u, 32u, 33u}) {
@@ -336,13 +335,14 @@ TEST_F(InferFilterEquivalence, EventNetworkFilterBatchMarks) {
   }
 }
 
-TEST_F(InferFilterEquivalence, TcnEventFilterBatchMarks) {
+TEST_F(InferFilterEquivalence, EventNetworkFilterTcnBatchMarks) {
   for (uint64_t seed : {41u, 42u, 43u}) {
     NetworkConfig network;
     network.hidden_dim = 6 + seed % 5;
     network.num_layers = 1 + seed % 2;
     network.seed = seed;
-    TcnEventFilter filter(&featurizer_, network, 0.5);
+    EventNetworkFilter filter(&featurizer_, network, 0.5,
+                              EventBackbone::Tcn(3));
     CheckFilterBatch(filter);
   }
 }
@@ -360,36 +360,64 @@ TEST_F(InferFilterEquivalence, WindowNetworkFilterBatchMarks) {
 
 // MarkBatchOnline with per-window threshold boosts must match the
 // per-window MarkOnline it batches (the level-1 overload regime rides
-// this path; the pass-through base default must also hold).
+// this path), for every network kind. The boost must also take effect
+// on both paths: boost 0 marks some event, and a boost that lifts the
+// threshold above 1 marks none.
 TEST_F(InferFilterEquivalence, EventNetworkFilterBatchOnlineBoosts) {
   NetworkConfig network;
   network.hidden_dim = 8;
   network.num_layers = 2;
   network.seed = 71;
-  EventNetworkFilter filter(&featurizer_, network, 0.5);
+  const EventNetworkFilter bilstm(&featurizer_, network, 0.5);
+  const EventNetworkFilter tcn(&featurizer_, network, 0.5,
+                               EventBackbone::Tcn(3));
+  const WindowNetworkFilter window(&featurizer_, network, 0.5);
 
-  std::vector<OnlineWindow> windows;
   std::vector<std::shared_ptr<EventStream>> slices;
   size_t begin = 0;
   for (size_t size : {16u, 7u, 33u, 1u, 16u}) {
-    auto slice = std::make_shared<EventStream>(stream_.Slice(begin, size));
-    slices.push_back(slice);
-    windows.push_back(
-        OnlineWindow{slice.get(), 0, begin % 2 == 0 ? 0.0 : 0.2});
+    slices.push_back(
+        std::make_shared<EventStream>(stream_.Slice(begin, size)));
     begin += size / 2 + 1;
   }
-  InferenceContext single;
-  std::vector<std::vector<int>> expected(windows.size());
-  for (size_t i = 0; i < windows.size(); ++i) {
-    expected[i] = filter.MarkOnline(*windows[i].events,
-                                    windows[i].stream_begin, &single,
-                                    windows[i].threshold_boost);
-  }
-  InferenceContext shared;
-  std::vector<std::vector<int>> got(windows.size());
-  filter.MarkBatchOnline(windows, &shared, got.data());
-  for (size_t i = 0; i < windows.size(); ++i) {
-    EXPECT_EQ(expected[i], got[i]) << "window " << i;
+  // Each window's boost from `boost_of(i)`; returns the per-window
+  // MarkOnline marks after checking the batched marks equal them.
+  auto mark = [&](const TrainableFilter& filter, auto boost_of) {
+    std::vector<OnlineWindow> windows;
+    for (size_t i = 0; i < slices.size(); ++i) {
+      windows.push_back(OnlineWindow{slices[i].get(), 0, boost_of(i)});
+    }
+    InferenceContext single;
+    std::vector<std::vector<int>> expected(windows.size());
+    for (size_t i = 0; i < windows.size(); ++i) {
+      expected[i] = filter.MarkOnline(*windows[i].events,
+                                      windows[i].stream_begin, &single,
+                                      windows[i].threshold_boost);
+    }
+    InferenceContext shared;
+    std::vector<std::vector<int>> got(windows.size());
+    filter.MarkBatchOnline(windows, &shared, got.data());
+    for (size_t i = 0; i < windows.size(); ++i) {
+      EXPECT_EQ(expected[i], got[i]) << "window " << i;
+    }
+    return expected;
+  };
+  auto marked = [](const std::vector<std::vector<int>>& marks) {
+    size_t n = 0;
+    for (const std::vector<int>& window : marks) {
+      n += static_cast<size_t>(std::count(window.begin(), window.end(), 1));
+    }
+    return n;
+  };
+
+  for (const TrainableFilter* filter :
+       {static_cast<const TrainableFilter*>(&bilstm),
+        static_cast<const TrainableFilter*>(&tcn),
+        static_cast<const TrainableFilter*>(&window)}) {
+    SCOPED_TRACE(filter->name());
+    mark(*filter, [](size_t i) { return i % 2 == 0 ? 0.0 : 0.2; });
+    EXPECT_GT(marked(mark(*filter, [](size_t) { return 0.0; })), 0u);
+    EXPECT_EQ(marked(mark(*filter, [](size_t) { return 0.6; })), 0u);
   }
 }
 

@@ -161,6 +161,31 @@ Status CheckCountFlags(const Args& args) {
   return Status::Ok();
 }
 
+/// --engine NAME (default nfa). Main rejects an unknown name before any
+/// command runs, so the commands read value() directly.
+StatusOr<EngineKind> ParseEngineKind(const Args& args) {
+  const std::string name = args.Get("engine", "nfa");
+  if (name == "nfa") return EngineKind::kNfa;
+  if (name == "tree") return EngineKind::kTree;
+  if (name == "lazy") return EngineKind::kLazy;
+  if (name == "adaptive") return EngineKind::kAdaptive;
+  return Status::InvalidArgument("unknown --engine '" + name +
+                                 "' (expected nfa|tree|lazy|adaptive)");
+}
+
+/// The filter flags shared by every command that trains one: --hidden,
+/// --layers, --epochs, --threshold and --batch_size.
+DlacepConfig MakeTrainConfig(const Args& args) {
+  DlacepConfig config;
+  config.network.hidden_dim = static_cast<size_t>(args.GetInt("hidden", 12));
+  config.network.num_layers = static_cast<size_t>(args.GetInt("layers", 1));
+  config.train.max_epochs = static_cast<size_t>(args.GetInt("epochs", 30));
+  config.event_threshold = args.GetDouble("threshold", 0.35);
+  config.window_threshold = config.event_threshold;
+  config.batch_size = static_cast<size_t>(args.GetInt("batch_size", 1));
+  return config;
+}
+
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
@@ -259,12 +284,7 @@ int RunQuery(const Args& args) {
     std::fprintf(stderr, "%s\n", pattern.status().ToString().c_str());
     return 1;
   }
-  const std::string engine_name = args.Get("engine", "nfa");
-  const EngineKind kind = engine_name == "tree"       ? EngineKind::kTree
-                          : engine_name == "lazy"     ? EngineKind::kLazy
-                          : engine_name == "adaptive" ? EngineKind::kAdaptive
-                                                      : EngineKind::kNfa;
-  auto engine = CreateEngine(kind, pattern.value());
+  auto engine = CreateEngine(ParseEngineKind(args).value(), pattern.value());
   if (!engine.ok()) {
     std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
     return 1;
@@ -310,6 +330,12 @@ int Compare(const Args& args) {
   if (args.Has("queries")) {
     return CompareMulti(args, train.value(), test.value());
   }
+  const std::string filter = args.Get("filter", "event");
+  if (filter != "event" && filter != "window") {
+    std::fprintf(stderr, "unknown --filter '%s' (compare: event|window)\n",
+                 filter.c_str());
+    return 1;
+  }
   auto pattern = ParsePattern(args.Get("query"), train.value().schema_ptr());
   if (!pattern.ok()) {
     std::fprintf(stderr, "%s\n", pattern.status().ToString().c_str());
@@ -322,20 +348,10 @@ int Compare(const Args& args) {
     return 1;
   }
 
-  DlacepConfig config;
-  config.network.hidden_dim =
-      static_cast<size_t>(args.GetInt("hidden", 12));
-  config.network.num_layers =
-      static_cast<size_t>(args.GetInt("layers", 1));
-  config.train.max_epochs =
-      static_cast<size_t>(args.GetInt("epochs", 30));
-  config.event_threshold = args.GetDouble("threshold", 0.35);
-  config.window_threshold = config.event_threshold;
+  DlacepConfig config = MakeTrainConfig(args);
   config.num_threads = static_cast<size_t>(args.GetInt("num_threads", 1));
-  config.batch_size = static_cast<size_t>(args.GetInt("batch_size", 1));
-  const FilterKind kind = args.Get("filter", "event") == "window"
-                              ? FilterKind::kWindowNetwork
-                              : FilterKind::kEventNetwork;
+  const FilterKind kind = filter == "window" ? FilterKind::kWindowNetwork
+                                             : FilterKind::kEventNetwork;
 
   std::printf("building DLACEP (%s) on %zu training events...\n",
               FilterKindName(kind), train.value().size());
@@ -441,22 +457,13 @@ StatusOr<OnlineFilter> MakeOnlineFilter(const Args& args,
           "--filter " + kind + " needs --train F.csv (" +
           train.status().ToString() + ")");
     }
-    DlacepConfig config;
-    config.network.hidden_dim =
-        static_cast<size_t>(args.GetInt("hidden", 12));
-    config.network.num_layers =
-        static_cast<size_t>(args.GetInt("layers", 1));
-    config.train.max_epochs =
-        static_cast<size_t>(args.GetInt("epochs", 30));
-    config.event_threshold = args.GetDouble("threshold", 0.35);
-    config.window_threshold = config.event_threshold;
     std::printf("training %s filter on %zu events...\n", kind.c_str(),
                 train.value().size());
     out.built = std::make_unique<BuiltDlacep>(
         BuildDlacep(pattern, train.value(),
                     kind == "window" ? FilterKind::kWindowNetwork
                                      : FilterKind::kEventNetwork,
-                    config));
+                    MakeTrainConfig(args)));
     out.filter = &out.built->pipeline->filter();
     out.trainable =
         dynamic_cast<TrainableFilter*>(&out.built->pipeline->filter());
@@ -491,11 +498,7 @@ OnlineConfig MakeOnlineConfig(const Args& args) {
   config.batch_size = static_cast<size_t>(args.GetInt("batch_size", 1));
   config.num_shards = static_cast<size_t>(args.GetInt("shards", 1));
   config.pin_shard_threads = args.GetInt("pin", 1) != 0;
-  const std::string engine = args.Get("engine", "nfa");
-  config.engine = engine == "tree"       ? EngineKind::kTree
-                  : engine == "lazy"     ? EngineKind::kLazy
-                  : engine == "adaptive" ? EngineKind::kAdaptive
-                                         : EngineKind::kNfa;
+  config.engine = ParseEngineKind(args).value();
   return config;
 }
 
@@ -586,14 +589,6 @@ int StreamOnline(const Args& args, const Pattern& pattern,
 // ---------------------------------------------------------------------
 // Multi-query serving (--queries on replay/serve/compare).
 
-EngineKind ParseEngineKind(const Args& args) {
-  const std::string name = args.Get("engine", "nfa");
-  return name == "tree"       ? EngineKind::kTree
-         : name == "lazy"     ? EngineKind::kLazy
-         : name == "adaptive" ? EngineKind::kAdaptive
-                              : EngineKind::kNfa;
-}
-
 /// --queries is either an integer N (N copies of --query) or a
 /// semicolon-separated PQL list.
 StatusOr<std::vector<Pattern>> ParseQueries(
@@ -632,16 +627,6 @@ StatusOr<std::vector<Pattern>> ParseQueries(
   return patterns;
 }
 
-DlacepConfig MakeTrainConfig(const Args& args) {
-  DlacepConfig config;
-  config.network.hidden_dim = static_cast<size_t>(args.GetInt("hidden", 12));
-  config.network.num_layers = static_cast<size_t>(args.GetInt("layers", 1));
-  config.train.max_epochs = static_cast<size_t>(args.GetInt("epochs", 30));
-  config.event_threshold = args.GetDouble("threshold", 0.35);
-  config.window_threshold = config.event_threshold;
-  config.batch_size = static_cast<size_t>(args.GetInt("batch_size", 1));
-  return config;
-}
 
 void PrintSharing(const serve::SharingStats& sharing) {
   std::printf(
@@ -737,7 +722,7 @@ int StreamMultiQuery(const Args& args, std::vector<Pattern> patterns,
   for (size_t q = 0; q < patterns.size(); ++q) {
     serve::QueryOptions options;
     options.name = "q" + std::to_string(q);
-    options.engine = ParseEngineKind(args);
+    options.engine = ParseEngineKind(args).value();
     auto id = registry.Register(patterns[q], options);
     if (!id.ok()) {
       std::fprintf(stderr, "%s\n", id.status().ToString().c_str());
@@ -826,7 +811,7 @@ int StreamMultiQuery(const Args& args, std::vector<Pattern> patterns,
       injector.SetPathologicalHook([&args, &registry, &pathological] {
         serve::QueryOptions options;
         options.name = "pathological";
-        options.engine = ParseEngineKind(args);
+        options.engine = ParseEngineKind(args).value();
         (void)registry.Register(*pathological, options);
       });
     }
@@ -977,7 +962,7 @@ int CompareMulti(const Args& args, const EventStream& train,
   for (size_t q = 0; q < patterns.value().size(); ++q) {
     serve::QueryOptions options;
     options.name = "q" + std::to_string(q);
-    options.engine = ParseEngineKind(args);
+    options.engine = ParseEngineKind(args).value();
     auto id = registry.Register(patterns.value()[q], options);
     if (!id.ok()) {
       std::fprintf(stderr, "%s\n", id.status().ToString().c_str());
@@ -1084,6 +1069,10 @@ int Main(int argc, char** argv) {
   if (!args.ok()) return Usage();
   if (const Status counts = CheckCountFlags(args); !counts.ok()) {
     std::fprintf(stderr, "%s\n", counts.ToString().c_str());
+    return 1;
+  }
+  if (const auto engine = ParseEngineKind(args); !engine.ok()) {
+    std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
     return 1;
   }
   const std::string command = argv[1];
