@@ -80,17 +80,19 @@ BENCHMARK(BM_BiLstmForwardHidden)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 // Tape-free counterparts of the two benches above: frozen weights,
 // fused LSTM cell, one InferenceContext reused across iterations (the
 // steady state of pipeline filtration — allocation-free after the
-// first pass).
+// first pass). Each iteration is the one frozen Forward on a batch of
+// one window, so the numbers stay per-window.
 void BM_BiLstmInferSeqLen(benchmark::State& state) {
   const size_t t_steps = static_cast<size_t>(state.range(0));
   Rng rng(2);
   StackedBiLstm stack("s", 8, 16, 2, &rng);
   const StackedBiLstmInfer frozen = Freeze(stack);
   const Matrix input = Matrix::Randn(t_steps, 8, 1.0, &rng);
+  const size_t offsets[] = {0, t_steps};
   InferenceContext ctx;
   for (auto _ : state) {
     ctx.Reset();
-    benchmark::DoNotOptimize(frozen.Forward(&ctx, input).data());
+    benchmark::DoNotOptimize(frozen.Forward(&ctx, input, offsets).data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(t_steps));
@@ -103,10 +105,11 @@ void BM_BiLstmInferHidden(benchmark::State& state) {
   StackedBiLstm stack("s", 8, hidden, 2, &rng);
   const StackedBiLstmInfer frozen = Freeze(stack);
   const Matrix input = Matrix::Randn(32, 8, 1.0, &rng);
+  const size_t offsets[] = {0, input.rows()};
   InferenceContext ctx;
   for (auto _ : state) {
     ctx.Reset();
-    benchmark::DoNotOptimize(frozen.Forward(&ctx, input).data());
+    benchmark::DoNotOptimize(frozen.Forward(&ctx, input, offsets).data());
   }
 }
 BENCHMARK(BM_BiLstmInferHidden)->Arg(8)->Arg(16)->Arg(32)->Arg(64);

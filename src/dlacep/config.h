@@ -49,13 +49,13 @@ struct DlacepConfig {
   /// (default); 0 = hardware concurrency.
   size_t num_threads = 1;
 
-  /// Windows marked per filter call in the filtration stage. 1 = the
-  /// exact legacy per-window path (default). >1 groups consecutive
-  /// assembler windows into micro-batches of this size (the tail batch
-  /// may be smaller) and marks each with one MarkBatchWith call, so the
-  /// NN trunk runs matrix-matrix GEMMs across windows. Batched marks are
-  /// byte-identical to the per-window marks; the underlying activations
-  /// agree to <= 1e-9 (see nn/infer.h).
+  /// Windows marked per filter call in the filtration stage: consecutive
+  /// assembler windows are grouped into micro-batches of this size (the
+  /// tail batch may be smaller; 0 and 1 = one window per call, the
+  /// default) and each is marked with one MarkBatchWith call, so the NN
+  /// trunk runs once per batch. Marks are byte-identical at every batch
+  /// size; the underlying activations agree to <= 1e-9 (see
+  /// nn/infer.h).
   size_t batch_size = 1;
 
   NetworkConfig network;

@@ -112,22 +112,6 @@ std::vector<int> EventNetworkFilter::Threshold(const Matrix& marginals,
   return marks;
 }
 
-Matrix EventNetworkFilter::Marginals(const Matrix& features,
-                                     InferenceContext* ctx) const {
-  obs::TraceSpan forward_span(obs::StageNnForwardInfer());
-  InferenceContext local;
-  InferenceContext* c = ctx != nullptr ? ctx : &local;
-  c->Reset();
-  const Matrix& h = std::visit(
-      [&](const auto& b) -> const Matrix& { return b.Forward(c, features); },
-      frozen_.backbone);
-  Matrix& emissions_f = c->Acquire(features.rows(), 2);
-  Matrix& emissions_b = c->Acquire(features.rows(), 2);
-  frozen_.head_fwd.Forward(h, &emissions_f);
-  frozen_.head_bwd.Forward(h, &emissions_b);
-  return crf_.Marginals(emissions_f, emissions_b);
-}
-
 std::vector<Matrix> EventNetworkFilter::SlabMarginals(
     std::span<const Matrix> features, InferenceContext* ctx) const {
   obs::TraceSpan forward_span(obs::StageNnForwardInfer());
@@ -138,7 +122,7 @@ std::vector<Matrix> EventNetworkFilter::SlabMarginals(
   const Matrix& x_all = StackWindows(c, features, &offsets);
   const Matrix& h = std::visit(
       [&](const auto& b) -> const Matrix& {
-        return b.ForwardBatch(c, x_all, offsets);
+        return b.Forward(c, x_all, offsets);
       },
       frozen_.backbone);
   // The emission heads are row-local dot products (MatMulTransBInto),
@@ -146,8 +130,8 @@ std::vector<Matrix> EventNetworkFilter::SlabMarginals(
   // bit.
   Matrix& emissions_f = c->Acquire(offsets.back(), 2);
   Matrix& emissions_b = c->Acquire(offsets.back(), 2);
-  frozen_.head_fwd.ForwardBatch(h, &emissions_f);
-  frozen_.head_bwd.ForwardBatch(h, &emissions_b);
+  frozen_.head_fwd.Forward(h, &emissions_f);
+  frozen_.head_bwd.Forward(h, &emissions_b);
 
   // The CRF chains stay per-window: slice each window's emissions back
   // out of the slab.
@@ -164,12 +148,6 @@ std::vector<Matrix> EventNetworkFilter::SlabMarginals(
   return marginals;
 }
 
-std::vector<int> EventNetworkFilter::DecodeWindow(const Matrix& features,
-                                                  InferenceContext* ctx,
-                                                  double boost) const {
-  return Threshold(Marginals(features, ctx), event_threshold_ + boost);
-}
-
 void EventNetworkFilter::DecodeSlab(std::span<const Matrix> features,
                                     InferenceContext* ctx,
                                     std::span<const double> boosts,
@@ -177,18 +155,6 @@ void EventNetworkFilter::DecodeSlab(std::span<const Matrix> features,
   const std::vector<Matrix> marginals = SlabMarginals(features, ctx);
   for (size_t w = 0; w < marginals.size(); ++w) {
     marks[w] = Threshold(marginals[w], event_threshold_ + boosts[w]);
-  }
-}
-
-void EventNetworkFilter::MarkOnlineMultiHead(
-    const EventStream& window, InferenceContext* ctx,
-    std::span<const double> thresholds,
-    std::vector<std::vector<int>>* marks) const {
-  const Matrix marginals =
-      Marginals(Featurize(window.View(0, window.size())), ctx);
-  marks->resize(thresholds.size());
-  for (size_t q = 0; q < thresholds.size(); ++q) {
-    (*marks)[q] = Threshold(marginals, thresholds[q]);
   }
 }
 

@@ -45,18 +45,13 @@ class EventNetworkFilter : public TrainableFilter, public SequenceModel {
   std::string name() const override;
 
   /// Multi-head decoding for the serving layer (src/serve): featurize
-  /// and run the trunk + CRF-marginal pass once, then decode the shared
-  /// marginals against one threshold per registered query. (*marks)[q]
-  /// equals MarkOnline(window, ., ctx, thresholds[q] - event_threshold)
-  /// bit for bit — the trunk forward is query-independent.
-  void MarkOnlineMultiHead(const EventStream& window, InferenceContext* ctx,
-                           std::span<const double> thresholds,
-                           std::vector<std::vector<int>>* marks) const;
-  /// Batched multi-head: trunk + emission heads run once over the
-  /// ForwardBatch slab (as MarkBatchOnline), then each window's
-  /// marginals decode against every query threshold, the window's
+  /// the micro-batch and run trunk + emission heads once over the slab
+  /// (as MarkBatchOnline), then decode each window's shared CRF
+  /// marginals against one threshold per registered query, the window's
   /// overload boost added to each. (*marks)[w][q] is window w under
-  /// query q's threshold.
+  /// query q's threshold and equals MarkOnline(window w, ., ctx,
+  /// thresholds[q] + boost - event_threshold) bit for bit — the trunk
+  /// forward is query-independent.
   void MarkBatchOnlineMultiHead(
       std::span<const OnlineWindow> windows, InferenceContext* ctx,
       std::span<const double> thresholds,
@@ -75,17 +70,12 @@ class EventNetworkFilter : public TrainableFilter, public SequenceModel {
   std::vector<Parameter*> Params() override;
 
  private:
-  std::vector<int> DecodeWindow(const Matrix& features, InferenceContext* ctx,
-                                double boost) const override;
   void DecodeSlab(std::span<const Matrix> features, InferenceContext* ctx,
                   std::span<const double> boosts,
                   std::vector<int>* marks) const override;
-  /// CRF posterior marginals (T×2) of one window via the backbone's
-  /// per-window Forward.
-  Matrix Marginals(const Matrix& features, InferenceContext* ctx) const;
-  /// Per-window marginals of a micro-batch: the backbone and emission
-  /// heads run once over the stacked slab (ForwardBatch); the CRF
-  /// chains stay per window.
+  /// CRF posterior marginals (T×2) of each window of a micro-batch: the
+  /// backbone and emission heads run once over the stacked slab; the
+  /// CRF chains stay per window.
   std::vector<Matrix> SlabMarginals(std::span<const Matrix> features,
                                     InferenceContext* ctx) const;
   std::pair<Var, Var> Emissions(Tape* tape, const Matrix& features) const;

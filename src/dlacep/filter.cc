@@ -12,11 +12,6 @@ TrainableFilter::TrainableFilter(const Featurizer* featurizer)
   DLACEP_CHECK(featurizer_ != nullptr);
 }
 
-Matrix TrainableFilter::Featurize(std::span<const Event> window) const {
-  obs::TraceSpan feature_span(obs::StageFeatureBuild());
-  return featurizer_->Encode(window);
-}
-
 std::vector<Matrix> TrainableFilter::Featurize(
     std::span<const std::span<const Event>> windows) const {
   obs::TraceSpan feature_span(obs::StageFeatureBuild());
@@ -46,17 +41,19 @@ std::vector<int> TrainableFilter::Mark(const EventStream& stream,
 std::vector<int> TrainableFilter::MarkWith(const EventStream& stream,
                                            WindowRange range,
                                            InferenceContext* ctx) const {
-  return DecodeWindow(Featurize(stream.View(range.begin, range.size())), ctx,
-                      0.0);
+  std::vector<int> marks;
+  MarkBatchWith(stream, {&range, 1}, ctx, &marks);
+  return marks;
 }
 
 std::vector<int> TrainableFilter::MarkOnline(const EventStream& window,
                                              size_t stream_begin,
                                              InferenceContext* ctx,
                                              double threshold_boost) const {
-  (void)stream_begin;  // content-based: marks don't depend on position
-  return DecodeWindow(Featurize(window.View(0, window.size())), ctx,
-                      threshold_boost);
+  const OnlineWindow one{&window, stream_begin, threshold_boost};
+  std::vector<int> marks;
+  MarkBatchOnline({&one, 1}, ctx, &marks);
+  return marks;
 }
 
 void TrainableFilter::MarkBatchWith(const EventStream& stream,
@@ -89,7 +86,10 @@ std::vector<int> TrainableFilter::MarkFeatures(const Matrix& features) const {
 
 std::vector<int> TrainableFilter::MarkFeaturesWith(
     const Matrix& features, InferenceContext* ctx) const {
-  return DecodeWindow(features, ctx, 0.0);
+  const double no_boost = 0.0;
+  std::vector<int> marks;
+  DecodeSlab({&features, 1}, ctx, {&no_boost, 1}, &marks);
+  return marks;
 }
 
 }  // namespace dlacep

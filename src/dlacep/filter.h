@@ -92,9 +92,9 @@ class StreamFilter {
   /// default is a per-window MarkWith loop — exact legacy semantics for
   /// filters with nothing to batch (oracle, pass-through, shedding).
   /// Network filters override it to stack the windows' feature matrices
-  /// batch-major and run the trunk once as matrix-matrix work
-  /// (nn/infer.h ForwardBatch); batched marks must equal the per-window
-  /// marks byte for byte. Same const/re-entrancy contract as Mark();
+  /// batch-major and run the trunk once over the slab (nn/infer.h
+  /// Forward); batched marks must equal the per-window marks byte for
+  /// byte. Same const/re-entrancy contract as Mark();
   /// `ctx` must not be shared across concurrent calls.
   virtual void MarkBatchWith(const EventStream& stream,
                              std::span<const WindowRange> windows,
@@ -122,10 +122,11 @@ class StreamFilter {
 
 /// A filter backed by a trainable network. It owns the routing of every
 /// marking entry point: each featurizes its window(s) under one
-/// StageFeatureBuild span, then hands the features to one of two decode
-/// hooks — DecodeWindow for a single window (the network's per-window
-/// Forward) or DecodeSlab for a micro-batch (one ForwardBatch over the
-/// stacked slab). Subclasses implement only the network and its decode.
+/// StageFeatureBuild span, then hands the features to the one decode
+/// hook, DecodeSlab, which runs the network's Forward once over the
+/// stacked slab. A single window (Mark, MarkWith, MarkOnline,
+/// MarkFeaturesWith) is a micro-batch of one. Subclasses implement only
+/// the network and its decode.
 class TrainableFilter : public StreamFilter {
  public:
   /// `featurizer` is not owned and must outlive the filter.
@@ -183,8 +184,6 @@ class TrainableFilter : public StreamFilter {
   virtual BinaryMetrics Score(const std::vector<Sample>& samples) const = 0;
 
  protected:
-  /// Encodes one window under a StageFeatureBuild span.
-  Matrix Featurize(std::span<const Event> window) const;
   /// Encodes every window of a micro-batch under one StageFeatureBuild
   /// span.
   std::vector<Matrix> Featurize(
@@ -194,16 +193,11 @@ class TrainableFilter : public StreamFilter {
       std::span<const OnlineWindow> windows);
 
  private:
-  /// Marks one window from its features via the network's per-window
-  /// forward; `boost` is added to the decision threshold. `ctx` may be
-  /// null (use a call-local arena).
-  virtual std::vector<int> DecodeWindow(const Matrix& features,
-                                        InferenceContext* ctx,
-                                        double boost) const = 0;
-  /// Marks a non-empty micro-batch with one ForwardBatch over the
+  /// Marks a non-empty micro-batch with one network Forward over the
   /// stacked slab, writing features.size() mark vectors to marks[0..B);
-  /// window w's threshold is raised by boosts[w]. Marks must equal
-  /// DecodeWindow's byte for byte.
+  /// window w's threshold is raised by boosts[w]. A window's marks must
+  /// not depend on the batch it rides in. `ctx` may be null (use a
+  /// call-local arena).
   virtual void DecodeSlab(std::span<const Matrix> features,
                           InferenceContext* ctx,
                           std::span<const double> boosts,

@@ -108,30 +108,23 @@ MultiPatternResult MultiPatternDlacep::Evaluate(const EventStream& stream) {
   const InputAssembler assembler(mark, step);
 
   // Tape-free fast path: one InferenceContext scratch arena reused
-  // across windows (MarkWith), and the cross-window batched trunk
-  // (MarkBatchWith) when batch_size > 1 — same marks as the legacy
+  // across chunks of batch_size consecutive windows, each one
+  // MarkBatchWith call (one trunk forward) — same marks as the
   // autograd-tape Mark, bit for bit (tests/extensions_test.cc).
   Stopwatch filter_watch;
   std::vector<const Event*> marked;
   InferenceContext ctx;
   const std::vector<WindowRange> windows = assembler.Windows(stream.size());
   const size_t batch = std::max<size_t>(config_.batch_size, 1);
-  auto collect = [&](const WindowRange& range, const std::vector<int>& marks) {
-    for (size_t t = 0; t < marks.size(); ++t) {
-      if (marks[t] != 0) marked.push_back(&stream[range.begin + t]);
-    }
-  };
-  if (batch > 1) {
-    std::vector<std::vector<int>> marks(batch);
-    for (size_t w = 0; w < windows.size(); w += batch) {
-      const size_t n = std::min(batch, windows.size() - w);
-      const std::span<const WindowRange> chunk(&windows[w], n);
-      filter_->MarkBatchWith(stream, chunk, &ctx, marks.data());
-      for (size_t i = 0; i < n; ++i) collect(chunk[i], marks[i]);
-    }
-  } else {
-    for (const WindowRange& range : windows) {
-      collect(range, filter_->MarkWith(stream, range, &ctx));
+  std::vector<std::vector<int>> marks(batch);
+  for (size_t w = 0; w < windows.size(); w += batch) {
+    const size_t n = std::min(batch, windows.size() - w);
+    const std::span<const WindowRange> chunk(&windows[w], n);
+    filter_->MarkBatchWith(stream, chunk, &ctx, marks.data());
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t t = 0; t < marks[i].size(); ++t) {
+        if (marks[i][t] != 0) marked.push_back(&stream[chunk[i].begin + t]);
+      }
     }
   }
   result.filter_seconds = filter_watch.ElapsedSeconds();

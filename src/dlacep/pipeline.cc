@@ -64,29 +64,22 @@ PipelineResult DlacepPipeline::Evaluate(const EventStream& stream) {
   while (contexts_.size() < workers) {
     contexts_.push_back(std::make_unique<InferenceContext>());
   }
-  const size_t batch_size = config_.batch_size > 1 ? config_.batch_size : 1;
-  if (batch_size == 1) {
-    ParallelForWorker(pool, windows.size(), [&](size_t worker, size_t i) {
-      obs::TraceSpan mark_span(obs::StageWindowMark());
-      window_marks[i] =
-          filter.MarkWith(stream, windows[i], contexts_[worker].get());
-    });
-  } else {
-    // Micro-batched filtration: consecutive windows are grouped into
-    // fixed chunks of batch_size (tail chunk smaller) and each chunk is
-    // one MarkBatchWith call — the NN trunk sees matrix-matrix work.
-    // Chunk boundaries depend only on batch_size, never on the worker
-    // count, so marks stay byte-identical across num_threads.
-    const size_t num_batches = (windows.size() + batch_size - 1) / batch_size;
-    ParallelForWorker(pool, num_batches, [&](size_t worker, size_t bi) {
-      obs::TraceSpan mark_span(obs::StageWindowMark());
-      const size_t begin = bi * batch_size;
-      const size_t count = std::min(batch_size, windows.size() - begin);
-      filter.MarkBatchWith(
-          stream, std::span<const WindowRange>(windows.data() + begin, count),
-          contexts_[worker].get(), window_marks.data() + begin);
-    });
-  }
+  // Micro-batched filtration: consecutive windows are grouped into
+  // fixed chunks of batch_size (tail chunk smaller) and each chunk is
+  // one MarkBatchWith call, so the NN trunk runs once per chunk; a chunk
+  // of one is a window marked on its own. Chunk boundaries depend only
+  // on batch_size, never on the worker count, so marks stay
+  // byte-identical across num_threads.
+  const size_t batch_size = std::max<size_t>(config_.batch_size, 1);
+  const size_t num_batches = (windows.size() + batch_size - 1) / batch_size;
+  ParallelForWorker(pool, num_batches, [&](size_t worker, size_t bi) {
+    obs::TraceSpan mark_span(obs::StageWindowMark());
+    const size_t begin = bi * batch_size;
+    const size_t count = std::min(batch_size, windows.size() - begin);
+    filter.MarkBatchWith(
+        stream, std::span<const WindowRange>(windows.data() + begin, count),
+        contexts_[worker].get(), window_marks.data() + begin);
+  });
 
   // Deterministic merge in window order: the concatenated mark sequence
   // is identical to what the sequential loop produced, regardless of

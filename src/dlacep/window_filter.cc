@@ -48,29 +48,9 @@ std::vector<Parameter*> WindowNetworkFilter::Params() {
   return params;
 }
 
-double WindowNetworkFilter::ProbabilityWith(const Matrix& features,
-                                            InferenceContext* ctx) const {
-  obs::TraceSpan forward_span(obs::StageNnForwardInfer());
-  InferenceContext local;
-  InferenceContext* c = ctx != nullptr ? ctx : &local;
-  c->Reset();
-  const Matrix& h = frozen_.stack.Forward(c, features);
-  // Column-wise max pooling over the hidden sequence, then the 1-unit
-  // head: logit = pooled·W + b.
-  Matrix& pooled = c->Acquire(1, h.cols());
-  for (size_t j = 0; j < h.cols(); ++j) {
-    double best = h(0, j);
-    for (size_t i = 1; i < h.rows(); ++i) best = std::max(best, h(i, j));
-    pooled(0, j) = best;
-  }
-  Matrix& logit = c->Acquire(1, 1);
-  frozen_.head.Forward(pooled, &logit);
-  return 1.0 / (1.0 + std::exp(-logit(0, 0)));
-}
-
 double WindowNetworkFilter::WindowProbability(
     const Matrix& features) const {
-  return ProbabilityWith(features, nullptr);
+  return SlabProbabilities({&features, 1}, nullptr)[0];
 }
 
 double WindowNetworkFilter::WindowProbabilityTape(
@@ -96,17 +76,15 @@ std::vector<int> MarksForProbability(bool applicable, double probability,
 
 }  // namespace
 
-void WindowNetworkFilter::DecodeSlab(std::span<const Matrix> features,
-                                     InferenceContext* ctx,
-                                     std::span<const double> boosts,
-                                     std::vector<int>* marks) const {
+std::vector<double> WindowNetworkFilter::SlabProbabilities(
+    std::span<const Matrix> features, InferenceContext* ctx) const {
   obs::TraceSpan forward_span(obs::StageNnForwardInfer());
   InferenceContext local;
   InferenceContext* c = ctx != nullptr ? ctx : &local;
   c->Reset();
   std::vector<size_t> offsets;
   const Matrix& x_all = StackWindows(c, features, &offsets);
-  const Matrix& h = frozen_.stack.ForwardBatch(c, x_all, offsets);
+  const Matrix& h = frozen_.stack.Forward(c, x_all, offsets);
   // Per-window column max pooling into one B×2H matrix, so the 1-unit
   // head runs as a single B-row GEMM (row-local → bit-identical logits).
   const size_t batch = features.size();
@@ -121,19 +99,23 @@ void WindowNetworkFilter::DecodeSlab(std::span<const Matrix> features,
     }
   }
   Matrix& logits = c->Acquire(batch, 1);
-  frozen_.head.ForwardBatch(pooled, &logits);
+  frozen_.head.Forward(pooled, &logits);
+  std::vector<double> probabilities(batch);
   for (size_t w = 0; w < batch; ++w) {
-    const double p = 1.0 / (1.0 + std::exp(-logits(w, 0)));
-    marks[w] = MarksForProbability(IsApplicable(p, boosts[w]), p,
-                                   features[w].rows());
+    probabilities[w] = 1.0 / (1.0 + std::exp(-logits(w, 0)));
   }
+  return probabilities;
 }
 
-std::vector<int> WindowNetworkFilter::DecodeWindow(const Matrix& features,
-                                                   InferenceContext* ctx,
-                                                   double boost) const {
-  const double p = ProbabilityWith(features, ctx);
-  return MarksForProbability(IsApplicable(p, boost), p, features.rows());
+void WindowNetworkFilter::DecodeSlab(std::span<const Matrix> features,
+                                     InferenceContext* ctx,
+                                     std::span<const double> boosts,
+                                     std::vector<int>* marks) const {
+  const std::vector<double> p = SlabProbabilities(features, ctx);
+  for (size_t w = 0; w < p.size(); ++w) {
+    marks[w] = MarksForProbability(IsApplicable(p[w], boosts[w]), p[w],
+                                   features[w].rows());
+  }
 }
 
 std::vector<int> WindowNetworkFilter::MarkFeaturesTape(

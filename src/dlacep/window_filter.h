@@ -51,16 +51,17 @@ class WindowNetworkFilter : public TrainableFilter, public SequenceModel {
   }
 
  private:
-  std::vector<int> DecodeWindow(const Matrix& features, InferenceContext* ctx,
-                                double boost) const override;
-  /// One trunk ForwardBatch over the stacked feature slab, per-window
-  /// max pooling into a B×2H matrix, a single B-row head GEMM, then
-  /// each window's sigmoid + threshold (with its own boost).
+  /// Each window's sigmoid probability (SlabProbabilities) against the
+  /// threshold raised by its own boost.
   void DecodeSlab(std::span<const Matrix> features, InferenceContext* ctx,
                   std::span<const double> boosts,
                   std::vector<int>* marks) const override;
+  /// One trunk Forward over the stacked feature slab, per-window max
+  /// pooling into a B×2H matrix, a single B-row head GEMM, then each
+  /// window's sigmoid. `ctx` may be null (use a call-local arena).
+  std::vector<double> SlabProbabilities(std::span<const Matrix> features,
+                                        InferenceContext* ctx) const;
   Var Logit(Tape* tape, const Matrix& features) const;
-  double ProbabilityWith(const Matrix& features, InferenceContext* ctx) const;
   void Refreeze();
 
   double window_threshold_;

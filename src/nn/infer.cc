@@ -304,71 +304,11 @@ void DenseInfer::Forward(const Matrix& x, Matrix* out) const {
   }
 }
 
-void LstmInfer::ForwardInto(InferenceContext* ctx, const Matrix& x,
-                            bool reverse, Matrix* out, size_t col) const {
-  const size_t t_steps = x.rows();
-  DLACEP_CHECK_GT(t_steps, 0u);
-  DLACEP_CHECK_EQ(x.cols(), in_dim);
-  DLACEP_CHECK_EQ(out->rows(), t_steps);
-  DLACEP_CHECK_LE(col + hidden, out->cols());
-  const size_t h = hidden;
-
-  // Input projection for the whole sequence in one blocked GEMM — the
-  // recurrence only depends on it row by row, so there is no reason to
-  // pay matrix-vector arithmetic intensity T times.
-  Matrix& xproj = ctx->Acquire(t_steps, 4 * h);
-  {
-    obs::TraceSpan gemm_span(obs::StageNnGemm());
-    MatMulInto(x, wx, &xproj, /*accumulate=*/false);
-  }
-
-  Matrix& gates = ctx->Acquire(1, 4 * h);
-  Matrix& h_state = ctx->Acquire(1, h);
-  Matrix& c_state = ctx->Acquire(1, h);
-  h_state.Fill(0.0);
-  c_state.Fill(0.0);
-
-  double* g = gates.data();
-  double* hs = h_state.data();
-  double* cs = c_state.data();
-  const double* bias = b.data();
-  const size_t out_stride = out->cols();
-  const CellUpdateFn cell_update = PickCellUpdate();
-#ifdef DLACEP_VECTOR_CELL
-  const RecurrentFn recurrent_update = PickRecurrentUpdate();
-#endif
-
-  // One span over the whole recurrence, not per step: the per-step cell
-  // work is far below clock resolution and a clock read per step would
-  // dominate it.
-  obs::TraceSpan cell_span(obs::StageNnCell());
-  for (size_t step = 0; step < t_steps; ++step) {
-    const size_t t = reverse ? t_steps - 1 - step : step;
-    // One fused pass fills all four gates: g = x_t·Wx (precomputed) +
-    // h·Wh + b. The recurrent term is a 1×H · H×4H product accumulated
-    // in place — an axpy over Wh rows, vectorized across the 4H gate
-    // lanes, with a register-resident destination where the CPU allows.
-    const double* xrow = xproj.data() + t * 4 * h;
-    for (size_t gi = 0; gi < 4 * h; ++gi) g[gi] = xrow[gi] + bias[gi];
-#ifdef DLACEP_VECTOR_CELL
-    if (recurrent_update != nullptr) {
-      recurrent_update(hs, wh.data(), g, h, 4 * h);
-    } else {
-      MatMulInto(h_state, wh, &gates, /*accumulate=*/true);
-    }
-#else
-    MatMulInto(h_state, wh, &gates, /*accumulate=*/true);
-#endif
-    cell_update(g, h, cs, hs, out->data() + t * out_stride + col);
-  }
-}
-
-void LstmInfer::ForwardBatchInto(InferenceContext* ctx, const Matrix& x_all,
-                                 std::span<const size_t> offsets, bool reverse,
-                                 Matrix* out_all, size_t col) const {
+void LstmInfer::Forward(InferenceContext* ctx, const Matrix& x_all,
+                        std::span<const size_t> offsets, bool reverse,
+                        Matrix* out_all, size_t col) const {
   DLACEP_CHECK_GE(offsets.size(), 2u);
-  const size_t batch = offsets.size() - 1;
-  const size_t total = offsets[batch];
+  const size_t total = offsets.back();
   DLACEP_CHECK_EQ(offsets[0], 0u);
   DLACEP_CHECK_EQ(x_all.rows(), total);
   DLACEP_CHECK_EQ(x_all.cols(), in_dim);
@@ -376,137 +316,70 @@ void LstmInfer::ForwardBatchInto(InferenceContext* ctx, const Matrix& x_all,
   DLACEP_CHECK_LE(col + hidden, out_all->cols());
   const size_t h = hidden;
 
-  // One input projection for every window in the batch: ΣT rows through
-  // the register-tiled GEMM instead of B matrix-vector-shaped calls.
+  // Input projection for every window in one blocked GEMM — the
+  // recurrence only depends on it row by row, so there is no reason to
+  // pay matrix-vector arithmetic intensity ΣT times.
   Matrix& xproj = ctx->Acquire(total, 4 * h);
   {
-    obs::TraceSpan gemm_span(obs::StageNnGemmBatched());
+    obs::TraceSpan gemm_span(obs::StageNnGemm());
     MatMulInto(x_all, wx, &xproj, /*accumulate=*/false);
   }
 
-#ifdef DLACEP_VECTOR_CELL
-  // With the specialized recurrent kernel available, the lockstep GEMM
-  // below loses: its register-resident 1×4H destination beats a
-  // B×H · H×4H MatMulInto at these hidden sizes, and lockstep pays
-  // dead-row zero fills plus strided xproj walks on top. Run the batch
-  // window-major instead — the exact per-step recurrence arithmetic of
-  // ForwardInto, still fed by the one hoisted ΣT×in projection GEMM
-  // above, with weights and scratch hot across all B windows. (Only
-  // the projection rows can differ from per-window, by GEMM tile-edge
-  // rounding — within the tested 1e-9 envelope.)
-  if (const RecurrentFn recurrent_fn = PickRecurrentUpdate()) {
-    const double* bias_row = b.data();
-    const size_t out_cols = out_all->cols();
-    const CellUpdateFn cell_fn = PickCellUpdate();
-    Matrix& gates1 = ctx->Acquire(1, 4 * h);
-    Matrix& h1 = ctx->Acquire(1, h);
-    Matrix& c1 = ctx->Acquire(1, h);
-    double* g = gates1.data();
-    double* hs = h1.data();
-    double* cs = c1.data();
-    obs::TraceSpan cell_span(obs::StageNnCell());
-    for (size_t w = 0; w < batch; ++w) {
-      DLACEP_CHECK_LT(offsets[w], offsets[w + 1]);  // no empty windows
-      const size_t t_len = offsets[w + 1] - offsets[w];
-      h1.Fill(0.0);
-      c1.Fill(0.0);
-      for (size_t step = 0; step < t_len; ++step) {
-        const size_t t = reverse ? t_len - 1 - step : step;
-        const double* xrow = xproj.data() + (offsets[w] + t) * 4 * h;
-        for (size_t gi = 0; gi < 4 * h; ++gi) g[gi] = xrow[gi] + bias_row[gi];
-        recurrent_fn(hs, wh.data(), g, h, 4 * h);
-        cell_fn(g, h, cs, hs,
-                out_all->data() + (offsets[w] + t) * out_cols + col);
-      }
-    }
-    return;
-  }
-#endif
-
-  // Lockstep recurrence: one B×H hidden/cell state pair advanced for
-  // all windows at once, so the recurrent term becomes a single
-  // B×H · H×4H GEMM per time step — matrix-matrix work even though
-  // each window alone would only offer a 1×H row.
-  Matrix& gates = ctx->Acquire(batch, 4 * h);
-  Matrix& h_state = ctx->Acquire(batch, h);
-  Matrix& c_state = ctx->Acquire(batch, h);
-  h_state.Fill(0.0);
-  c_state.Fill(0.0);
-
-  size_t t_max = 0;
-  for (size_t w = 0; w < batch; ++w) {
-    DLACEP_CHECK_LT(offsets[w], offsets[w + 1]);  // no empty windows
-    t_max = std::max(t_max, offsets[w + 1] - offsets[w]);
-  }
-
+  Matrix& gates = ctx->Acquire(1, 4 * h);
+  Matrix& h_state = ctx->Acquire(1, h);
+  Matrix& c_state = ctx->Acquire(1, h);
+  double* g = gates.data();
+  double* hs = h_state.data();
+  double* cs = c_state.data();
   const double* bias = b.data();
   const size_t out_stride = out_all->cols();
   const CellUpdateFn cell_update = PickCellUpdate();
+#ifdef DLACEP_VECTOR_CELL
+  const RecurrentFn recurrent_update = PickRecurrentUpdate();
+#endif
 
+  // One span over every recurrence, not per step: the per-step cell
+  // work is far below clock resolution and a clock read per step would
+  // dominate it. The windows run one after another, with weights and
+  // scratch hot across the batch: a register-resident 1×4H destination
+  // beats a lockstep B×H·H×4H GEMM at these hidden sizes.
   obs::TraceSpan cell_span(obs::StageNnCell());
-  for (size_t step = 0; step < t_max; ++step) {
-    // Fill the fused gate rows: an active window gets bias + its
-    // precomputed projection row; a window already past its last step
-    // gets zeros so the shared recurrent GEMM below stays finite (the
-    // garbage it accumulates there is never read — the cell update for
-    // that row is skipped, leaving its h/c state untouched).
-    for (size_t w = 0; w < batch; ++w) {
-      double* g = gates.data() + w * 4 * h;
-      const size_t t_len = offsets[w + 1] - offsets[w];
-      if (step >= t_len) {
-        for (size_t gi = 0; gi < 4 * h; ++gi) g[gi] = 0.0;
-        continue;
-      }
-      const size_t t = reverse ? t_len - 1 - step : step;
-      const double* xrow = xproj.data() + (offsets[w] + t) * 4 * h;
+  for (size_t w = 0; w + 1 < offsets.size(); ++w) {
+    DLACEP_CHECK_LT(offsets[w], offsets[w + 1]);  // no empty windows
+    const size_t t_len = offsets[w + 1] - offsets[w];
+    h_state.Fill(0.0);
+    c_state.Fill(0.0);
+    for (size_t step = 0; step < t_len; ++step) {
+      const size_t row = offsets[w] + (reverse ? t_len - 1 - step : step);
+      // One fused pass fills all four gates: g = x_t·Wx (precomputed) +
+      // h·Wh + b. The recurrent term is a 1×H · H×4H product accumulated
+      // in place — an axpy over Wh rows, vectorized across the 4H gate
+      // lanes, with a register-resident destination where the CPU
+      // allows.
+      const double* xrow = xproj.data() + row * 4 * h;
       for (size_t gi = 0; gi < 4 * h; ++gi) g[gi] = xrow[gi] + bias[gi];
+#ifdef DLACEP_VECTOR_CELL
+      if (recurrent_update != nullptr) {
+        recurrent_update(hs, wh.data(), g, h, 4 * h);
+      } else {
+        MatMulInto(h_state, wh, &gates, /*accumulate=*/true);
+      }
+#else
+      MatMulInto(h_state, wh, &gates, /*accumulate=*/true);
+#endif
+      cell_update(g, h, cs, hs, out_all->data() + row * out_stride + col);
     }
-    MatMulInto(h_state, wh, &gates, /*accumulate=*/true);
-    for (size_t w = 0; w < batch; ++w) {
-      const size_t t_len = offsets[w + 1] - offsets[w];
-      if (step >= t_len) continue;
-      const size_t t = reverse ? t_len - 1 - step : step;
-      cell_update(gates.data() + w * 4 * h, h, c_state.data() + w * h,
-                  h_state.data() + w * h,
-                  out_all->data() + (offsets[w] + t) * out_stride + col);
-    }
   }
 }
 
-void BiLstmInfer::Forward(InferenceContext* ctx, const Matrix& x,
-                          Matrix* out) const {
-  fwd.ForwardInto(ctx, x, /*reverse=*/false, out, 0);
-  bwd.ForwardInto(ctx, x, /*reverse=*/true, out, fwd.hidden);
+void BiLstmInfer::Forward(InferenceContext* ctx, const Matrix& x_all,
+                          std::span<const size_t> offsets,
+                          Matrix* out_all) const {
+  fwd.Forward(ctx, x_all, offsets, /*reverse=*/false, out_all, 0);
+  bwd.Forward(ctx, x_all, offsets, /*reverse=*/true, out_all, fwd.hidden);
 }
 
-void BiLstmInfer::ForwardBatch(InferenceContext* ctx, const Matrix& x_all,
-                               std::span<const size_t> offsets,
-                               Matrix* out_all) const {
-  fwd.ForwardBatchInto(ctx, x_all, offsets, /*reverse=*/false, out_all, 0);
-  bwd.ForwardBatchInto(ctx, x_all, offsets, /*reverse=*/true, out_all,
-                       fwd.hidden);
-}
-
-const Matrix& StackedBiLstmInfer::Forward(InferenceContext* ctx,
-                                          const Matrix& x) const {
-  DLACEP_CHECK(!layers.empty());
-  const Matrix* cur = &x;
-  Matrix* last = nullptr;
-  for (const BiLstmInfer& layer : layers) {
-    Matrix& out = ctx->Acquire(cur->rows(), 2 * layer.fwd.hidden);
-    layer.Forward(ctx, *cur, &out);
-    cur = &out;
-    last = &out;
-  }
-  if (ctx->poisoned()) {
-    // Fault injection: a poisoned pass leaves with a blown-up trunk
-    // activation, which the heads/CRF propagate to non-finite scores.
-    last->Fill(std::numeric_limits<double>::quiet_NaN());
-  }
-  return *last;
-}
-
-const Matrix& StackedBiLstmInfer::ForwardBatch(
+const Matrix& StackedBiLstmInfer::Forward(
     InferenceContext* ctx, const Matrix& x_all,
     std::span<const size_t> offsets) const {
   DLACEP_CHECK(!layers.empty());
@@ -515,13 +388,14 @@ const Matrix& StackedBiLstmInfer::ForwardBatch(
   Matrix* last = nullptr;
   for (const BiLstmInfer& layer : layers) {
     Matrix& out = ctx->Acquire(cur->rows(), 2 * layer.fwd.hidden);
-    layer.ForwardBatch(ctx, *cur, offsets, &out);
+    layer.Forward(ctx, *cur, offsets, &out);
     cur = &out;
     last = &out;
   }
   if (ctx->poisoned()) {
-    // A poisoned pass invalidates the whole batch: every window in it
-    // gets a NaN trunk activation and will be marked kInvalidMark.
+    // Fault injection: a poisoned pass leaves with a blown-up trunk
+    // activation for every window of the batch, which the heads/CRF
+    // propagate to non-finite scores and kInvalidMark.
     last->Fill(std::numeric_limits<double>::quiet_NaN());
   }
   return *last;
@@ -543,53 +417,8 @@ const Matrix& StackWindows(InferenceContext* ctx,
   return x_all;
 }
 
-const Matrix& TcnInfer::Forward(InferenceContext* ctx,
-                                const Matrix& x) const {
-  DLACEP_CHECK(!layers.empty());
-  const ptrdiff_t center = static_cast<ptrdiff_t>(kernel / 2);
-  const size_t t_steps = x.rows();
-  const Matrix* cur = &x;
-  Matrix* last = nullptr;
-  size_t dilation = 1;
-  for (const Layer& layer : layers) {
-    const size_t d_in = cur->cols();
-    const size_t d_out = layer.b.cols();
-    DLACEP_CHECK_EQ(layer.wt.cols(), kernel * d_in);
-    Matrix& out = ctx->Acquire(t_steps, d_out);
-    const double* bias = layer.b.data();
-    for (size_t t = 0; t < t_steps; ++t) {
-      double* orow = out.data() + t * d_out;
-      for (size_t o = 0; o < d_out; ++o) orow[o] = bias[o];
-      for (size_t k = 0; k < kernel; ++k) {
-        const ptrdiff_t src =
-            static_cast<ptrdiff_t>(t) +
-            (static_cast<ptrdiff_t>(k) - center) *
-                static_cast<ptrdiff_t>(dilation);
-        if (src < 0 || src >= static_cast<ptrdiff_t>(t_steps)) continue;
-        const double* xrow =
-            cur->data() + static_cast<size_t>(src) * d_in;
-        for (size_t o = 0; o < d_out; ++o) {
-          const double* w = layer.wt.data() + o * (kernel * d_in) + k * d_in;
-          double sum = 0.0;
-          for (size_t i = 0; i < d_in; ++i) sum += xrow[i] * w[i];
-          orow[o] += sum;
-        }
-      }
-      for (size_t o = 0; o < d_out; ++o) orow[o] = std::max(0.0, orow[o]);
-    }
-    cur = &out;
-    last = &out;
-    dilation *= 2;
-  }
-  if (ctx->poisoned()) {
-    last->Fill(std::numeric_limits<double>::quiet_NaN());
-  }
-  return *last;
-}
-
-const Matrix& TcnInfer::ForwardBatch(InferenceContext* ctx,
-                                     const Matrix& x_all,
-                                     std::span<const size_t> offsets) const {
+const Matrix& TcnInfer::Forward(InferenceContext* ctx, const Matrix& x_all,
+                                std::span<const size_t> offsets) const {
   DLACEP_CHECK(!layers.empty());
   const size_t batch = offsets.size() - 1;
   DLACEP_CHECK_GE(offsets.size(), 2u);
@@ -598,9 +427,8 @@ const Matrix& TcnInfer::ForwardBatch(InferenceContext* ctx,
   obs::NnBatchWindows()->Observe(static_cast<double>(batch));
   // Loop-level fusion: the convolution is position-local, so the batch
   // win is keeping each layer's weights cache-warm across all B windows
-  // in one pass. Boundary clamps stay window-local — row (offsets[w]+t)
-  // below runs exactly the per-window Forward arithmetic for step t of
-  // window w, so the stacked result matches it bit for bit.
+  // in one pass. Boundary clamps stay window-local, so row
+  // (offsets[w]+t) gets the same arithmetic in any batch.
   const ptrdiff_t center = static_cast<ptrdiff_t>(kernel / 2);
   const Matrix* cur = &x_all;
   Matrix* last = nullptr;

@@ -66,7 +66,6 @@ DLACEP_OBS_STAGE(StageFeatureBuild, "feature_build")
 DLACEP_OBS_STAGE(StageNnForwardInfer, "nn_forward_infer")
 DLACEP_OBS_STAGE(StageNnForwardTape, "nn_forward_tape")
 DLACEP_OBS_STAGE(StageNnGemm, "nn_gemm")
-DLACEP_OBS_STAGE(StageNnGemmBatched, "nn_gemm_batched")
 DLACEP_OBS_STAGE(StageNnCell, "nn_cell")
 DLACEP_OBS_STAGE(StageWindowMark, "window_mark")
 DLACEP_OBS_STAGE(StageWindowMerge, "window_merge")
@@ -354,7 +353,6 @@ void TouchStandardMetrics() {
   StageNnForwardInfer();
   StageNnForwardTape();
   StageNnGemm();
-  StageNnGemmBatched();
   StageNnCell();
   StageWindowMark();
   StageWindowMerge();

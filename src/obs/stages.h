@@ -29,10 +29,9 @@ namespace obs {
 // --- Stage latency histograms (dlacep_stage_latency_seconds) ---------
 Histogram* StageQueueWait();      ///< ingest push -> assembler pop
 Histogram* StageFeatureBuild();   ///< featurizer Encode
-Histogram* StageNnForwardInfer(); ///< frozen fast-path forward (per window)
+Histogram* StageNnForwardInfer(); ///< frozen fast-path forward (per call)
 Histogram* StageNnForwardTape();  ///< tape forward (per window)
 Histogram* StageNnGemm();         ///< hoisted LSTM input-projection GEMM
-Histogram* StageNnGemmBatched();  ///< cross-window batched projection GEMM
 Histogram* StageNnCell();         ///< LSTM per-step recurrence loop
 Histogram* StageWindowMark();     ///< one window (or micro-batch) marked
 Histogram* StageWindowMerge();    ///< one window merged (dedup + store)
@@ -104,10 +103,10 @@ Gauge* ShardRingDepth(size_t shard);
 Histogram* ShardMarkLatency(size_t shard);
 
 // --- Batched inference -----------------------------------------------
-/// dlacep_nn_batch_windows — windows per batched trunk forward
-/// (geometric buckets from 1), observed once per ForwardBatch call.
-/// Batch size 1 means the batched entry point ran on a single window;
-/// the legacy per-window Forward never observes this histogram.
+/// dlacep_nn_batch_windows — windows per trunk forward (geometric
+/// buckets from 1), observed once per frozen trunk Forward call: its
+/// count is the number of trunk forwards, and a value of 1 is a window
+/// marked on its own.
 Histogram* NnBatchWindows();
 
 // --- Multi-query serving (src/serve) ---------------------------------

@@ -32,14 +32,13 @@ std::map<QueryId, std::vector<EventId>> ServeFilter::RecordedMarks() const {
   return out;
 }
 
-std::vector<double> ServeFilter::Thresholds(const RegistrySnapshot& snapshot,
-                                            double boost) const {
+std::vector<double> ServeFilter::Thresholds(
+    const RegistrySnapshot& snapshot) const {
   std::vector<double> thresholds;
   thresholds.reserve(snapshot.queries.size());
   for (const QueryEntry& entry : snapshot.queries) {
-    const double base = entry.threshold >= 0.0 ? entry.threshold
-                                               : heads_->event_threshold();
-    thresholds.push_back(base + boost);
+    thresholds.push_back(entry.threshold >= 0.0 ? entry.threshold
+                                                : heads_->event_threshold());
   }
   return thresholds;
 }
@@ -57,51 +56,14 @@ void ServeFilter::Record(const RegistrySnapshot& snapshot,
   }
 }
 
-std::vector<int> ServeFilter::MarkWindow(const RegistrySnapshot& snapshot,
-                                         const EventStream& window,
-                                         InferenceContext* ctx,
-                                         double boost) const {
-  const size_t n = window.size();
-  if (snapshot.queries.empty()) return std::vector<int>(n, 0);
-
-  if (heads_ != nullptr) {
-    std::vector<std::vector<int>> per_query;
-    heads_->MarkOnlineMultiHead(window, ctx, Thresholds(snapshot, boost),
-                                &per_query);
-    // A non-finite marginal poisons every head's decode identically;
-    // propagate the whole-window sentinel for the health guard.
-    if (!per_query.empty() && !per_query[0].empty() &&
-        per_query[0][0] == kInvalidMark) {
-      return std::vector<int>(n, kInvalidMark);
-    }
-    Record(snapshot, window, per_query);
-    std::vector<int> unioned(n, 0);
-    for (const std::vector<int>& marks : per_query) {
-      for (size_t t = 0; t < n; ++t) unioned[t] |= marks[t] == 1;
-    }
-    return unioned;
-  }
-
-  // Single-head base filter: every query shares the base marks.
-  std::vector<int> marks = base_->MarkOnline(window, 0, ctx, boost);
-  if (!marks.empty() && marks[0] == kInvalidMark) return marks;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const QueryEntry& entry : snapshot.queries) {
-    std::unordered_set<EventId>& ids = sink_[entry.id];
-    for (size_t t = 0; t < marks.size(); ++t) {
-      if (marks[t] == 1) ids.insert(window[t].id);
-    }
-  }
-  return marks;
-}
-
 std::vector<int> ServeFilter::MarkOnline(const EventStream& window,
                                          size_t stream_begin,
                                          InferenceContext* ctx,
                                          double threshold_boost) const {
-  (void)stream_begin;  // content-based, like the trunk it wraps
-  const auto snapshot = registry_->Acquire();
-  return MarkWindow(*snapshot, window, ctx, threshold_boost);
+  const OnlineWindow one{&window, stream_begin, threshold_boost};
+  std::vector<int> marks;
+  MarkBatchOnline({&one, 1}, ctx, &marks);
+  return marks;
 }
 
 void ServeFilter::MarkBatchOnline(std::span<const OnlineWindow> windows,
@@ -109,35 +71,45 @@ void ServeFilter::MarkBatchOnline(std::span<const OnlineWindow> windows,
                                   std::vector<int>* marks) const {
   if (windows.empty()) return;
   const auto snapshot = registry_->Acquire();
-
-  if (heads_ != nullptr && !snapshot->queries.empty()) {
-    // One ForwardBatch slab for the whole micro-batch, then per-window
-    // per-query decodes off the shared marginals.
-    std::vector<std::vector<std::vector<int>>> batched;
-    heads_->MarkBatchOnlineMultiHead(windows, ctx,
-                                     Thresholds(*snapshot, 0.0), &batched);
+  if (snapshot->queries.empty()) {
     for (size_t w = 0; w < windows.size(); ++w) {
-      const EventStream& window = *windows[w].events;
-      const std::vector<std::vector<int>>& per_query = batched[w];
-      if (!per_query.empty() && !per_query[0].empty() &&
-          per_query[0][0] == kInvalidMark) {
-        marks[w].assign(window.size(), kInvalidMark);
-        continue;
-      }
-      Record(*snapshot, window, per_query);
-      marks[w].assign(window.size(), 0);
-      for (const std::vector<int>& query_marks : per_query) {
-        for (size_t t = 0; t < window.size(); ++t) {
-          marks[w][t] |= query_marks[t] == 1;
-        }
-      }
+      marks[w].assign(windows[w].events->size(), 0);
     }
     return;
   }
 
+  // Per window, the marks of each query: with heads, one trunk forward
+  // over the micro-batch slab and per-query decodes off the shared
+  // marginals; otherwise the base filter's marks, shared verbatim.
+  std::vector<std::vector<std::vector<int>>> per_window;
+  if (heads_ != nullptr) {
+    heads_->MarkBatchOnlineMultiHead(windows, ctx, Thresholds(*snapshot),
+                                     &per_window);
+  } else {
+    per_window.resize(windows.size());
+    for (size_t w = 0; w < windows.size(); ++w) {
+      per_window[w].assign(
+          snapshot->queries.size(),
+          base_->MarkOnline(*windows[w].events, windows[w].stream_begin, ctx,
+                            windows[w].threshold_boost));
+    }
+  }
   for (size_t w = 0; w < windows.size(); ++w) {
-    marks[w] = MarkWindow(*snapshot, *windows[w].events, ctx,
-                          windows[w].threshold_boost);
+    const EventStream& window = *windows[w].events;
+    const std::vector<std::vector<int>>& per_query = per_window[w];
+    // A non-finite score poisons every head's decode identically;
+    // propagate the whole-window sentinel for the health guard.
+    if (!per_query[0].empty() && per_query[0][0] == kInvalidMark) {
+      marks[w].assign(window.size(), kInvalidMark);
+      continue;
+    }
+    Record(*snapshot, window, per_query);
+    marks[w].assign(window.size(), 0);
+    for (const std::vector<int>& query_marks : per_query) {
+      for (size_t t = 0; t < window.size(); ++t) {
+        marks[w][t] |= query_marks[t] == 1;
+      }
+    }
   }
 }
 
@@ -155,8 +127,7 @@ std::vector<int> ServeFilter::MarkWith(const EventStream& stream,
   for (const Event& event : stream.View(range.begin, range.size())) {
     window.AppendArrival(event);
   }
-  const auto snapshot = registry_->Acquire();
-  return MarkWindow(*snapshot, window, ctx, 0.0);
+  return MarkOnline(window, range.begin, ctx, 0.0);
 }
 
 }  // namespace serve

@@ -4,9 +4,9 @@
 // Per window (on whatever shard thread the runtime dispatches to) the
 // filter acquires the current registry snapshot (one pointer copy under
 // the registry's snapshot mutex), featurizes ONCE, runs ONE trunk
-// forward (reusing the caller's InferenceContext scratch arena, and the
-// ForwardBatch slab on the micro-batched path), and decodes per-query
-// marks:
+// forward over the window's micro-batch slab (reusing the caller's
+// InferenceContext scratch arena; a lone window is a batch of one), and
+// decodes per-query marks:
 //
 //  * with a multi-head trunk (EventNetworkFilter): the CRF marginals
 //    are computed once and thresholded once per query — the cheap
@@ -60,9 +60,13 @@ class ServeFilter : public StreamFilter {
                         WindowRange range) const override;
   std::vector<int> MarkWith(const EventStream& stream, WindowRange range,
                             InferenceContext* ctx) const override;
+  /// A micro-batch of one window.
   std::vector<int> MarkOnline(const EventStream& window, size_t stream_begin,
                               InferenceContext* ctx,
                               double threshold_boost) const override;
+  /// Decodes every window under one registry snapshot, records the
+  /// per-query attribution, and writes each window's union marks
+  /// (kInvalidMark sentinel preserved).
   void MarkBatchOnline(std::span<const OnlineWindow> windows,
                        InferenceContext* ctx,
                        std::vector<int>* marks) const override;
@@ -76,15 +80,9 @@ class ServeFilter : public StreamFilter {
   std::map<QueryId, std::vector<EventId>> RecordedMarks() const;
 
  private:
-  /// Decodes one window under `snapshot` and records attribution.
-  /// Returns the union marks (kInvalidMark sentinel preserved).
-  std::vector<int> MarkWindow(const RegistrySnapshot& snapshot,
-                              const EventStream& window,
-                              InferenceContext* ctx, double boost) const;
   void Record(const RegistrySnapshot& snapshot, const EventStream& window,
               const std::vector<std::vector<int>>& per_query) const;
-  std::vector<double> Thresholds(const RegistrySnapshot& snapshot,
-                                 double boost) const;
+  std::vector<double> Thresholds(const RegistrySnapshot& snapshot) const;
 
   const QueryRegistry* registry_;      ///< not owned
   const StreamFilter* base_;           ///< not owned

@@ -1,7 +1,8 @@
 #!/bin/sh
-# CLI argument validation for the integer count flags, for unknown
-# engine and filter names, and for queries a command cannot run: each
-# bad input must make the command exit 1
+# CLI argument validation for the integer count flags and the
+# floating-point flags, for unknown engine, filter and stream kind
+# names, and for queries a command cannot run: each bad input must make
+# the command exit 1
 # with a message naming the problem — never a CHECK failure, an
 # uncaught exception, a hang, or a silent wrap-around.
 #
@@ -71,8 +72,30 @@ expect_fail "--events must be a non-negative integer" generate \
 expect_fail "--symbols must be a positive integer" serve \
   --query "SEQ(S0 a, S1 b) WITHIN 8" --symbols 0
 
-# Unknown engine and filter names are rejected, never mapped to a
-# default.
+# Floating-point flags must parse whole and lie in range: a
+# non-numeric value would read as 0, and --keep outside [0, 1] would
+# fail a CHECK in the random shedder.
+expect_fail "--keep must be a number in \[0, 1\], got '2'" replay \
+  --query "SEQ(S0 a, S1 b) WITHIN 8" --data "$dir/s.csv" \
+  --filter random-shed --keep 2
+expect_reject "--keep must be a number in \[0, 1\], got 'abc'" --keep abc
+expect_reject "--keep must be a number in \[0, 1\]" --keep -0.5
+expect_reject "--threshold must be a finite number, got 'abc'" \
+  --threshold abc
+expect_reject "--threshold must be a finite number, got 'nan'" \
+  --threshold nan
+expect_reject "--rate must be a finite non-negative number, got '-5'" \
+  --rate -5
+expect_reject "--rate must be a finite non-negative number, got 'inf'" \
+  --rate inf
+for flag in deadline metrics_every query_deadline_ms churn_every_ms \
+  drift_reference; do
+  expect_reject "--$flag must be a finite non-negative number" "--$flag" -1
+  expect_reject "--$flag must be a finite non-negative number" "--$flag" 1x
+done
+
+# Unknown engine, filter and stream kind names are rejected, never
+# mapped to a default.
 expect_fail "unknown --engine 'bogus'" run --query "SEQ(S0 a, S1 b) WITHIN 8" \
   --data "$dir/s.csv" --engine bogus
 expect_reject "unknown --engine 'bogus'" --engine bogus
@@ -81,6 +104,10 @@ expect_fail "unknown --filter 'bogus'" compare \
   --test "$dir/s.csv" --filter bogus
 expect_fail "unknown online filter kind: bogus" replay \
   --query "SEQ(S0 a, S1 b) WITHIN 8" --data "$dir/s.csv" --filter bogus
+expect_fail "--filter 'window' is not supported" compare --queries 2 \
+  --train "$dir/s.csv" --test "$dir/s.csv" --filter window
+expect_fail "unknown --kind 'bogus'" generate --kind bogus \
+  --events 10 --out "$dir/bogus.csv"
 
 # Time-window queries run on the exact engines only: compare fails
 # before training and replay names the command that runs them.

@@ -2,8 +2,10 @@
 // placement, the Quantile-within-one-bucket guarantee, striped
 // counter/histogram aggregation under concurrent writers (this file
 // runs in the CI TSan job), the Prometheus text exposition format, the
-// runtime kill switch, and TraceSpan lifecycle. Registry instruments
-// are process-global, so every test uses its own metric names.
+// runtime kill switch, TraceSpan lifecycle, and the trunk-forward
+// count of dlacep_nn_batch_windows. Registry instruments are
+// process-global, so every test uses its own metric names or reads
+// deltas.
 
 #include <gtest/gtest.h>
 
@@ -15,9 +17,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "dlacep/pipeline.h"
 #include "obs/metrics.h"
 #include "obs/stages.h"
 #include "obs/trace.h"
+#include "test_util.h"
 
 namespace dlacep {
 namespace obs {
@@ -357,6 +361,32 @@ TEST(Stages, AccessorsAreStableAndTouchRegistersSchema) {
       text.find("dlacep_stage_latency_seconds_count{stage=\"nn_forward_"
                 "infer\"}"),
       std::string::npos);
+}
+
+// Every marking call runs the trunk Forward, a lone window as a batch
+// of one, so a batch_size = 1 Evaluate observes one forward of one
+// window per assembler window.
+TEST(Stages, SoloEvaluateCountsOneTrunkForwardPerWindow) {
+  const EventStream stream = testing_util::SmallStream(300, 5);
+  const Pattern pattern =
+      testing_util::AscendingSeqPattern(stream.schema_ptr(), 2, 8);
+  DlacepConfig config;
+  config.network.hidden_dim = 4;
+  config.network.num_layers = 1;
+  config.train.max_epochs = 1;
+  config.batch_size = 1;
+  const BuiltDlacep built =
+      BuildDlacep(pattern, stream, FilterKind::kEventNetwork, config);
+  const size_t windows =
+      built.pipeline->assembler().Windows(stream.size()).size();
+  ASSERT_GT(windows, 0u);
+
+  Histogram* forwards = NnBatchWindows();
+  const uint64_t count_before = forwards->Count();
+  const double sum_before = forwards->Sum();
+  built.pipeline->Evaluate(stream);
+  EXPECT_EQ(forwards->Count() - count_before, windows);
+  EXPECT_EQ(forwards->Sum() - sum_before, static_cast<double>(windows));
 }
 
 }  // namespace

@@ -333,9 +333,12 @@ TEST(MultiHeadDecoding, MatchesPerThresholdMarkOnlineBitForBit) {
   const std::vector<double> thresholds = {base, base - 0.15, base + 0.15};
 
   const EventStream window = trunk.Window(0, 16);
+  const OnlineWindow one{&window, 0, 0.0};
   InferenceContext ctx;
-  std::vector<std::vector<int>> per_query;
-  heads->MarkOnlineMultiHead(window, &ctx, thresholds, &per_query);
+  std::vector<std::vector<std::vector<int>>> batched;
+  heads->MarkBatchOnlineMultiHead({&one, 1}, &ctx, thresholds, &batched);
+  ASSERT_EQ(batched.size(), 1u);
+  const std::vector<std::vector<int>>& per_query = batched[0];
   ASSERT_EQ(per_query.size(), thresholds.size());
 
   for (size_t q = 0; q < thresholds.size(); ++q) {
@@ -376,12 +379,16 @@ TEST(MultiHeadDecoding, BatchedSlabMatchesPerWindowDecodes) {
   ASSERT_EQ(batched.size(), batch.size());
 
   for (size_t w = 0; w < batch.size(); ++w) {
+    // The same window alone, its overload boost folded into the query
+    // thresholds instead.
     InferenceContext ctx;
     std::vector<double> boosted = thresholds;
     for (double& t : boosted) t += batch[w].threshold_boost;
-    std::vector<std::vector<int>> expected;
-    heads->MarkOnlineMultiHead(windows[w], &ctx, boosted, &expected);
-    EXPECT_EQ(batched[w], expected) << "window " << w;
+    const OnlineWindow alone{&windows[w], batch[w].stream_begin, 0.0};
+    std::vector<std::vector<std::vector<int>>> expected;
+    heads->MarkBatchOnlineMultiHead({&alone, 1}, &ctx, boosted, &expected);
+    ASSERT_EQ(expected.size(), 1u);
+    EXPECT_EQ(batched[w], expected[0]) << "window " << w;
   }
 }
 

@@ -62,6 +62,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -145,7 +146,30 @@ constexpr CountFlag kCountFlags[] = {
     {"anomaly_streak", 0},  {"probe_period", 0},    {"probe_passes", 0},
 };
 
-Status CheckCountFlags(const Args& args) {
+/// The floating-point flags, each with the closed range the commands
+/// accept. strtod reads a non-numeric value as 0 and NaN passes no
+/// comparison, so a value must parse whole and lie in its range; the
+/// ranges stop at the largest finite double, which rejects infinities.
+/// --keep outside [0, 1] would otherwise fail a CHECK.
+constexpr double kMaxFinite = std::numeric_limits<double>::max();
+struct RealFlag {
+  const char* name;
+  double least;
+  double most;
+  const char* range;  ///< the range in words, for the error message
+};
+constexpr RealFlag kRealFlags[] = {
+    {"keep", 0.0, 1.0, "a number in [0, 1]"},
+    {"threshold", -kMaxFinite, kMaxFinite, "a finite number"},
+    {"rate", 0.0, kMaxFinite, "a finite non-negative number"},
+    {"deadline", 0.0, kMaxFinite, "a finite non-negative number"},
+    {"metrics_every", 0.0, kMaxFinite, "a finite non-negative number"},
+    {"query_deadline_ms", 0.0, kMaxFinite, "a finite non-negative number"},
+    {"churn_every_ms", 0.0, kMaxFinite, "a finite non-negative number"},
+    {"drift_reference", 0.0, kMaxFinite, "a finite non-negative number"},
+};
+
+Status CheckNumericFlags(const Args& args) {
   for (const CountFlag& flag : kCountFlags) {
     if (!args.Has(flag.name)) continue;
     const std::string text = args.Get(flag.name);
@@ -156,6 +180,18 @@ Status CheckCountFlags(const Args& args) {
           "--" + std::string(flag.name) + " must be a " +
           (flag.least > 0 ? "positive" : "non-negative") +
           " integer, got '" + text + "'");
+    }
+  }
+  for (const RealFlag& flag : kRealFlags) {
+    if (!args.Has(flag.name)) continue;
+    const std::string text = args.Get(flag.name);
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' ||
+        !(value >= flag.least && value <= flag.most)) {
+      return Status::InvalidArgument("--" + std::string(flag.name) +
+                                     " must be " + flag.range + ", got '" +
+                                     text + "'");
     }
   }
   return Status::Ok();
@@ -244,6 +280,11 @@ int Generate(const Args& args) {
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   const std::string out = args.Get("out");
   if (out.empty()) return Usage();
+  if (kind != "stock" && kind != "synthetic") {
+    std::fprintf(stderr, "unknown --kind '%s' (generate: stock|synthetic)\n",
+                 kind.c_str());
+    return 1;
+  }
 
   EventStream stream = [&] {
     if (kind == "stock") {
@@ -327,14 +368,21 @@ int Compare(const Args& args) {
     std::fprintf(stderr, "cannot load streams\n");
     return 1;
   }
-  if (args.Has("queries")) {
-    return CompareMulti(args, train.value(), test.value());
-  }
   const std::string filter = args.Get("filter", "event");
   if (filter != "event" && filter != "window") {
     std::fprintf(stderr, "unknown --filter '%s' (compare: event|window)\n",
                  filter.c_str());
     return 1;
+  }
+  if (args.Has("queries")) {
+    if (filter != "event") {
+      std::fprintf(stderr,
+                   "compare --queries trains the shared event trunk; "
+                   "--filter '%s' is not supported\n",
+                   filter.c_str());
+      return 1;
+    }
+    return CompareMulti(args, train.value(), test.value());
   }
   auto pattern = ParsePattern(args.Get("query"), train.value().schema_ptr());
   if (!pattern.ok()) {
@@ -1067,8 +1115,8 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const Args args(argc, argv);
   if (!args.ok()) return Usage();
-  if (const Status counts = CheckCountFlags(args); !counts.ok()) {
-    std::fprintf(stderr, "%s\n", counts.ToString().c_str());
+  if (const Status numbers = CheckNumericFlags(args); !numbers.ok()) {
+    std::fprintf(stderr, "%s\n", numbers.ToString().c_str());
     return 1;
   }
   if (const auto engine = ParseEngineKind(args); !engine.ok()) {
