@@ -359,7 +359,8 @@ void SweepMetricsOverhead(const std::string& label, const Pattern& pattern,
 /// are far apart by construction, and the adaptive engine's cost model
 /// must find the cheap one. CI gates the "adaptive-gate engine=..."
 /// rows: adaptive events_per_sec >= 0.9x the best static engine and
-/// >= 1.2x the worst (the cost of picking wrong).
+/// >= 1.2x the worst (the cost of picking wrong), and the "selected="
+/// row must name the lazy engine.
 void SweepEngines() {
   const EventStream stream = GenerateStockStream(StockConfig(30000, 4242));
   PatternBuilder b(stream.schema_ptr());
@@ -418,6 +419,9 @@ void SweepEngines() {
     JsonReport::Metric(key, "events_per_sec", events_per_sec);
     JsonReport::Metric(key, "matches", static_cast<double>(match_count));
     JsonReport::Metric(key, "identical", identical ? 1.0 : 0.0);
+    if (!selected.empty()) {
+      JsonReport::Metric(key + " selected=" + selected, "selected", 1.0);
+    }
   }
 }
 

@@ -1,31 +1,20 @@
 #include "cep/adaptive_engine.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "cep/nfa_engine.h"
 #include "cep/tree_engine.h"
+#include "pattern/selectivity.h"
 
 namespace dlacep {
 
 namespace {
 
-// Per-event surcharge factors of the analytic estimates: the lazy
-// engine pays candidate buffering and binary searches per chain step,
-// the tree additionally materializes intermediate join items. On a
-// uniform stream (where ordering buys nothing) they make the NFA the
-// stable default; under skew the reordered prefix products dominate
-// them by orders of magnitude.
-constexpr double kLazySurcharge = 1.15;
-constexpr double kTreeSurcharge = 1.35;
-
 // A challenger engine must undercut the incumbent's modelled cost by
 // this factor before the selector switches — hysteresis against
 // flapping on near-ties.
 constexpr double kHysteresis = 0.9;
-
-// Prefix products are clamped so a pathological estimate can't reach
-// inf and poison the comparison.
-constexpr double kCostCap = 1e18;
 
 }  // namespace
 
@@ -70,56 +59,31 @@ StatusOr<std::unique_ptr<AdaptiveEngine>> AdaptiveEngine::Create(
   return engine;
 }
 
-std::vector<EngineKind> AdaptiveEngine::candidate_kinds() const {
-  std::vector<EngineKind> kinds;
-  kinds.reserve(candidates_.size());
-  for (const Candidate& c : candidates_) kinds.push_back(c.kind);
-  return kinds;
-}
-
-double AdaptiveEngine::AnalyticCost(EngineKind kind) const {
-  const double window =
-      pattern_.window().kind == WindowKind::kCount
-          ? static_cast<double>(pattern_.window().count_size())
-          : 100.0;
-  const double total = std::max(frequencies_.total(), 1.0);
+double AdaptiveEngine::ModelCost(EngineKind kind, double window) const {
+  const auto counts = frequencies_.Snapshot();
   double cost = 0.0;
   for (const LinearPlan& plan : plans_) {
-    // Expected events per window accepted by each position.
-    std::vector<double> rates;
-    rates.reserve(plan.num_positions());
-    for (const PlanPosition& pos : plan.positions) {
-      double weight = 0.0;
-      if (frequencies_.empty()) {
-        weight = 1.0;  // flat prior: every engine ranks by its surcharge
-      } else {
-        for (const TypeId type : pos.types) {
-          weight += frequencies_.count(type);
-        }
-      }
-      rates.push_back(window * weight / total);
+    const size_t n = plan.num_positions();
+    PlanStatistics stats;
+    stats.rates = PositionRates(plan, counts);
+    stats.pair_sel.assign(n, std::vector<double>(n, 1.0));
+    if (kind == EngineKind::kTree) {
+      cost += PriceTree(stats, window, plan.ordered()).cost;
+      continue;
     }
-    // The NFA extends prefixes in chain order; the lazy and tree
-    // engines are free to instantiate rarest-first, which is exactly
-    // what minimizes the prefix-product sum below.
-    if (kind != EngineKind::kNfa) {
-      std::sort(rates.begin(), rates.end());
-    }
-    double work = window;  // every engine scans the span once
-    double prefix = 1.0;
-    for (const double rate : rates) {
-      prefix = std::min(kCostCap, prefix * std::max(rate, 1e-6));
-      work = std::min(kCostCap, work + prefix);
-    }
-    cost += work;
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), size_t{0});
+    // The lazy candidate orders its chain by the rates of the same counts
+    // halved (exactly) by Decay(), so this is the order it runs.
+    if (kind == EngineKind::kLazy) order = RarestFirstOrder(stats.rates);
+    cost += OrderPrice(stats, window, order, plan.ordered());
   }
-  double per_event = cost / window;
-  if (kind == EngineKind::kLazy) per_event *= kLazySurcharge;
-  if (kind == EngineKind::kTree) per_event *= kTreeSurcharge;
-  return per_event;
+  // Each plan also reads every event once; on sparse windows that read
+  // dominates and leaves no engine a margin over the incumbent.
+  return static_cast<double>(plans_.size()) + cost / window;
 }
 
-double AdaptiveEngine::CostOf(const Candidate& candidate,
+double AdaptiveEngine::CostOf(const Candidate& candidate, double window,
                               double calibration) const {
   const EngineStats& s = candidate.engine->stats();
   if (s.evaluations > 0 && s.events_processed > 0) {
@@ -128,31 +92,32 @@ double AdaptiveEngine::CostOf(const Candidate& candidate,
     return static_cast<double>(s.transitions + s.partial_matches) /
            static_cast<double>(s.events_processed);
   }
-  return AnalyticCost(candidate.kind) * calibration;
+  return ModelCost(candidate.kind, window) * calibration;
 }
 
-void AdaptiveEngine::Reselect() {
-  // Calibrate analytic estimates against the incumbent's measurements
+void AdaptiveEngine::Reselect(std::span<const Event> events) {
+  const double window = WindowEvents(pattern_.window(), events);
+  // Calibrate modelled estimates against the incumbent's measurements
   // (when it has any), so observed and modelled costs share units and
   // a systematic model error common to all engines cancels.
   const Candidate& incumbent = candidates_[selected_];
   double calibration = 1.0;
   const EngineStats& istats = incumbent.engine->stats();
   if (istats.evaluations > 0 && istats.events_processed > 0) {
-    const double analytic = AnalyticCost(incumbent.kind);
-    const double observed = CostOf(incumbent, 1.0);
-    if (analytic > 0.0 && observed > 0.0) {
-      calibration = std::clamp(observed / analytic, 0.1, 10.0);
+    const double modelled = ModelCost(incumbent.kind, window);
+    const double observed = CostOf(incumbent, window, 1.0);
+    if (modelled > 0.0 && observed > 0.0) {
+      calibration = std::clamp(observed / modelled, 0.1, 10.0);
     }
   }
 
-  const double incumbent_cost = CostOf(incumbent, calibration);
+  const double incumbent_cost = CostOf(incumbent, window, calibration);
   size_t best = selected_;
   // A challenger must beat the incumbent by the hysteresis margin.
   double best_cost = incumbent_cost * kHysteresis;
   for (size_t i = 0; i < candidates_.size(); ++i) {
     if (i == selected_) continue;
-    const double cost = CostOf(candidates_[i], calibration);
+    const double cost = CostOf(candidates_[i], window, calibration);
     if (cost < best_cost) {
       best = i;
       best_cost = cost;
@@ -177,7 +142,7 @@ void AdaptiveEngine::ObserveWindow(std::span<const Event> events) {
   frequencies_.ObserveSpan(events);
   ++windows_observed_;
   const size_t k = std::max<size_t>(1, options_.adaptive_reselect_windows);
-  if (windows_observed_ % k == 0) Reselect();
+  if (windows_observed_ % k == 0) Reselect(events);
 }
 
 Status AdaptiveEngine::Evaluate(std::span<const Event> events,
@@ -191,7 +156,7 @@ Status AdaptiveEngine::Evaluate(std::span<const Event> events,
     frequencies_.ObserveSpan(events);
     ++windows_observed_;
     const size_t k = std::max<size_t>(1, options_.adaptive_reselect_windows);
-    if (windows_observed_ == 1 || windows_observed_ % k == 0) Reselect();
+    if (windows_observed_ == 1 || windows_observed_ % k == 0) Reselect(events);
   }
   Candidate& c = candidates_[selected_];
   // Delegate verbatim — `out` semantics, all-or-nothing budget aborts,

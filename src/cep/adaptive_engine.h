@@ -8,14 +8,12 @@
 // The cost model ranks candidates by expected work per event. For an
 // engine that has already run, the observed EngineStats estimate
 // (transitions + partial_matches) / events_processed is used directly.
-// For one that hasn't, an analytic estimate from the runtime per-type
-// frequency counts stands in: prefix products of expected per-window
-// position counts — in chain order for the NFA (eager prefixes), in
-// ascending-frequency order for the lazy engine (the chain-automaton
-// reordering), ascending with a join-materialization surcharge for the
-// tree — scaled by the incumbent's observed/analytic ratio so the two
-// kinds of estimate share units. A challenger must undercut the
-// incumbent by the hysteresis factor before the selection switches.
+// For one that hasn't, the plan-cost model (pattern/selectivity.h) prices
+// the plan the engine runs — chain order, rarest-first order, join tree —
+// from the runtime per-type frequency counts with unit selectivities,
+// scaled by the incumbent's observed/modelled ratio so the two kinds of
+// estimate share units. A challenger must undercut the incumbent by the
+// hysteresis factor before the selection switches.
 //
 // Re-evaluation cadence: every adaptive_reselect_windows observations.
 // An observation is either an explicit ObserveWindow() call (the online
@@ -83,9 +81,6 @@ class AdaptiveEngine : public CepEngine {
     return candidates_[selected_].kind;
   }
   uint64_t switches() const { return switches_; }
-  uint64_t windows_observed() const { return windows_observed_; }
-
-  std::vector<EngineKind> candidate_kinds() const;
 
   AdaptiveSnapshot Snapshot() const;
   Status Restore(const AdaptiveSnapshot& snapshot);
@@ -99,12 +94,15 @@ class AdaptiveEngine : public CepEngine {
 
   AdaptiveEngine(Pattern pattern, EngineOptions options);
 
-  /// Cost-model pass: pick the cheapest candidate (with hysteresis),
-  /// decay the frequency counts, push the fresh estimate into the lazy
-  /// chain, and fire the selection hook.
-  void Reselect();
-  double CostOf(const Candidate& candidate, double calibration) const;
-  double AnalyticCost(EngineKind kind) const;
+  /// Cost-model pass over the span just observed: pick the cheapest
+  /// candidate (with hysteresis), decay the frequency counts, push the
+  /// fresh estimate into the lazy chain, and fire the selection hook.
+  void Reselect(std::span<const Event> events);
+  double CostOf(const Candidate& candidate, double window,
+                double calibration) const;
+  /// Modelled work per event of `kind`'s plan on the current frequency
+  /// estimate, over windows of `window` events.
+  double ModelCost(EngineKind kind, double window) const;
 
   Pattern pattern_;
   EngineOptions options_;

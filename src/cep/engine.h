@@ -92,9 +92,6 @@ struct EngineOptions {
   /// is prompt but the exact abort point is timing-dependent — callers
   /// needing determinism should gate on partial_match_budget instead.
   double deadline_seconds = 0.0;
-  /// Sample size for selectivity estimation (tree engine cost model).
-  size_t selectivity_samples = 1000;
-  uint64_t seed = 42;
 
   // --- Adaptive selection (EngineKind::kAdaptive) --------------------
   /// Windows observed between cost-model re-evaluations (the "K" of the

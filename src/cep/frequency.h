@@ -1,14 +1,14 @@
 // Runtime per-type frequency estimation for lazy chain ordering and the
 // adaptive engine selector.
 //
-// The estimator keeps one decayed count per event type: Observe() adds
-// the event's weight, Decay() multiplies every count by a fixed factor.
-// The adaptive selector calls Decay() once per reselection period, so
-// recent traffic dominates while the estimate never forgets a type
-// entirely. Everything is plain counter arithmetic on an ordered map —
-// no wall clock, no randomness — so two runs fed the same event
-// sequence produce bit-identical estimates, which is what keeps
-// adaptive engine selection (and checkpoint resume) deterministic.
+// The estimator keeps one decayed count per event type: ObserveSpan()
+// adds one per event, Decay() halves every count. The adaptive selector
+// calls Decay() once per reselection period, so recent traffic
+// dominates while the estimate never forgets a type entirely.
+// Everything is plain counter arithmetic on an ordered map — no wall
+// clock, no randomness — so two runs fed the same event sequence
+// produce bit-identical estimates, which is what keeps adaptive engine
+// selection (and checkpoint resume) deterministic.
 
 #ifndef DLACEP_CEP_FREQUENCY_H_
 #define DLACEP_CEP_FREQUENCY_H_
@@ -24,36 +24,17 @@ namespace dlacep {
 
 class TypeFrequencyEstimator {
  public:
-  explicit TypeFrequencyEstimator(double decay = 0.5) : decay_(decay) {}
-
-  void Observe(TypeId type, double weight = 1.0) {
-    counts_[type] += weight;
-    total_ += weight;
-  }
-
   /// Adds one count per non-blank event in `events`.
   void ObserveSpan(std::span<const Event> events) {
     for (const Event& e : events) {
-      if (!e.is_blank()) Observe(e.type);
+      if (!e.is_blank()) counts_[e.type] += 1.0;
     }
   }
 
-  /// Halves (by default) every count; called once per estimation period.
+  /// Halves every count; called once per estimation period.
   void Decay() {
-    total_ = 0.0;
-    for (auto& [type, count] : counts_) {
-      count *= decay_;
-      total_ += count;
-    }
+    for (auto& [type, count] : counts_) count *= 0.5;
   }
-
-  double count(TypeId type) const {
-    const auto it = counts_.find(type);
-    return it == counts_.end() ? 0.0 : it->second;
-  }
-
-  double total() const { return total_; }
-  bool empty() const { return counts_.empty(); }
 
   /// Deterministic (type-ascending) snapshot, checkpoint-serializable.
   std::vector<std::pair<int32_t, double>> Snapshot() const {
@@ -62,16 +43,10 @@ class TypeFrequencyEstimator {
 
   void Restore(std::span<const std::pair<int32_t, double>> entries) {
     counts_.clear();
-    total_ = 0.0;
-    for (const auto& [type, count] : entries) {
-      counts_[type] = count;
-      total_ += count;
-    }
+    for (const auto& [type, count] : entries) counts_[type] = count;
   }
 
  private:
-  double decay_;
-  double total_ = 0.0;
   std::map<TypeId, double> counts_;  ///< ordered for determinism
 };
 

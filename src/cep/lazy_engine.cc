@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 
+#include "pattern/selectivity.h"
 #include "stream/window.h"
 
 namespace dlacep {
@@ -56,32 +57,15 @@ class LazySearch {
         candidates_[static_cast<size_t>(std::countr_zero(m))].push_back(&e);
       }
     }
-    // Lazy evaluation order: ascending frequency of the position's
-    // accepted types. With an external estimate installed the chain is
-    // ordered by the estimated per-position rate (the decayed runtime
-    // counts outlive any one span); otherwise the span's own bucket
-    // sizes stand in. Both orderings are deterministic (stable sort,
-    // position index breaking ties) and affect pruning only.
-    order_.resize(plan_.num_positions());
-    for (size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+    // The rarest-first chain: by the installed estimate's rates, else by
+    // the span's own bucket sizes (see the header).
+    std::vector<double> weights = PositionRates(plan_, frequencies);
     if (frequencies.empty()) {
-      std::stable_sort(order_.begin(), order_.end(),
-                       [&](size_t a, size_t b) {
-                         return candidates_[a].size() <
-                                candidates_[b].size();
-                       });
-    } else {
-      std::vector<double> weight(plan_.num_positions(), 0.0);
-      for (size_t p = 0; p < plan_.num_positions(); ++p) {
-        for (const auto& [type, count] : frequencies) {
-          if (plan_.positions[p].Matches(type)) weight[p] += count;
-        }
+      for (size_t p = 0; p < weights.size(); ++p) {
+        weights[p] = static_cast<double>(candidates_[p].size());
       }
-      std::stable_sort(order_.begin(), order_.end(),
-                       [&](size_t a, size_t b) {
-                         return weight[a] < weight[b];
-                       });
     }
+    order_ = RarestFirstOrder(weights);
   }
 
   void Run() { Rec(0); }

@@ -1,9 +1,7 @@
 #include "cep/tree_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
-#include <limits>
 #include <set>
 #include <sstream>
 
@@ -36,6 +34,10 @@ StatusOr<std::unique_ptr<TreeEngine>> TreeEngine::Create(
 
 namespace {
 
+// Statistics sampling for the plan search: sample size and seed.
+constexpr size_t kSelectivitySamples = 1000;
+constexpr uint64_t kSelectivitySeed = 42;
+
 // Variables covered by positions [lo, hi] of a plan.
 std::set<VarId> VarsOf(const LinearPlan& plan, size_t lo, size_t hi) {
   std::set<VarId> vars;
@@ -53,59 +55,9 @@ bool Subset(const std::vector<VarId>& needles, const std::set<VarId>& hay) {
 }  // namespace
 
 void TreeEngine::BuildTree(const LinearPlan& plan,
-                           const PlanStatistics& stats,
+                           const PlanStatistics& stats, double window,
                            PlanTree* tree) const {
-  const size_t n = plan.num_positions();
-  tree->ordered = n > 1 && plan.preds[1] != 0;
-
-  // Expected cardinality of the join of positions [i, j] per §3.2 /
-  // ZStream's CPU cost model: product of expected leaf counts, pairwise
-  // selectivities, a window co-occurrence factor, and (for SEQ) the
-  // probability that the events arrive in position order.
-  const double window_frac =
-      pattern_.window().kind == WindowKind::kCount
-          ? std::min(1.0, pattern_.window().size / 1000.0)
-          : 0.5;  // coarse default for time windows
-  auto cardinality = [&](size_t i, size_t j) {
-    double card = 1.0;
-    for (size_t k = i; k <= j; ++k) {
-      card *= stats.rates[k] * 1000.0 * stats.pair_sel[k][k];
-    }
-    for (size_t a = i; a <= j; ++a) {
-      for (size_t b = a + 1; b <= j; ++b) {
-        card *= stats.pair_sel[a][b];
-      }
-    }
-    const size_t m = j - i + 1;
-    card *= std::pow(window_frac, static_cast<double>(m - 1));
-    if (tree->ordered) {
-      double fact = 1.0;
-      for (size_t k = 2; k <= m; ++k) fact *= static_cast<double>(k);
-      card /= fact;
-    }
-    return card;
-  };
-
-  // Dynamic program over contiguous intervals (ZStream's plan search).
-  std::vector<std::vector<double>> cost(n, std::vector<double>(n, 0.0));
-  std::vector<std::vector<int>> split(n, std::vector<int>(n, -1));
-  for (size_t i = 0; i < n; ++i) cost[i][i] = cardinality(i, i);
-  for (size_t len = 2; len <= n; ++len) {
-    for (size_t i = 0; i + len - 1 < n; ++i) {
-      const size_t j = i + len - 1;
-      double best = std::numeric_limits<double>::infinity();
-      int best_k = static_cast<int>(i);
-      for (size_t k = i; k < j; ++k) {
-        const double c = cost[i][k] + cost[k + 1][j];
-        if (c < best) {
-          best = c;
-          best_k = static_cast<int>(k);
-        }
-      }
-      cost[i][j] = best + cardinality(i, j);
-      split[i][j] = best_k;
-    }
-  }
+  const TreePrice price = PriceTree(stats, window, plan.ordered());
 
   // Materialize the tree bottom-up and attach conditions at the lowest
   // node where all their variables are available.
@@ -115,7 +67,7 @@ void TreeEngine::BuildTree(const LinearPlan& plan,
     node.lo = lo;
     node.hi = hi;
     if (lo != hi) {
-      const size_t k = static_cast<size_t>(split[lo][hi]);
+      const size_t k = price.split[lo][hi];
       node.left = build(lo, k);
       node.right = build(k + 1, hi);
     }
@@ -136,7 +88,7 @@ void TreeEngine::BuildTree(const LinearPlan& plan,
     tree->nodes.push_back(std::move(node));
     return static_cast<int>(tree->nodes.size() - 1);
   };
-  tree->root = build(0, n - 1);
+  tree->root = build(0, plan.num_positions() - 1);
 }
 
 std::vector<TreeEngine::Item> TreeEngine::EvalNode(
@@ -202,7 +154,7 @@ std::vector<TreeEngine::Item> TreeEngine::EvalNode(
       // Every join probe is one transition; every rejection below is a
       // prune, keeping the work identity exact for join nodes too.
       ++stats_.transitions;
-      if (tree.ordered && l.max_id >= r.min_id) {
+      if (plan.ordered() && l.max_id >= r.min_id) {
         ++stats_.partial_matches_pruned;
         continue;
       }
@@ -223,7 +175,7 @@ std::vector<TreeEngine::Item> TreeEngine::EvalNode(
       }
       // Distinctness (relevant for unordered CONJ joins): every position
       // must contribute its own event.
-      if (!tree.ordered &&
+      if (!plan.ordered() &&
           MatchFromBinding(item.binding).ids.size() != merged_positions) {
         ++stats_.partial_matches_pruned;
         continue;
@@ -273,10 +225,11 @@ Status TreeEngine::Evaluate(std::span<const Event> events, MatchSet* out) {
     // ZStream derives its plan from workload statistics; sample them from
     // the first evaluated span. The build counts toward elapsed time.
     Stopwatch watch;
+    const double window = WindowEvents(pattern_.window(), events);
     for (size_t i = 0; i < plans_.size(); ++i) {
       const PlanStatistics stats = EstimatePlanStatistics(
-          plans_[i], events, options_.seed, options_.selectivity_samples);
-      BuildTree(plans_[i], stats, &trees_[i]);
+          plans_[i], events, kSelectivitySeed, kSelectivitySamples);
+      BuildTree(plans_[i], stats, window, &trees_[i]);
     }
     trees_built_ = true;
     stats_.elapsed_seconds += watch.ElapsedSeconds();

@@ -2,11 +2,10 @@
 // the two state-of-the-art ECEP optimization baselines the paper compares
 // against (Fig 12).
 //
-// The plan's positions become the leaves of a binary join tree. A
-// dynamic-programming search over contiguous position intervals picks the
-// tree shape minimizing a CPU cost model fed by sampled arrival rates and
-// predicate selectivities. Intermediate join results are the engine's
-// partial matches.
+// The plan's positions become the leaves of a binary join tree, shaped by
+// the plan-cost model's tree search (pattern/selectivity.h) over rates and
+// selectivities sampled on the first evaluated span. Intermediate join
+// results are the engine's partial matches.
 //
 // Supported pattern class: DISJ branches of SEQ / CONJ over primitives
 // (no KC, no NEG, no group repetition) — exactly the class ZStream
@@ -52,7 +51,6 @@ class TreeEngine : public CepEngine {
   struct PlanTree {
     std::vector<TreeNode> nodes;  ///< nodes_[root] is the last entry
     int root = -1;
-    bool ordered = false;  ///< SEQ (ordered) vs CONJ (unordered)
   };
 
   /// An intermediate join result: events for positions [lo, hi].
@@ -65,7 +63,7 @@ class TreeEngine : public CepEngine {
   };
 
   void BuildTree(const LinearPlan& plan, const PlanStatistics& stats,
-                 PlanTree* tree) const;
+                 double window, PlanTree* tree) const;
   std::vector<Item> EvalNode(const LinearPlan& plan, const PlanTree& tree,
                              int node_index, std::span<const Event> events,
                              EngineBudget* budget);

@@ -1,6 +1,7 @@
 #include "dlacep/acep.h"
 
 #include <cmath>
+#include <numeric>
 
 namespace dlacep {
 
@@ -16,22 +17,11 @@ double AcepObjective(const MatchSet& exact, const MatchSet& approx,
 double PhiExpectedPartialMatches(
     size_t window, const std::vector<double>& rates,
     const std::vector<std::vector<double>>& sel) {
-  const size_t n = rates.size();
-  DLACEP_CHECK_EQ(sel.size(), n);
-  double phi = 0.0;
-  for (size_t i = 1; i <= n; ++i) {
-    double term = 1.0;
-    for (size_t k = 0; k < i; ++k) {
-      term *= static_cast<double>(window) * rates[k];
-    }
-    for (size_t k = 0; k < i; ++k) {
-      for (size_t t = k; t < i; ++t) {
-        term *= sel[k][t];
-      }
-    }
-    phi += term;
-  }
-  return phi;
+  DLACEP_CHECK_EQ(sel.size(), rates.size());
+  std::vector<size_t> chain(rates.size());
+  std::iota(chain.begin(), chain.end(), size_t{0});
+  return OrderPrice(PlanStatistics{rates, sel}, static_cast<double>(window),
+                    chain, /*ordered=*/false);
 }
 
 double EstimateEcepCost(const LinearPlan& plan,

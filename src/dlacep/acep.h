@@ -24,7 +24,8 @@ double AcepObjective(const MatchSet& exact, const MatchSet& approx,
 /// (1..n-1) plus full matches (size n) inside a count window of size W,
 /// given per-position arrival rates r_i (events per stream event) and
 /// pairwise predicate selectivities sel_{k,t}:
-///   Φ = Σ_{i=1..n}  W^i · Π_{k≤i} r_k · Π_{k≤t≤i} sel_{k,t}
+///   Φ = Σ_{i=1..n}  W^i · Π_{k≤i} r_k · Π_{k≤t≤i} sel_{k,t},
+/// the plan-cost model's OrderPrice of the chain order, unordered.
 double PhiExpectedPartialMatches(size_t window,
                                  const std::vector<double>& rates,
                                  const std::vector<std::vector<double>>& sel);

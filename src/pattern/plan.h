@@ -150,6 +150,9 @@ struct LinearPlan {
 
   size_t num_positions() const { return positions.size(); }
 
+  /// True for a SEQ plan: its positions fill in position order.
+  bool ordered() const { return positions.size() > 1 && preds[1] != 0; }
+
   /// Mask of the positions accepting `type`.
   uint64_t PositionsOf(TypeId type) const {
     return type >= 0 && static_cast<size_t>(type) < type_positions.size()

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cep/engine.h"
 #include "cep/oracle.h"
+#include "cep/tree_engine.h"
 #include "pattern/builder.h"
 #include "stream/generator.h"
 #include "test_util.h"
@@ -224,6 +228,54 @@ TEST(TimeWindowEquivalence, SeqMatchesOracle) {
   ExpectEngineMatchesOracle(EngineKind::kNfa, pattern, stream);
   ExpectEngineMatchesOracle(EngineKind::kTree, pattern, stream);
   ExpectEngineMatchesOracle(EngineKind::kLazy, pattern, stream);
+}
+
+// ---------------------------------------------------------------------
+// Golden tree shapes: the cost-based plan search over a stream where type
+// D is rare and A, B, C have distinct frequencies (A > B > C). The join
+// tree anchors on the rare position wherever it sits.
+
+EventStream SkewedStream() {
+  EventStream stream(MakeSyntheticSchema(4, 1));
+  // Per 20 events: A×11, B×6, C×2, D×1.
+  const char kPeriod[] = "ABACABAAADABACABABAB";
+  for (size_t i = 0; i < 400; ++i) {
+    stream.Append(kPeriod[i % 20] - 'A', static_cast<double>(i),
+                  {static_cast<double>(i % 7)});
+  }
+  return stream;
+}
+
+TEST(TreePlanShape, RarePositionAnchorsTheJoin) {
+  const EventStream stream = SkewedStream();
+  struct Case {
+    bool conj;
+    std::vector<std::string> types;  ///< one primitive per position
+    const char* shape;
+  };
+  const Case cases[] = {
+      {false, {"D", "A", "B", "C"}, "(((0 1) 2) 3)"},
+      {false, {"A", "B", "D", "C"}, "(0 (1 (2 3)))"},
+      {false, {"A", "C", "B", "D"}, "(0 (1 (2 3)))"},
+      {true, {"B", "D", "A"}, "((0 1) 2)"},
+  };
+  for (const Case& c : cases) {
+    PatternBuilder b(stream.schema_ptr());
+    std::vector<PatternBuilder::Node> children;
+    for (size_t i = 0; i < c.types.size(); ++i) {
+      children.push_back(b.Prim(c.types[i], "v" + std::to_string(i)));
+    }
+    auto root = c.conj ? b.ConjOf(std::move(children))
+                       : b.SeqOf(std::move(children));
+    const Pattern pattern =
+        b.BuildOrDie(std::move(root), WindowSpec::Count(10));
+    auto engine = TreeEngine::Create(pattern, EngineOptions{});
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    MatchSet out;
+    ASSERT_TRUE(engine.value()->Evaluate(SpanOf(stream), &out).ok());
+    EXPECT_EQ(engine.value()->PlanTreeString(0), c.shape)
+        << pattern.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------
