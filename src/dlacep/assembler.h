@@ -7,6 +7,12 @@
 // by windowing alone; larger MarkSize finds matches the original pattern
 // window would reject (excess CEP work, Fig 6), larger StepSize skips
 // stream positions (missed matches, Fig 5).
+//
+// ForWindow() is the one place the paper defaults are resolved: every
+// layer that sizes an assembler from a pattern window (the batch
+// pipeline, multi-pattern DLACEP, drift retraining, the online runtime
+// and multi-query serving) passes its configured mark/step sizes, 0
+// meaning the default, through it.
 
 #ifndef DLACEP_DLACEP_ASSEMBLER_H_
 #define DLACEP_DLACEP_ASSEMBLER_H_
@@ -38,9 +44,12 @@ class InputAssembler {
   size_t mark_size() const { return mark_size_; }
   size_t step_size() const { return step_size_; }
 
-  /// The paper-default assembler for pattern window W.
-  static InputAssembler ForWindow(size_t w) {
-    return InputAssembler(2 * w, w);
+  /// The assembler for pattern window W: `mark_size` and `step_size`
+  /// as given, each 0 resolving to the paper default (2·W and W).
+  static InputAssembler ForWindow(size_t w, size_t mark_size = 0,
+                                  size_t step_size = 0) {
+    return InputAssembler(mark_size != 0 ? mark_size : 2 * w,
+                          step_size != 0 ? step_size : w);
   }
 
  private:

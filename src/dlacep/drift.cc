@@ -54,10 +54,8 @@ AdaptiveResult EvaluateWithRetraining(
   DLACEP_CHECK(monitor != nullptr);
   AdaptiveResult result;
 
-  const size_t w = pattern.window().count_size();
-  const size_t mark = config.mark_size != 0 ? config.mark_size : 2 * w;
-  const size_t step = config.step_size != 0 ? config.step_size : w;
-  const InputAssembler assembler(mark, step);
+  const InputAssembler assembler = InputAssembler::ForWindow(
+      pattern.window().count_size(), config.mark_size, config.step_size);
   CepExtractor extractor(pattern);
 
   std::vector<const Event*> marked;
@@ -72,7 +70,7 @@ AdaptiveResult EvaluateWithRetraining(
     ++result.drifts_detected;
     const size_t end = range.end;
     const size_t begin = end > retrain_events ? end - retrain_events : 0;
-    if (end - begin < mark) {
+    if (end - begin < assembler.mark_size()) {
       monitor->ResetReference();
       continue;
     }

@@ -1,7 +1,6 @@
 #include "dlacep/labeler.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/rng.h"
 
@@ -22,6 +21,63 @@ void CollectNegatedTypes(const PatternNode& node, bool under_neg,
   }
 }
 
+// Unlabeled samples over `windows`.
+std::vector<LabeledSample> BlankSamples(std::span<const WindowRange> windows) {
+  std::vector<LabeledSample> samples(windows.size());
+  for (size_t i = 0; i < windows.size(); ++i) {
+    samples[i].range = windows[i];
+    samples[i].event_labels.assign(windows[i].size(), 0);
+  }
+  return samples;
+}
+
+// ORs `matches` into every sample that holds a whole match. The ids
+// inside a sample are contiguous, so offset arithmetic suffices; blank
+// events never match.
+void ApplyMatches(const MatchSet& matches, const EventStream& stream,
+                  std::vector<LabeledSample>* samples) {
+  // Sort matches by their minimal event id for windowed lookups.
+  std::vector<const Match*> by_min;
+  by_min.reserve(matches.size());
+  for (const Match& m : matches) by_min.push_back(&m);
+  std::sort(by_min.begin(), by_min.end(),
+            [](const Match* a, const Match* b) {
+              return a->ids.front() < b->ids.front();
+            });
+
+  for (LabeledSample& sample : *samples) {
+    if (sample.range.size() == 0) continue;
+    const EventId lo = stream[sample.range.begin].id;
+    const EventId hi = lo + sample.range.size();  // exclusive
+    auto it = std::lower_bound(
+        by_min.begin(), by_min.end(), lo,
+        [](const Match* m, EventId id) { return m->ids.front() < id; });
+    for (; it != by_min.end() && (*it)->ids.front() < hi; ++it) {
+      if ((*it)->ids.back() >= hi) continue;  // not fully inside
+      ++sample.num_matches;
+      for (EventId id : (*it)->ids) {
+        sample.event_labels[static_cast<size_t>(id - lo)] = 1;
+      }
+    }
+  }
+}
+
+// Sets the window labels and, negation-aware (§4.4), labels the events
+// of a negated type too, so the filter relays them.
+void FinishLabels(const std::set<TypeId>& negated_types,
+                  const EventStream& stream,
+                  std::vector<LabeledSample>* samples) {
+  for (LabeledSample& sample : *samples) {
+    sample.window_label = sample.num_matches > 0 ? 1 : 0;
+    if (negated_types.empty()) continue;
+    for (size_t t = 0; t < sample.range.size(); ++t) {
+      if (negated_types.count(stream[sample.range.begin + t].type) > 0) {
+        sample.event_labels[t] = 1;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 SampleLabeler::SampleLabeler(const Pattern& pattern) : pattern_(pattern) {
@@ -34,122 +90,51 @@ SampleLabeler::SampleLabeler(const Pattern& pattern) : pattern_(pattern) {
 
 LabeledSample SampleLabeler::Label(const EventStream& stream,
                                    WindowRange range) const {
-  LabeledSample sample;
-  sample.range = range;
-  sample.event_labels.assign(range.size(), 0);
-
-  const std::span<const Event> span =
-      stream.View(range.begin, range.size());
   MatchSet matches;
   {
     std::lock_guard<std::mutex> lock(engine_mu_);
-    const Status status = engine_->Evaluate(span, &matches);
+    const Status status =
+        engine_->Evaluate(stream.View(range.begin, range.size()), &matches);
     DLACEP_CHECK_MSG(status.ok(), status.ToString());
   }
-  sample.num_matches = matches.size();
-  sample.window_label = matches.empty() ? 0 : 1;
-
-  // Participant ids → positional labels. Ids inside the span are
-  // contiguous, so offset arithmetic suffices; blank events never match.
-  for (const Match& match : matches) {
-    for (EventId id : match.ids) {
-      DLACEP_CHECK_GE(id, span.front().id);
-      const size_t offset = static_cast<size_t>(id - span.front().id);
-      DLACEP_CHECK_LT(offset, sample.event_labels.size());
-      sample.event_labels[offset] = 1;
-    }
-  }
-  // Negation awareness: relay candidate negated events too (§4.4).
-  if (!negated_types_.empty()) {
-    for (size_t t = 0; t < span.size(); ++t) {
-      if (negated_types_.count(span[t].type) > 0) {
-        sample.event_labels[t] = 1;
-      }
-    }
-  }
-  return sample;
+  std::vector<LabeledSample> samples = BlankSamples({&range, 1});
+  ApplyMatches(matches, stream, &samples);
+  FinishLabels(negated_types_, stream, &samples);
+  return std::move(samples[0]);
 }
 
-namespace {
-
-// Labels every assembler window from one global exact-CEP pass. A match
-// must span at most W - 1 id units, and MarkSize >= 2W / StepSize <= W
-// guarantee every such id interval lies inside at least one sample
-// window, so per-window labels derived from the global match set equal
-// the labels a per-window CEP run would produce — at half the cost (no
-// overlap is re-evaluated).
-std::vector<LabeledSample> LabelAllWindows(
-    const Pattern& pattern, const EventStream& stream,
-    const std::vector<WindowRange>& windows,
-    const std::set<TypeId>& negated_types) {
-  auto engine = CreateEngine(EngineKind::kNfa, pattern);
-  DLACEP_CHECK_MSG(engine.ok(), engine.status().ToString());
-  MatchSet matches;
-  const Status status = engine.value()->Evaluate(
-      {stream.events().data(), stream.size()}, &matches);
-  DLACEP_CHECK_MSG(status.ok(), status.ToString());
-
-  // Sort matches by their minimal event id for windowed lookups.
-  std::vector<const Match*> by_min;
-  by_min.reserve(matches.size());
-  for (const Match& m : matches) by_min.push_back(&m);
-  std::sort(by_min.begin(), by_min.end(),
-            [](const Match* a, const Match* b) {
-              return a->ids.front() < b->ids.front();
-            });
-
-  std::vector<LabeledSample> out;
-  out.reserve(windows.size());
-  const EventId base = stream.empty() ? 0 : stream[0].id;
-  for (const WindowRange& range : windows) {
-    LabeledSample sample;
-    sample.range = range;
-    sample.event_labels.assign(range.size(), 0);
-    const EventId lo = base + range.begin;
-    const EventId hi = base + range.end;  // exclusive
-    auto it = std::lower_bound(
-        by_min.begin(), by_min.end(), lo,
-        [](const Match* m, EventId id) { return m->ids.front() < id; });
-    for (; it != by_min.end() && (*it)->ids.front() < hi; ++it) {
-      if ((*it)->ids.back() >= hi) continue;  // not fully inside
-      ++sample.num_matches;
-      for (EventId id : (*it)->ids) {
-        sample.event_labels[static_cast<size_t>(id - lo)] = 1;
-      }
-    }
-    sample.window_label = sample.num_matches > 0 ? 1 : 0;
-    if (!negated_types.empty()) {
-      for (size_t t = 0; t < range.size(); ++t) {
-        if (negated_types.count(stream[range.begin + t].type) > 0) {
-          sample.event_labels[t] = 1;
-        }
-      }
-    }
-    out.push_back(std::move(sample));
-  }
-  return out;
-}
-
-std::set<TypeId> NegatedTypesOf(const Pattern& pattern) {
-  std::set<TypeId> out;
-  CollectNegatedTypes(pattern.root(), /*under_neg=*/false, &out);
-  return out;
-}
-
-}  // namespace
-
-FilterDataset BuildFilterDataset(const Pattern& pattern,
+FilterDataset BuildFilterDataset(std::span<const Pattern> patterns,
                                  const EventStream& stream,
                                  const InputAssembler& assembler,
                                  const Featurizer& featurizer,
                                  double train_fraction, uint64_t seed,
                                  bool negation_aware) {
+  DLACEP_CHECK(!patterns.empty());
   DLACEP_CHECK_GT(train_fraction, 0.0);
   DLACEP_CHECK_LE(train_fraction, 1.0);
   const std::vector<WindowRange> windows = assembler.Windows(stream.size());
-  std::vector<LabeledSample> all_labeled = LabelAllWindows(
-      pattern, stream, windows,
-      negation_aware ? NegatedTypesOf(pattern) : std::set<TypeId>{});
+  std::vector<LabeledSample> all_labeled = BlankSamples(windows);
+  // One global exact-CEP pass per pattern. A match must span at most
+  // W - 1 id units, and MarkSize >= 2W / StepSize <= W guarantee every
+  // such id interval lies inside at least one sample window, so labels
+  // derived from the global match set equal the labels a per-window
+  // CEP run would produce — at half the cost (no overlap is
+  // re-evaluated).
+  std::set<TypeId> negated_types;
+  for (const Pattern& pattern : patterns) {
+    auto engine = CreateEngine(EngineKind::kNfa, pattern);
+    DLACEP_CHECK_MSG(engine.ok(), engine.status().ToString());
+    MatchSet matches;
+    const Status status = engine.value()->Evaluate(
+        {stream.events().data(), stream.size()}, &matches);
+    DLACEP_CHECK_MSG(status.ok(), status.ToString());
+    ApplyMatches(matches, stream, &all_labeled);
+    if (negation_aware) {
+      CollectNegatedTypes(pattern.root(), /*under_neg=*/false,
+                          &negated_types);
+    }
+  }
+  FinishLabels(negated_types, stream, &all_labeled);
 
   FilterDataset dataset;
   Rng rng(seed);

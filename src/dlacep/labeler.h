@@ -11,6 +11,13 @@
 // NEG operator are labeled 1 as well, so the trained filter relays them
 // and the downstream CEP engine can correctly suppress would-be false
 // positives.
+//
+// Several monitored patterns are unified into one labeling (paper §4.3):
+// an event is labeled 1 iff it participates in a full match of ANY of
+// them (or, negation-aware, has a type negated in any of them), and a
+// window is labeled 1 iff it contains a match of any of them. One filter
+// trained on these labels serves all the patterns; a single pattern is
+// the set of one.
 
 #ifndef DLACEP_DLACEP_LABELER_H_
 #define DLACEP_DLACEP_LABELER_H_
@@ -18,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "cep/engine.h"
@@ -52,8 +60,8 @@ class SampleLabeler {
   mutable std::unique_ptr<CepEngine> engine_;
 };
 
-/// The full labeled dataset of one (pattern, stream) pair, split into
-/// train and test parts and pre-encoded for the two network kinds.
+/// The full labeled dataset of one (pattern set, stream) pair, split
+/// into train and test parts and pre-encoded for the two network kinds.
 struct FilterDataset {
   std::vector<LabeledSample> train_raw;
   std::vector<LabeledSample> test_raw;
@@ -63,16 +71,30 @@ struct FilterDataset {
   std::vector<Sample> test_window;
 };
 
-/// Assembles, labels, encodes, and splits the stream's sample windows.
-/// The split is a random `train_fraction` / rest partition (paper:
-/// 70/30). `negation_aware` controls the §4.4 labeling of negated types
-/// (disable only for the false-positive ablation).
-FilterDataset BuildFilterDataset(const Pattern& pattern,
+/// Assembles, labels, encodes, and splits the stream's sample windows
+/// under the unified labels of `patterns` (non-empty); each window is
+/// encoded once. The split is a random `train_fraction` / rest partition
+/// (paper: 70/30) that depends only on the window count and `seed`, so
+/// every pattern set over the same stream and assembler splits alike.
+/// `negation_aware` controls the §4.4 labeling of negated types (disable
+/// only for the false-positive ablation).
+FilterDataset BuildFilterDataset(std::span<const Pattern> patterns,
                                  const EventStream& stream,
                                  const InputAssembler& assembler,
                                  const Featurizer& featurizer,
                                  double train_fraction, uint64_t seed,
                                  bool negation_aware = true);
+
+/// The dataset of a single pattern.
+inline FilterDataset BuildFilterDataset(const Pattern& pattern,
+                                        const EventStream& stream,
+                                        const InputAssembler& assembler,
+                                        const Featurizer& featurizer,
+                                        double train_fraction, uint64_t seed,
+                                        bool negation_aware = true) {
+  return BuildFilterDataset({&pattern, 1}, stream, assembler, featurizer,
+                            train_fraction, seed, negation_aware);
+}
 
 }  // namespace dlacep
 

@@ -8,6 +8,12 @@
 // filter network serves all patterns; the CEP extractor then runs each
 // pattern's exact engine over the shared filtered stream.
 //
+// This is single-pattern DLACEP over a pattern set: training is the
+// batch pipeline's TrainFilter() on the unified labels (labeler.h), and
+// filtration is its FiltrationPass, so num_threads, batch_size and the
+// filtering ratio mean exactly what they mean for DlacepPipeline. Only
+// the extraction differs: one extractor per pattern, built once.
+//
 // All patterns must share the schema and use count windows; the
 // assembler is sized by the largest pattern window.
 
@@ -24,55 +30,49 @@
 namespace dlacep {
 
 /// Result of a multi-pattern evaluation: one match set per pattern, in
-/// input order, plus shared filtering statistics.
-struct MultiPatternResult {
+/// input order, plus the shared filtering statistics.
+struct MultiPatternResult : FiltrationStats {
   std::vector<MatchSet> per_pattern;
-  size_t total_events = 0;
-  size_t marked_events = 0;
-  double filter_seconds = 0.0;
-  double cep_seconds = 0.0;
-
-  double filtering_ratio() const {
-    return total_events == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(marked_events) /
-                           static_cast<double>(total_events);
-  }
 };
 
 /// A DLACEP system monitoring several patterns with one shared filter.
 class MultiPatternDlacep {
  public:
-  /// Builds featurizer + unified labels + event network from
-  /// `train_stream`, then one extractor per pattern.
+  /// Trains the shared event network on `train_stream` (TrainFilter over
+  /// all patterns), then builds one extractor per pattern.
   MultiPatternDlacep(std::vector<Pattern> patterns,
                      const EventStream& train_stream,
                      const DlacepConfig& config);
 
   MultiPatternResult Evaluate(const EventStream& stream);
 
-  const BinaryMetrics& test_metrics() const { return test_metrics_; }
-  size_t num_patterns() const { return patterns_.size(); }
+  const BinaryMetrics& test_metrics() const {
+    return training_.test_metrics;
+  }
   const std::vector<Pattern>& patterns() const { return patterns_; }
   size_t max_window() const { return max_window_; }
 
   /// The shared filter network, for serving layers that drive it
   /// directly (src/serve registers it as the multi-head trunk). Owned
   /// by this object; valid for its lifetime.
-  const EventNetworkFilter* filter() const { return filter_.get(); }
+  const EventNetworkFilter* filter() const {
+    return static_cast<const EventNetworkFilter*>(filter_.get());
+  }
 
   /// Windows marked per filter call in Evaluate (mirrors
   /// DlacepConfig::batch_size). Exposed so equivalence tests can sweep
   /// batch sizes without retraining a second system.
-  void set_batch_size(size_t batch_size) { config_.batch_size = batch_size; }
+  void set_batch_size(size_t batch_size) {
+    filtration_.set_batch_size(batch_size);
+  }
 
  private:
   std::vector<Pattern> patterns_;
-  DlacepConfig config_;
   size_t max_window_;
-  std::unique_ptr<Featurizer> featurizer_;
-  std::unique_ptr<EventNetworkFilter> filter_;
-  BinaryMetrics test_metrics_;
+  FilterTraining training_;  ///< owns the featurizer filter_ reads
+  std::unique_ptr<StreamFilter> filter_;
+  FiltrationPass filtration_;
+  std::vector<CepExtractor> extractors_;
 };
 
 }  // namespace dlacep

@@ -8,11 +8,18 @@
 // and reports throughput, filtering ratio, and the match set;
 // CompareWithEcep() additionally runs a baseline ECEP engine over the
 // same stream and reports throughput gain and match quality.
+//
+// The two halves are written once for one or many patterns:
+// TrainFilter() trains a filter on the unified labels of a pattern set
+// (BuildDlacep passes one pattern, MultiPatternDlacep all of its), and
+// FiltrationPass is the marking half of evaluation that DlacepPipeline
+// and MultiPatternDlacep both own.
 
 #ifndef DLACEP_DLACEP_PIPELINE_H_
 #define DLACEP_DLACEP_PIPELINE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,25 +33,24 @@
 
 namespace dlacep {
 
-/// Outcome of one pipeline evaluation.
-struct PipelineResult {
-  MatchSet matches;
+/// What the filtration stage of one evaluation kept, and the timings of
+/// both stages — single- or multi-pattern alike.
+struct FiltrationStats {
   size_t total_events = 0;
-  /// Deduplicated marked events, counted by the pipeline over the
-  /// merged marks (overlapping assembler windows mark some events
-  /// twice; each is counted once). Blank/padding events count too —
-  /// the filter relayed them even though the extractor later drops
-  /// them — so filtering_ratio() reflects what the filter kept, not
-  /// what the engine processed.
+  /// Deduplicated marked events, counted over the merged marks
+  /// (overlapping assembler windows mark some events twice; each is
+  /// counted once). Blank/padding events count too — the filter relayed
+  /// them even though the extractor later drops them — so
+  /// filtering_ratio() reflects what the filter kept, not what the
+  /// engine processed.
   size_t marked_events = 0;
   /// Ids of marked events in deterministic merge order (window by
   /// window, duplicates from overlapping windows included). This is the
-  /// pipeline's mark vector: byte-identical across num_threads
+  /// mark vector: byte-identical across num_threads and batch_size
   /// settings, which the determinism tests assert.
   std::vector<EventId> marked_ids;
   double filter_seconds = 0.0;  ///< wall clock, whatever num_threads is
   double cep_seconds = 0.0;
-  EngineStats cep_stats;
 
   double elapsed_seconds() const { return filter_seconds + cep_seconds; }
   double throughput() const {
@@ -61,6 +67,12 @@ struct PipelineResult {
   }
 };
 
+/// Outcome of one pipeline evaluation.
+struct PipelineResult : FiltrationStats {
+  MatchSet matches;
+  EngineStats cep_stats;
+};
+
 /// ECEP-vs-DLACEP comparison (one row of the paper's gain/recall plots).
 struct ComparisonResult {
   PipelineResult dlacep;
@@ -74,6 +86,44 @@ struct ComparisonResult {
            Throughput(static_cast<double>(dlacep.total_events),
                       ecep_seconds);
   }
+};
+
+/// Largest count window over a non-empty pattern set; every pattern
+/// must use a count window. The batch assembler is sized by it.
+size_t MaxCountWindow(std::span<const Pattern> patterns);
+
+/// The filtration half of batch evaluation: marks every assembler window
+/// of a stream with `filter` and merges the marks in window order.
+/// Windows go in chunks of config.batch_size (one MarkBatchWith call
+/// each) over a pool of config.num_threads workers, built on the first
+/// Run() that wants more than one, with one InferenceContext per worker
+/// reused across chunks and runs. The output is byte-identical at every
+/// num_threads and batch_size.
+class FiltrationPass {
+ public:
+  /// `filter` is not owned and must outlive the pass.
+  FiltrationPass(const InputAssembler& assembler, const StreamFilter* filter,
+                 const DlacepConfig& config);
+
+  /// Returns the extractor's input: the marked events, each stream
+  /// position once (blanks included), in the order of their first
+  /// covering window. Sets `stats`' filtration fields.
+  std::vector<const Event*> Run(const EventStream& stream,
+                                FiltrationStats* stats);
+
+  const InputAssembler& assembler() const { return assembler_; }
+  void set_batch_size(size_t batch_size) { batch_size_ = batch_size; }
+
+ private:
+  InputAssembler assembler_;
+  const StreamFilter* filter_;
+  size_t num_threads_;
+  size_t batch_size_;
+  std::unique_ptr<ThreadPool> pool_;
+  /// One inference scratch arena per worker (slot 0 doubles as the
+  /// sequential path's arena) — after the first window each Mark runs
+  /// allocation-free.
+  std::vector<std::unique_ptr<InferenceContext>> contexts_;
 };
 
 /// The assembled system: filter + extractor + assembler.
@@ -96,35 +146,13 @@ class DlacepPipeline {
                                    EngineKind baseline = EngineKind::kNfa);
 
   StreamFilter& filter() { return *filter_; }
-  const InputAssembler& assembler() const { return assembler_; }
+  const InputAssembler& assembler() const { return filtration_.assembler(); }
 
  private:
-  /// The pool used for parallel filtration, created lazily on the first
-  /// Evaluate() that wants more than one worker and reused afterwards.
-  ThreadPool* FiltrationPool();
-
   Pattern pattern_;
-  DlacepConfig config_;
-  InputAssembler assembler_;
   std::unique_ptr<StreamFilter> filter_;
+  FiltrationPass filtration_;
   CepExtractor extractor_;
-  std::unique_ptr<ThreadPool> pool_;
-  /// One inference scratch arena per filtration worker (slot 0 doubles
-  /// as the sequential path's arena), created lazily alongside the pool
-  /// and reused across windows and across Evaluate() calls — after the
-  /// first window each Mark runs allocation-free.
-  std::vector<std::unique_ptr<InferenceContext>> contexts_;
-};
-
-/// A fully built DLACEP instance: featurizer + trained filter + pipeline
-/// + training/test diagnostics.
-struct BuiltDlacep {
-  std::unique_ptr<Featurizer> featurizer;
-  std::unique_ptr<DlacepPipeline> pipeline;
-  TrainResult train_result;
-  BinaryMetrics test_metrics;   ///< entity-level P/R/F1 on the test split
-  double label_seconds = 0.0;   ///< dataset labeling time
-  double train_seconds = 0.0;
 };
 
 enum class FilterKind { kEventNetwork, kWindowNetwork, kOracle,
@@ -132,10 +160,39 @@ enum class FilterKind { kEventNetwork, kWindowNetwork, kOracle,
 
 const char* FilterKindName(FilterKind kind);
 
+/// The featurizer a filter reads, fitted over a pattern set's type
+/// sets, plus the filter's training diagnostics.
+struct FilterTraining {
+  std::unique_ptr<Featurizer> featurizer;
+  TrainResult train_result;
+  BinaryMetrics test_metrics;   ///< entity-level P/R/F1 on the test split
+  double label_seconds = 0.0;   ///< dataset labeling time
+  double train_seconds = 0.0;
+};
+
+/// Builds the filter of `kind` for `patterns` from the historical
+/// `train_stream`, recording its featurizer and diagnostics in
+/// `*training`. The network kinds label the assembler windows with the
+/// patterns' unified labels (labeler.h), replicate the positive training
+/// samples config.oversample_positive times, train, and score on the
+/// held-out split; the oracle (one pattern only) and pass-through
+/// filters need no training. The filter reads `training->featurizer`,
+/// which must outlive it.
+std::unique_ptr<StreamFilter> TrainFilter(std::span<const Pattern> patterns,
+                                          const EventStream& train_stream,
+                                          FilterKind kind,
+                                          const DlacepConfig& config,
+                                          FilterTraining* training);
+
+/// A fully built DLACEP instance: featurizer + training/test
+/// diagnostics + the pipeline around the trained filter.
+struct BuiltDlacep : FilterTraining {
+  std::unique_ptr<DlacepPipeline> pipeline;
+};
+
 /// Builds a DLACEP system for `pattern` from the historical
-/// `train_stream`: assembles sample windows, labels them with exact CEP,
-/// trains the requested filter network (no-op for oracle/pass-through),
-/// and scores it on the held-out test split.
+/// `train_stream`: TrainFilter() over the one pattern, then the pipeline
+/// around the trained filter.
 BuiltDlacep BuildDlacep(const Pattern& pattern,
                         const EventStream& train_stream, FilterKind kind,
                         const DlacepConfig& config);

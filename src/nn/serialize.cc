@@ -3,13 +3,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/file_io.h"
 #include "common/logging.h"
 #include "nn/matrix.h"
 
@@ -26,49 +26,7 @@ constexpr uint64_t kMaxNameLen = 4096;
 constexpr uint64_t kMaxDim = 1ull << 20;
 constexpr uint64_t kMaxElems = 1ull << 26;  // 64 Mi doubles = 512 MiB
 
-void AppendRaw(std::string* buf, const void* data, size_t len) {
-  buf->append(static_cast<const char*>(data), len);
-}
-
-template <typename T>
-void AppendScalar(std::string* buf, T v) {
-  AppendRaw(buf, &v, sizeof(v));
-}
-
-// Cursor over an in-memory payload; every read is bounds-checked so a
-// truncated file fails cleanly instead of reading past the buffer.
-class Reader {
- public:
-  Reader(const char* data, size_t len) : data_(data), len_(len) {}
-
-  bool Read(void* out, size_t n) {
-    if (n > len_ - pos_) return false;
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  template <typename T>
-  bool ReadScalar(T* out) {
-    return Read(out, sizeof(T));
-  }
-
-  bool ReadString(std::string* out, size_t n) {
-    if (n > len_ - pos_) return false;
-    out->assign(data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == len_; }
-
- private:
-  const char* data_;
-  size_t len_;
-  size_t pos_ = 0;
-};
-
-Status ParsePayload(const std::string& path, Reader* reader,
+Status ParsePayload(const std::string& path, ByteReader* reader,
                     const std::vector<Parameter*>& params,
                     std::unordered_map<std::string, Matrix>* staged) {
   uint64_t count = 0;
@@ -144,54 +102,50 @@ Status SaveParameters(const std::vector<Parameter*>& params,
   }
   const uint32_t crc = Crc32(payload.data(), payload.size());
 
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::InvalidArgument("cannot open for writing: " + path);
-  }
-  out.write(kMagic, sizeof(kMagic));
-  out.write(reinterpret_cast<const char*>(&kVersion), sizeof(kVersion));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  if (!out) return Status::Internal("write failed: " + path);
-  return Status::Ok();
+  std::string bytes(kMagic, sizeof(kMagic));
+  AppendScalar<uint32_t>(&bytes, kVersion);
+  bytes += payload;
+  AppendScalar<uint32_t>(&bytes, crc);
+  return WriteFileAtomic(path, bytes);
 }
 
 Status LoadParameters(const std::vector<Parameter*>& params,
                       const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open for reading: " + path);
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  const StatusOr<std::string> read = ReadFile(path);
+  if (!read.ok()) return read.status();
+  const std::string& bytes = read.value();
+  if (bytes.size() < sizeof(kMagic) ||
+      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("not a DLNN parameter file: " + path);
   }
+  const size_t header = sizeof(kMagic) + sizeof(uint32_t);
   uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in || (version != 1 && version != kVersion)) {
+  if (bytes.size() >= header) {
+    std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
+  }
+  if (version != 1 && version != kVersion) {
     return Status::InvalidArgument("unsupported DLNN version");
   }
 
-  std::string body((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  const char* body = bytes.data() + header;
+  size_t body_len = bytes.size() - header;
   if (version == 1) {
     DLACEP_LOG(Warning) << "loading legacy DLNN v1 file (no checksum): "
                         << path;
   } else {
-    if (body.size() < sizeof(uint32_t)) {
+    if (body_len < sizeof(uint32_t)) {
       return Status::InvalidArgument("truncated DLNN file: " + path);
     }
+    body_len -= sizeof(uint32_t);
     uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, body.data() + body.size() - sizeof(uint32_t),
-                sizeof(uint32_t));
-    body.resize(body.size() - sizeof(uint32_t));
-    const uint32_t actual_crc = Crc32(body.data(), body.size());
-    if (actual_crc != stored_crc) {
+    std::memcpy(&stored_crc, body + body_len, sizeof(uint32_t));
+    if (Crc32(body, body_len) != stored_crc) {
       return Status::InvalidArgument("checksum mismatch in DLNN file: " +
                                      path);
     }
   }
 
-  Reader reader(body.data(), body.size());
+  ByteReader reader(body, body_len);
   // Stage everything first; parameters are only overwritten after the whole
   // file validates, so a corrupt file leaves the model untouched.
   std::unordered_map<std::string, Matrix> staged;

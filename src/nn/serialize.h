@@ -8,7 +8,8 @@
 // staged: no parameter is overwritten until the whole file validates
 // (checksum, shape bounds, finite weights), so a corrupt file can never
 // leave the model half-updated. Legacy v1 files (no checksum) still load,
-// with a warning.
+// with a warning. Saves replace the file atomically (common/file_io.h),
+// so a crash mid-save leaves the previous model intact.
 
 #ifndef DLACEP_NN_SERIALIZE_H_
 #define DLACEP_NN_SERIALIZE_H_

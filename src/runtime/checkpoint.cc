@@ -1,13 +1,12 @@
 #include "runtime/checkpoint.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 
 #include "common/crc32.h"
+#include "common/file_io.h"
 
 namespace dlacep {
 
@@ -23,15 +22,6 @@ constexpr uint32_t kMinVersion = 1;
 constexpr uint64_t kMaxVecLen = 1ull << 32;
 constexpr uint64_t kMaxAttrs = 1ull << 16;
 
-void AppendRaw(std::string* buf, const void* data, size_t len) {
-  buf->append(static_cast<const char*>(data), len);
-}
-
-template <typename T>
-void AppendScalar(std::string* buf, T v) {
-  AppendRaw(buf, &v, sizeof(v));
-}
-
 void AppendEvent(std::string* buf, const Event& e) {
   AppendScalar<uint64_t>(buf, e.id);
   AppendScalar<int32_t>(buf, e.type);
@@ -46,33 +36,14 @@ void AppendFlatVec(std::string* buf, const std::vector<T>& v) {
   AppendRaw(buf, v.data(), v.size() * sizeof(T));
 }
 
-void AppendIdVec(std::string* buf, const std::vector<uint64_t>& v) {
-  AppendFlatVec(buf, v);
-}
-
 void AppendEventVec(std::string* buf, const std::vector<Event>& v) {
   AppendScalar<uint64_t>(buf, v.size());
   for (const Event& e : v) AppendEvent(buf, e);
 }
 
-class Reader {
+class Reader : public ByteReader {
  public:
-  Reader(const char* data, size_t len) : data_(data), len_(len) {}
-
-  bool Read(void* out, size_t n) {
-    if (n > len_ - pos_) return false;
-    // An empty vector's data() may be null, and memcpy forbids null
-    // pointers even for zero bytes.
-    if (n == 0) return true;
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  template <typename T>
-  bool ReadScalar(T* out) {
-    return Read(out, sizeof(T));
-  }
+  using ByteReader::ByteReader;
 
   bool ReadEvent(Event* out) {
     uint64_t id = 0;
@@ -97,8 +68,6 @@ class Reader {
     return Read(out->data(), n * sizeof(T));
   }
 
-  bool ReadIdVec(std::vector<uint64_t>* out) { return ReadFlatVec(out); }
-
   bool ReadEventVec(std::vector<Event>* out) {
     uint64_t n = 0;
     if (!ReadScalar(&n) || n > kMaxVecLen) return false;
@@ -111,13 +80,6 @@ class Reader {
     }
     return true;
   }
-
-  bool AtEnd() const { return pos_ == len_; }
-
- private:
-  const char* data_;
-  size_t len_;
-  size_t pos_ = 0;
 };
 
 std::string SerializePayload(const CheckpointState& s) {
@@ -130,10 +92,10 @@ std::string SerializePayload(const CheckpointState& s) {
   AppendScalar<uint64_t>(&p, s.last_end);
   AppendScalar<uint64_t>(&p, s.buffer_offset);
   AppendEventVec(&p, s.buffer);
-  AppendIdVec(&p, s.marked_ids);
+  AppendFlatVec(&p, s.marked_ids);
   AppendEventVec(&p, s.marked_events);
-  AppendIdVec(&p, s.seen);
-  AppendIdVec(&p, s.quarantined);
+  AppendFlatVec(&p, s.seen);
+  AppendFlatVec(&p, s.quarantined);
   AppendScalar<uint64_t>(&p, s.events_dropped_queue);
   AppendScalar<uint64_t>(&p, s.windows_closed);
   AppendScalar<uint64_t>(&p, s.windows_boosted);
@@ -166,9 +128,9 @@ bool ParsePayload(Reader* r, uint32_t version, CheckpointState* s) {
          r->ReadScalar(&s->appended) && r->ReadScalar(&s->next_begin) &&
          r->ReadScalar(&s->windows_dispatched) &&
          r->ReadScalar(&s->last_end) && r->ReadScalar(&s->buffer_offset) &&
-         r->ReadEventVec(&s->buffer) && r->ReadIdVec(&s->marked_ids) &&
-         r->ReadEventVec(&s->marked_events) && r->ReadIdVec(&s->seen) &&
-         r->ReadIdVec(&s->quarantined) &&
+         r->ReadEventVec(&s->buffer) && r->ReadFlatVec(&s->marked_ids) &&
+         r->ReadEventVec(&s->marked_events) && r->ReadFlatVec(&s->seen) &&
+         r->ReadFlatVec(&s->quarantined) &&
          r->ReadScalar(&s->events_dropped_queue) &&
          r->ReadScalar(&s->windows_closed) &&
          r->ReadScalar(&s->windows_boosted) &&
@@ -195,74 +157,6 @@ bool ParsePayload(Reader* r, uint32_t version, CheckpointState* s) {
            s->adaptive_freq_types.size() ==
                s->adaptive_freq_counts.size())) &&
          r->AtEnd();
-}
-
-Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::Internal("open failed for " + tmp + ": " +
-                            std::strerror(errno));
-  }
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return Status::Internal("write failed for " + tmp + ": " +
-                              std::strerror(err));
-    }
-    written += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return Status::Internal("fsync failed for " + tmp + ": " +
-                            std::strerror(err));
-  }
-  if (::close(fd) != 0) {
-    return Status::Internal("close failed for " + tmp);
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int err = errno;
-    ::unlink(tmp.c_str());
-    return Status::Internal("rename failed for " + path + ": " +
-                            std::strerror(err));
-  }
-  // Persist the rename itself: fsync the containing directory.
-  //
-  // Durability contract: when WriteFileAtomic returns OK the checkpoint
-  // is crash-durable — the file's *contents* were fsync'd before the
-  // rename, and the directory fsync here makes the rename's directory
-  // entry durable too. Without it, a power loss immediately after
-  // rename() can leave a directory that still names the old file (or
-  // nothing), silently losing an acknowledged checkpoint. A failure at
-  // this stage is therefore an error, not best-effort: the caller must
-  // not count the checkpoint as written.
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash);
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) {
-    return Status::Internal("open failed for checkpoint dir " + dir + ": " +
-                            std::strerror(errno));
-  }
-  if (::fsync(dfd) != 0) {
-    const int err = errno;
-    ::close(dfd);
-    return Status::Internal("fsync failed for checkpoint dir " + dir +
-                            ": " + std::strerror(err));
-  }
-  if (::close(dfd) != 0) {
-    return Status::Internal("close failed for checkpoint dir " + dir);
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -295,25 +189,9 @@ Status SaveCheckpoint(const CheckpointState& state, const std::string& dir) {
 
 StatusOr<CheckpointState> LoadCheckpoint(const std::string& dir) {
   const std::string path = CheckpointPath(dir);
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::NotFound("no checkpoint at " + path);
-  }
-  std::string bytes;
-  char chunk[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      return Status::Internal("read failed for " + path + ": " +
-                              std::strerror(err));
-    }
-    if (n == 0) break;
-    bytes.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
+  const StatusOr<std::string> read = ReadFile(path);
+  if (!read.ok()) return read.status();
+  const std::string& bytes = read.value();
 
   const size_t header = sizeof(kMagic) + sizeof(uint32_t);
   if (bytes.size() < header + sizeof(uint32_t) ||

@@ -10,10 +10,10 @@
 // uninterrupted run.
 //
 // On-disk format: magic "DLCK" + version + payload + CRC32 of the
-// payload. Writes are atomic — serialize to `<path>.tmp`, fsync, then
-// rename over the final path (and fsync the directory), so a crash
-// mid-write can never leave a torn checkpoint; a torn or bit-flipped
-// file fails the CRC at load and restore refuses it.
+// payload. Writes are atomic (common/file_io.h) — serialize to
+// `<path>.tmp`, fsync, then rename over the final path (and fsync the
+// directory), so a crash mid-write can never leave a torn checkpoint; a
+// torn or bit-flipped file fails the CRC at load and restore refuses it.
 //
 // Restore is only supported for lossless ingest (drop_when_full =
 // false): with drops enabled the arrival-id counter no longer equals

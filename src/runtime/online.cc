@@ -11,6 +11,7 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "dlacep/assembler.h"
 #include "obs/stages.h"
 #include "obs/trace.h"
 
@@ -162,11 +163,10 @@ OnlineDlacep::OnlineDlacep(const Pattern& pattern, const StreamFilter* filter,
   DLACEP_CHECK(filter_ != nullptr);
   DLACEP_CHECK_MSG(ValidateForOnline(pattern_).ok(),
                    ValidateForOnline(pattern_).message());
-  const size_t w = pattern_.window().count_size();
-  mark_size_ = config_.mark_size != 0 ? config_.mark_size : 2 * w;
-  step_size_ = config_.step_size != 0 ? config_.step_size : w;
-  DLACEP_CHECK_GT(mark_size_, 0u);
-  DLACEP_CHECK_GT(step_size_, 0u);
+  const InputAssembler geometry = InputAssembler::ForWindow(
+      pattern_.window().count_size(), config_.mark_size, config_.step_size);
+  mark_size_ = geometry.mark_size();
+  step_size_ = geometry.step_size();
   num_shards_ = config_.num_shards;
   // One scratch arena per shard, reused across runs. num_shards_ == 0
   // builds none; Run() rejects it.

@@ -10,6 +10,7 @@
 
 #include "cep/engine.h"
 #include "common/timer.h"
+#include "dlacep/assembler.h"
 #include "dlacep/extractor.h"
 #include "obs/stages.h"
 
@@ -44,8 +45,10 @@ Status MultiQueryServer::Run(StreamSource* source, MultiQueryResult* result) {
   }
 
   OnlineConfig online = config_.online;
-  if (online.mark_size == 0) online.mark_size = 2 * start_snapshot->max_window;
-  if (online.step_size == 0) online.step_size = start_snapshot->max_window;
+  const InputAssembler geometry = InputAssembler::ForWindow(
+      start_snapshot->max_window, online.mark_size, online.step_size);
+  online.mark_size = geometry.mark_size();
+  online.step_size = geometry.step_size();
   online.collect_relayed = true;
   online.skip_extraction = true;
 

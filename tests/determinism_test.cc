@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "dlacep/event_filter.h"
+#include "dlacep/multi_pattern.h"
 #include "dlacep/pipeline.h"
 #include "nn/serialize.h"
 #include "pattern/builder.h"
@@ -167,6 +168,50 @@ TEST(Determinism, EventNetworkMarksAreThreadCountInvariant) {
 
 TEST(Determinism, WindowNetworkMarksAreThreadCountInvariant) {
   ExpectThreadCountInvariance(FilterKind::kWindowNetwork);
+}
+
+// MultiPatternDlacep::Evaluate runs the pipeline's filtration pass, so
+// it honors num_threads with the same byte-identity contract.
+TEST(Determinism, MultiPatternMarksAreThreadCountInvariant) {
+  const EventStream train = SmallStream(800, 208);
+  const EventStream test = SmallStream(400, 209);
+  std::vector<Pattern> patterns;
+  patterns.push_back(TestPattern(train.schema_ptr()));
+  {
+    PatternBuilder b(train.schema_ptr());
+    auto root = b.Seq(b.Prim("C", "c"), b.Prim("D", "d"));
+    patterns.push_back(b.BuildOrDie(std::move(root), WindowSpec::Count(6)));
+  }
+
+  auto evaluate = [&](size_t num_threads) {
+    DlacepConfig config;
+    config.network.hidden_dim = 6;
+    config.network.num_layers = 1;
+    config.train.max_epochs = 4;
+    config.batch_size = 3;
+    config.num_threads = num_threads;
+    MultiPatternDlacep system(patterns, train, config);
+    return system.Evaluate(test);
+  };
+
+  const MultiPatternResult sequential = evaluate(1);
+  ASSERT_EQ(sequential.per_pattern.size(), patterns.size());
+  for (const size_t num_threads : {size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
+    const MultiPatternResult parallel = evaluate(num_threads);
+    EXPECT_EQ(parallel.marked_ids, sequential.marked_ids);
+    EXPECT_EQ(parallel.marked_events, sequential.marked_events);
+    ASSERT_EQ(parallel.per_pattern.size(), sequential.per_pattern.size());
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      ASSERT_EQ(parallel.per_pattern[p].size(),
+                sequential.per_pattern[p].size());
+      auto it_p = parallel.per_pattern[p].begin();
+      for (const Match& match : sequential.per_pattern[p]) {
+        EXPECT_EQ(it_p->ids, match.ids);
+        ++it_p;
+      }
+    }
+  }
 }
 
 TEST(Determinism, RngStreamsAreStableAcrossInstances) {

@@ -288,5 +288,142 @@ TEST(MultiPattern, FastPathEvaluateMatchesLegacyTapeMarking) {
   }
 }
 
+/// The two patterns of the multi-pattern tests: TypeOnlySeq(8) and
+/// SEQ(D, E) within 6.
+std::vector<Pattern> TwoPatterns(std::shared_ptr<const Schema> schema) {
+  std::vector<Pattern> patterns;
+  patterns.push_back(TypeOnlySeq(schema, 8));
+  PatternBuilder b(schema);
+  auto root = b.Seq(b.Prim("D", "d"), b.Prim("E", "e"));
+  patterns.push_back(b.BuildOrDie(std::move(root), WindowSpec::Count(6)));
+  return patterns;
+}
+
+DlacepConfig SmallMultiConfig() {
+  DlacepConfig config;
+  config.network.hidden_dim = 6;
+  config.network.num_layers = 1;
+  config.train.max_epochs = 4;
+  return config;
+}
+
+// Regression: marked_events used to be the extractor's events_processed,
+// which drops blank events, while PipelineResult::marked_events counts
+// deduplicated stream positions with blanks included — so the two
+// filtering ratios meant different things on a padded stream.
+TEST(MultiPattern, MarkedEventsCountRelayedBlanksLikeThePipeline) {
+  const EventStream train = SmallStream(600, 73);
+  const EventStream test = PadTimeWindows(SmallStream(300, 74), 2.5, 4);
+  ASSERT_GT(PaddingRatio(test), 0.0);
+
+  DlacepConfig config = SmallMultiConfig();
+  config.event_threshold = 0.0;  // every marginal passes: mark everything
+  MultiPatternDlacep system(TwoPatterns(train.schema_ptr()), train, config);
+  const MultiPatternResult result = system.Evaluate(test);
+  EXPECT_EQ(result.total_events, test.size());
+  EXPECT_EQ(result.marked_events, result.total_events);
+  EXPECT_EQ(result.filtering_ratio(), 0.0);
+}
+
+// MultiPatternDlacep is single-pattern DLACEP over a pattern set: over
+// one pattern it trains and evaluates exactly what BuildDlacep does.
+TEST(MultiPattern, OnePatternEqualsBuildDlacep) {
+  const EventStream train = SmallStream(800, 75);
+  const EventStream test = SmallStream(400, 76);
+  const Pattern pattern = TypeOnlySeq(train.schema_ptr(), 8);
+  DlacepConfig config = SmallMultiConfig();
+  config.oversample_positive = 3;
+  config.batch_size = 4;
+
+  BuiltDlacep built =
+      BuildDlacep(pattern, train, FilterKind::kEventNetwork, config);
+  MultiPatternDlacep multi({pattern}, train, config);
+
+  auto& single = dynamic_cast<EventNetworkFilter&>(built.pipeline->filter());
+  const std::vector<Parameter*> a = single.Params();
+  const std::vector<Parameter*> b =
+      const_cast<EventNetworkFilter*>(multi.filter())->Params();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i]->name, b[i]->name);
+    EXPECT_EQ(a[i]->value.MaxAbsDiff(b[i]->value), 0.0) << a[i]->name;
+  }
+  EXPECT_EQ(built.test_metrics.true_positives,
+            multi.test_metrics().true_positives);
+  EXPECT_EQ(built.test_metrics.false_positives,
+            multi.test_metrics().false_positives);
+  EXPECT_EQ(built.test_metrics.false_negatives,
+            multi.test_metrics().false_negatives);
+  EXPECT_EQ(built.test_metrics.true_negatives,
+            multi.test_metrics().true_negatives);
+
+  for (const WindowRange& range :
+       built.pipeline->assembler().Windows(test.size())) {
+    EXPECT_EQ(single.Mark(test, range), multi.filter()->Mark(test, range))
+        << "window at " << range.begin;
+  }
+  const PipelineResult one = built.pipeline->Evaluate(test);
+  const MultiPatternResult many = multi.Evaluate(test);
+  EXPECT_EQ(many.marked_ids, one.marked_ids);
+  EXPECT_EQ(many.marked_events, one.marked_events);
+  ASSERT_EQ(many.per_pattern.size(), 1u);
+  ASSERT_EQ(many.per_pattern[0].size(), one.matches.size());
+  auto it = many.per_pattern[0].begin();
+  for (const Match& match : one.matches) {
+    EXPECT_EQ(it->ids, match.ids);
+    ++it;
+  }
+}
+
+// The unified dataset of a pattern set encodes the same windows with the
+// same split as each pattern's own dataset, and ORs their labels.
+TEST(MultiPattern, UnifiedDatasetOrsPerPatternLabels) {
+  const EventStream train = SmallStream(600, 77);
+  const std::vector<Pattern> patterns = TwoPatterns(train.schema_ptr());
+  std::vector<std::vector<TypeId>> type_sets;
+  for (const Pattern& pattern : patterns) {
+    for (auto& set : pattern.PrimitiveTypeSets()) type_sets.push_back(set);
+  }
+  const Featurizer featurizer(type_sets, train);
+  const InputAssembler assembler = InputAssembler::ForWindow(8);
+
+  const FilterDataset both =
+      BuildFilterDataset(patterns, train, assembler, featurizer, 0.7, 17);
+  const FilterDataset first =
+      BuildFilterDataset(patterns[0], train, assembler, featurizer, 0.7, 17);
+  const FilterDataset second =
+      BuildFilterDataset(patterns[1], train, assembler, featurizer, 0.7, 17);
+
+  auto expect_or = [](const std::vector<Sample>& merged,
+                      const std::vector<Sample>& a,
+                      const std::vector<Sample>& b) {
+    ASSERT_EQ(merged.size(), a.size());
+    ASSERT_EQ(merged.size(), b.size());
+    for (size_t i = 0; i < merged.size(); ++i) {
+      EXPECT_EQ(merged[i].features.MaxAbsDiff(a[i].features), 0.0);
+      EXPECT_EQ(merged[i].features.MaxAbsDiff(b[i].features), 0.0);
+      ASSERT_EQ(merged[i].labels.size(), a[i].labels.size());
+      for (size_t t = 0; t < merged[i].labels.size(); ++t) {
+        EXPECT_EQ(merged[i].labels[t], a[i].labels[t] | b[i].labels[t])
+            << "sample " << i << " position " << t;
+      }
+    }
+  };
+  expect_or(both.train_event, first.train_event, second.train_event);
+  expect_or(both.test_event, first.test_event, second.test_event);
+  expect_or(both.train_window, first.train_window, second.train_window);
+  expect_or(both.test_window, first.test_window, second.test_window);
+  ASSERT_EQ(both.train_raw.size(), first.train_raw.size());
+  size_t positives = 0;
+  for (size_t i = 0; i < both.train_raw.size(); ++i) {
+    EXPECT_EQ(both.train_raw[i].range.begin, first.train_raw[i].range.begin);
+    EXPECT_EQ(both.train_raw[i].num_matches,
+              first.train_raw[i].num_matches +
+                  second.train_raw[i].num_matches);
+    positives += both.train_raw[i].window_label;
+  }
+  EXPECT_GT(positives, 0u);
+}
+
 }  // namespace
 }  // namespace dlacep

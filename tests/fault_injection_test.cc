@@ -613,5 +613,38 @@ TEST(ModelFile, NonFiniteWeightsAreRejectedAtLoad) {
   std::remove(path.c_str());
 }
 
+// A save writes a temp file and renames it over the model, so a save
+// that died before its rename (here: a torn temp file left behind)
+// cannot damage the previous model, and the next save replaces both.
+TEST(ModelFile, InterruptedSaveLeavesThePreviousModelLoadable) {
+  Rng rng(75);
+  Dense saved("d", 3, 2, &rng);
+  const std::string path = ::testing::TempDir() + "/dlnn_atomic.bin";
+  ASSERT_TRUE(SaveParameters(saved.Params(), path).ok());
+  struct stat st;
+  EXPECT_NE(::stat((path + ".tmp").c_str(), &st), 0);  // renamed away
+  {
+    std::FILE* torn = std::fopen((path + ".tmp").c_str(), "wb");
+    ASSERT_NE(torn, nullptr);
+    std::fputs("DLNN", torn);
+    std::fclose(torn);
+  }
+
+  Dense loaded("d", 3, 2, &rng);
+  ASSERT_TRUE(LoadParameters(loaded.Params(), path).ok());
+  for (size_t i = 0; i < saved.Params().size(); ++i) {
+    EXPECT_EQ(loaded.Params()[i]->value.MaxAbsDiff(saved.Params()[i]->value),
+              0.0);
+  }
+
+  Dense next("d", 3, 2, &rng);
+  ASSERT_TRUE(SaveParameters(next.Params(), path).ok());
+  EXPECT_NE(::stat((path + ".tmp").c_str(), &st), 0);
+  ASSERT_TRUE(LoadParameters(loaded.Params(), path).ok());
+  EXPECT_EQ(loaded.Params()[0]->value.MaxAbsDiff(next.Params()[0]->value),
+            0.0);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace dlacep

@@ -210,9 +210,10 @@ StatusOr<EngineKind> ParseEngineKind(const Args& args) {
 }
 
 /// The filter flags shared by every command that trains one: --hidden,
-/// --layers, --epochs, --threshold and --batch_size.
+/// --layers, --epochs, --threshold, --batch_size and --num_threads.
 DlacepConfig MakeTrainConfig(const Args& args) {
   DlacepConfig config;
+  config.num_threads = static_cast<size_t>(args.GetInt("num_threads", 1));
   config.network.hidden_dim = static_cast<size_t>(args.GetInt("hidden", 12));
   config.network.num_layers = static_cast<size_t>(args.GetInt("layers", 1));
   config.train.max_epochs = static_cast<size_t>(args.GetInt("epochs", 30));
@@ -396,8 +397,7 @@ int Compare(const Args& args) {
     return 1;
   }
 
-  DlacepConfig config = MakeTrainConfig(args);
-  config.num_threads = static_cast<size_t>(args.GetInt("num_threads", 1));
+  const DlacepConfig config = MakeTrainConfig(args);
   const FilterKind kind = filter == "window" ? FilterKind::kWindowNetwork
                                              : FilterKind::kEventNetwork;
 
@@ -692,14 +692,6 @@ void PrintSharing(const serve::SharingStats& sharing) {
   }
 }
 
-size_t MaxCountWindow(const std::vector<Pattern>& patterns) {
-  size_t w = 0;
-  for (const Pattern& pattern : patterns) {
-    w = std::max(w, pattern.window().count_size());
-  }
-  return w;
-}
-
 bool SameMatches(const MatchSet& a, const MatchSet& b);
 
 void PrintHeadline(const serve::MultiQueryResult& result) {
@@ -803,9 +795,10 @@ int StreamMultiQuery(const Args& args, std::vector<Pattern> patterns,
       std::fprintf(stderr, "--verify_isolated needs replay --data\n");
       return 1;
     }
-    const size_t w = MaxCountWindow(patterns);
-    config.online.mark_size = 2 * w;
-    config.online.step_size = w;
+    const InputAssembler geometry =
+        InputAssembler::ForWindow(MaxCountWindow(patterns));
+    config.online.mark_size = geometry.mark_size();
+    config.online.step_size = geometry.step_size();
     config.online.overload.enabled = false;
   }
 
@@ -1024,8 +1017,9 @@ int CompareMulti(const Args& args, const EventStream& train,
   serve::ServeConfig config;
   config.online = MakeOnlineConfig(args);
   config.online.overload.enabled = false;
-  config.online.mark_size = 2 * multi.max_window();
-  config.online.step_size = multi.max_window();
+  const InputAssembler geometry = InputAssembler::ForWindow(multi.max_window());
+  config.online.mark_size = geometry.mark_size();
+  config.online.step_size = geometry.step_size();
 
   serve::MultiQueryServer server(&registry, nullptr, multi.filter(), config);
   ReplaySource source(&test);
