@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "pattern/selectivity.h"
 #include "stream/window.h"
@@ -41,10 +42,12 @@ class LazySearch {
   LazySearch(const LinearPlan& plan, const Pattern& pattern,
              std::span<const Event> events,
              const std::vector<std::pair<int32_t, double>>& frequencies,
-             EngineStats* stats, MatchSet* out, EngineBudget* budget)
+             bool time_sorted, EngineStats* stats, MatchSet* out,
+             EngineBudget* budget)
       : plan_(plan),
         pattern_(pattern),
         events_(events),
+        time_sorted_(time_sorted),
         stats_(stats),
         out_(out),
         budget_(budget),
@@ -148,7 +151,31 @@ class LazySearch {
     auto it = std::lower_bound(
         bucket.begin(), bucket.end(), lb,
         [](const Event* e, EventId id) { return e->id < id; });
-    for (; it != bucket.end() && (*it)->id <= ub; ++it) {
+    auto end = std::partition_point(
+        it, bucket.end(), [ub](const Event* e) { return e->id <= ub; });
+    // Time-window bounds. On a span whose timestamps do not decrease,
+    // every bucket is timestamp-sorted, so the candidates within W of
+    // every bound event form one range: [max bound ts − W, min bound
+    // ts + W], found with the per-candidate check's own comparisons
+    // (floating-point subtraction is monotone, so the range holds
+    // exactly the candidates that check would keep).
+    const bool time_window = window.kind == WindowKind::kTime;
+    if (time_window && time_sorted_ && bound_mask_ != 0) {
+      double min_ts = std::numeric_limits<double>::infinity();
+      double max_ts = -min_ts;
+      for (const Event* b : bound_) {
+        if (b == nullptr) continue;
+        min_ts = std::min(min_ts, b->timestamp);
+        max_ts = std::max(max_ts, b->timestamp);
+      }
+      it = std::partition_point(it, end, [&](const Event* e) {
+        return max_ts - e->timestamp > window.size;
+      });
+      end = std::partition_point(it, end, [&](const Event* e) {
+        return !(e->timestamp - min_ts > window.size);
+      });
+    }
+    for (; it != end; ++it) {
       if (!budget_->OnWork()) return;
       const Event* e = *it;
       // Each examined candidate is one chain step; it either prunes or
@@ -159,7 +186,7 @@ class LazySearch {
         ++stats_->partial_matches_pruned;
         continue;
       }
-      if (window.kind == WindowKind::kTime) {
+      if (time_window && !time_sorted_) {
         bool ok = true;
         for (const Event* b : bound_) {
           if (b != nullptr &&
@@ -192,6 +219,7 @@ class LazySearch {
   const LinearPlan& plan_;
   const Pattern& pattern_;
   std::span<const Event> events_;
+  bool time_sorted_;  ///< the span's timestamps never decrease
   EngineStats* stats_;
   MatchSet* out_;
   EngineBudget* budget_;
@@ -205,11 +233,15 @@ class LazySearch {
 }  // namespace
 
 Status LazyEngine::Evaluate(std::span<const Event> events, MatchSet* out) {
+  bool time_sorted = true;
+  for (size_t i = 1; i < events.size() && time_sorted; ++i) {
+    time_sorted = events[i].timestamp >= events[i - 1].timestamp;
+  }
   return EvaluatePlans(
       events, out, options_, plans_.size(),
       [&](size_t i, MatchSet* sink, EngineBudget* budget) {
-        LazySearch(plans_[i], pattern_, events, type_frequencies_, &stats_,
-                   sink, budget)
+        LazySearch(plans_[i], pattern_, events, type_frequencies_,
+                   time_sorted, &stats_, sink, budget)
             .Run();
       });
 }

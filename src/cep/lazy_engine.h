@@ -6,7 +6,11 @@
 //
 // The implementation buffers the span, orders plan positions by ascending
 // type frequency, and runs a backtracking join in that order; each search
-// node (candidate binding extension) counts as a partial match.
+// node (candidate binding extension) counts as a partial match. Each
+// step's candidates are bounded by binary search: by id against the
+// precedence relation and a count window, and, on a time window over a
+// span whose timestamps never decrease, to [max bound ts − W, min bound
+// ts + W] (an unsorted span checks each candidate's timestamps instead).
 //
 // Chain ordering: by default each Evaluate() orders positions by the
 // candidate-bucket sizes of the span at hand. A caller running a

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/timer.h"
+#include "dlacep/event_filter.h"
 #include "dlacep/extractor.h"
 #include "dlacep/labeler.h"
 
@@ -46,7 +47,7 @@ double DriftMonitor::observed_rate() const {
 }
 
 AdaptiveResult EvaluateWithRetraining(
-    const Pattern& pattern, TrainableFilter* filter,
+    const Pattern& pattern, EventNetworkFilter* filter,
     const Featurizer& featurizer, const EventStream& stream,
     DriftMonitor* monitor, size_t retrain_events,
     const DlacepConfig& config) {
@@ -79,9 +80,6 @@ AdaptiveResult EvaluateWithRetraining(
     const FilterDataset dataset = BuildFilterDataset(
         pattern, segment, assembler, featurizer, /*train_fraction=*/1.0,
         config.split_seed, config.negation_aware_labeling);
-    // The event network trains on per-event labels; the window network
-    // would use dataset.train_window. We fine-tune on whichever label
-    // shape the filter was built for by probing a sample.
     filter->Fit(dataset.train_event, config.train);
     ++result.retrainings;
     result.retrain_seconds += watch.ElapsedSeconds();

@@ -5,11 +5,12 @@
 // match between the training stream and the live stream. DriftMonitor
 // tracks a cheap online proxy — the filter's marking rate over a sliding
 // budget of recent windows — and flags a drift when it departs from the
-// training-time reference by more than a tolerance band. RetrainingLoop
-// wires the monitor to a TrainableFilter: on every flagged drift it
-// relabels a recent stream segment with exact CEP and fine-tunes the
-// filter on it (warm start — weights are NOT reinitialized, the transfer
-// -learning shortcut the paper suggests for mild drifts).
+// training-time reference by more than a tolerance band.
+// EvaluateWithRetraining wires the monitor to an EventNetworkFilter: on
+// every flagged drift it relabels a recent stream segment with exact CEP
+// and fine-tunes the filter on it (warm start — weights are NOT
+// reinitialized, the transfer-learning shortcut the paper suggests for
+// mild drifts).
 
 #ifndef DLACEP_DLACEP_DRIFT_H_
 #define DLACEP_DLACEP_DRIFT_H_
@@ -22,6 +23,8 @@
 #include "dlacep/filter.h"
 
 namespace dlacep {
+
+class EventNetworkFilter;
 
 /// Sliding-window drift detector over the filter marking rate.
 class DriftMonitor {
@@ -62,14 +65,14 @@ struct AdaptiveResult {
   double retrain_seconds = 0.0;
 };
 
-/// Evaluates `stream` with `filter` (an *event-network* filter — the
+/// Evaluates `stream` with `filter` (an event-network filter: the
 /// fine-tuning uses per-event labels), watching for drift; whenever the
 /// monitor fires, the most recent `retrain_events` events are relabeled
 /// with exact CEP and the filter is fine-tuned for
 /// `config.train.max_epochs` epochs (warm start). Matches are extracted
 /// exactly as in DlacepPipeline.
 AdaptiveResult EvaluateWithRetraining(
-    const Pattern& pattern, TrainableFilter* filter,
+    const Pattern& pattern, EventNetworkFilter* filter,
     const Featurizer& featurizer, const EventStream& stream,
     DriftMonitor* monitor, size_t retrain_events,
     const DlacepConfig& config);

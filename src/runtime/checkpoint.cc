@@ -68,6 +68,15 @@ class Reader : public ByteReader {
     return Read(out->data(), n * sizeof(T));
   }
 
+  // Read whole, then assigned: a base-class subobject is no target for a
+  // byte copy.
+  bool ReadCounters(DurableCounters* out) {
+    DurableCounters counters;
+    if (!ReadScalar(&counters)) return false;
+    *out = counters;
+    return true;
+  }
+
   bool ReadEventVec(std::vector<Event>* out) {
     uint64_t n = 0;
     if (!ReadScalar(&n) || n > kMaxVecLen) return false;
@@ -96,19 +105,7 @@ std::string SerializePayload(const CheckpointState& s) {
   AppendEventVec(&p, s.marked_events);
   AppendFlatVec(&p, s.seen);
   AppendFlatVec(&p, s.quarantined);
-  AppendScalar<uint64_t>(&p, s.events_dropped_queue);
-  AppendScalar<uint64_t>(&p, s.windows_closed);
-  AppendScalar<uint64_t>(&p, s.windows_boosted);
-  AppendScalar<uint64_t>(&p, s.windows_shed);
-  AppendScalar<uint64_t>(&p, s.windows_quarantined);
-  AppendScalar<uint64_t>(&p, s.windows_degraded);
-  AppendScalar<uint64_t>(&p, s.health_violations);
-  AppendScalar<uint64_t>(&p, s.health_degrades);
-  AppendScalar<uint64_t>(&p, s.health_recoveries);
-  AppendScalar<uint64_t>(&p, s.probes_run);
-  AppendScalar<uint64_t>(&p, s.probes_passed);
-  AppendScalar<uint64_t>(&p, s.checkpoints_written);
-  AppendScalar<uint64_t>(&p, s.drift_flags);
+  AppendScalar<DurableCounters>(&p, s);  // the 13 counters, field order
   AppendScalar<int32_t>(&p, s.controller_level);
   AppendScalar<uint64_t>(&p, s.probe_pass_run);
   AppendScalar<uint64_t>(&p, s.degraded_since_probe);
@@ -131,18 +128,7 @@ bool ParsePayload(Reader* r, uint32_t version, CheckpointState* s) {
          r->ReadEventVec(&s->buffer) && r->ReadFlatVec(&s->marked_ids) &&
          r->ReadEventVec(&s->marked_events) && r->ReadFlatVec(&s->seen) &&
          r->ReadFlatVec(&s->quarantined) &&
-         r->ReadScalar(&s->events_dropped_queue) &&
-         r->ReadScalar(&s->windows_closed) &&
-         r->ReadScalar(&s->windows_boosted) &&
-         r->ReadScalar(&s->windows_shed) &&
-         r->ReadScalar(&s->windows_quarantined) &&
-         r->ReadScalar(&s->windows_degraded) &&
-         r->ReadScalar(&s->health_violations) &&
-         r->ReadScalar(&s->health_degrades) &&
-         r->ReadScalar(&s->health_recoveries) &&
-         r->ReadScalar(&s->probes_run) && r->ReadScalar(&s->probes_passed) &&
-         r->ReadScalar(&s->checkpoints_written) &&
-         r->ReadScalar(&s->drift_flags) &&
+         r->ReadCounters(s) &&
          r->ReadScalar(&s->controller_level) &&
          r->ReadScalar(&s->probe_pass_run) &&
          r->ReadScalar(&s->degraded_since_probe) &&

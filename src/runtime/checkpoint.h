@@ -4,7 +4,8 @@
 // state, taken on the assembler thread after all in-flight windows have
 // merged: the watermark/arrival-id counter, the un-windowed buffer
 // tail, the dedup relay sets, the accumulated marked ids/events, the
-// stats counters, and the controller/health state. Restoring one and
+// durable stats counters (one DurableCounters block, shared with
+// RuntimeStats), and the controller/health state. Restoring one and
 // replaying the same deterministic source from the snapshot's watermark
 // (StreamSource::Skip) yields marks and matches byte-identical to an
 // uninterrupted run.
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "runtime/stats.h"
 #include "stream/event.h"
 
 namespace dlacep {
@@ -43,8 +45,9 @@ struct CheckpointConfig {
   bool restore = false;
 };
 
-/// Serializable snapshot of a quiescent OnlineDlacep run.
-struct CheckpointState {
+/// Serializable snapshot of a quiescent OnlineDlacep run. The stats
+/// counters that survive a restart are its DurableCounters base.
+struct CheckpointState : DurableCounters {
   // Window-geometry echo: restore refuses a checkpoint taken under a
   // different assembler configuration.
   uint64_t mark_size = 0;
@@ -63,21 +66,6 @@ struct CheckpointState {
   std::vector<Event> marked_events;
   std::vector<uint64_t> seen;        ///< healthily marked ids
   std::vector<uint64_t> quarantined; ///< ids relayed via quarantine only
-
-  // Stats counters that survive a restart.
-  uint64_t events_dropped_queue = 0;
-  uint64_t windows_closed = 0;
-  uint64_t windows_boosted = 0;
-  uint64_t windows_shed = 0;
-  uint64_t windows_quarantined = 0;
-  uint64_t windows_degraded = 0;
-  uint64_t health_violations = 0;
-  uint64_t health_degrades = 0;
-  uint64_t health_recoveries = 0;
-  uint64_t probes_run = 0;
-  uint64_t probes_passed = 0;
-  uint64_t checkpoints_written = 0;
-  uint64_t drift_flags = 0;
 
   // Controller / health-guard state machine.
   int32_t controller_level = 0;

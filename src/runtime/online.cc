@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <map>
 #include <thread>
 #include <utility>
 
@@ -34,6 +33,23 @@ constexpr size_t kRouterIngestBurst = 64;
 constexpr size_t kShardWorkBurst = 16;
 
 }  // namespace
+
+/// One closed window from watermark close to merge — the only record a
+/// window travels as. The router fills the dispatch fields at close
+/// time (the level and probe decisions are taken there), the owner shard
+/// adds the marks, and a deadline abandon merges the router's shadow
+/// copy flagged `timed_out`.
+struct OnlineDlacep::WindowRecord {
+  size_t seq = 0;              ///< dispatch sequence == merge order
+  size_t begin = 0;            ///< stream index of the first event
+  int level = 0;               ///< overload level the window closed under
+  bool probe = false;          ///< shadow-marked recovery probe
+  double close_seconds = 0.0;  ///< run-clock time the watermark closed it
+  std::shared_ptr<EventStream> events;  ///< detached copy (ids preserved)
+  std::vector<int> marks;
+  std::vector<int> shadow_marks;  ///< probe output (inspected only)
+  bool timed_out = false;         ///< synthesized after a deadline abandon
+};
 
 /// Per-Run mutable state. Threading contract: the producer thread only
 /// touches `queue` (and its own local counters); shard workers only
@@ -69,60 +85,36 @@ struct OnlineDlacep::RunState {
 
   // Dispatch → merge handoff. The router merges strictly in dispatch
   // sequence order, which is what makes the merged mark stream
-  // deterministic across shard counts.
-  size_t in_flight = 0;
+  // deterministic across shard counts. `pending` shadows every
+  // dispatched-but-unmerged window (its front is sequence next_merge):
+  // a deadline abandon merges the shadow as a quarantined stand-in
+  // without the worker's cooperation.
   size_t next_merge = 0;
+  std::deque<WindowRecord> pending;
 
-  // Router-side shadow of every dispatched-but-unmerged window: a
-  // deadline abandon synthesizes a quarantined stand-in from it without
-  // the worker's cooperation. Keyed by dispatch sequence.
-  struct Pending {
-    size_t begin = 0;
-    int level = 0;
-    double close_seconds = 0.0;
-    std::shared_ptr<EventStream> events;
-  };
-  std::map<size_t, Pending> pending;
-
-  // One closed window forwarded to its owner shard (the exchange
-  // stage). The level/probe decisions were already taken by the router
-  // at close time; the worker only marks.
-  struct WindowTask {
-    size_t seq = 0;
-    size_t begin = 0;
-    int level = 0;
-    bool probe = false;
-    double close_seconds = 0.0;
-    std::shared_ptr<EventStream> events;
-  };
-  // One finished window on a shard's completion ring. A shard's worker
-  // is FIFO over its work ring, so these come off sequence-ordered per
-  // shard — the property the cross-shard merge relies on.
-  struct SeqDone {
-    size_t seq = 0;
-    DoneWindow window;
-  };
   struct Shard {
     Shard(size_t work_capacity, size_t done_capacity)
         : work(work_capacity), done(done_capacity) {}
-    RingQueue<WindowTask> work;  ///< router -> worker (SPSC)
-    RingQueue<SeqDone> done;     ///< worker -> router (SPSC)
-    ShardStats stats;            ///< single-writer fields, read post-join
+    RingQueue<WindowRecord> work;  ///< router -> worker (SPSC)
+    /// worker -> router (SPSC). The worker is FIFO over its work ring,
+    /// so completions come off sequence-ordered per shard — the
+    /// property the cross-shard merge relies on.
+    RingQueue<WindowRecord> done;
+    ShardStats stats;  ///< single-writer fields, read post-join
     std::thread thread;
   };
   std::vector<std::unique_ptr<Shard>> shards;
 
-  // Merge products. marked_store is a deque so the Event addresses
-  // handed to the extractor stay stable as it grows. `stored` dedups
-  // the store across overlapping windows; `seen` holds ids relayed by a
-  // healthy mark, `quarantined_ids` ids relayed through a quarantined
-  // or degraded window (an id can be in both — accounting attributes it
-  // to `seen`).
+  // Merge products. `seen` holds ids relayed by a healthy mark,
+  // `quarantined_ids` ids relayed through a quarantined or degraded
+  // window (an id can be in both — accounting attributes it to `seen`);
+  // marked_store holds each id of their union once, in merge order.
+  // Nothing points into marked_store before the run ends, when it moves
+  // into OnlineResult::relayed_events.
   std::vector<EventId> marked_ids;
   std::unordered_set<EventId> seen;
   std::unordered_set<EventId> quarantined_ids;
-  std::unordered_set<EventId> stored;
-  std::deque<Event> marked_store;
+  std::vector<Event> marked_store;
 
   OverloadController controller;
   HealthGuard guard;
@@ -178,7 +170,7 @@ OnlineDlacep::OnlineDlacep(const Pattern& pattern, const StreamFilter* filter,
                        : 2 * num_shards_ + 2;
 }
 
-void OnlineDlacep::MergeOne(RunState* state, DoneWindow window) {
+void OnlineDlacep::MergeOne(RunState* state, WindowRecord window) {
   obs::TraceSpan merge_span(obs::StageWindowMerge());
   const double now = state->watch.ElapsedSeconds();
   const double latency = std::max(0.0, now - window.close_seconds);
@@ -274,8 +266,8 @@ void OnlineDlacep::MergeOne(RunState* state, DoneWindow window) {
     for (size_t t = 0; t < window_size; ++t) {
       const Event& event = (*window.events)[t];
       state->marked_ids.push_back(event.id);
-      state->quarantined_ids.insert(event.id);
-      if (state->stored.insert(event.id).second) {
+      if (state->quarantined_ids.insert(event.id).second &&
+          !state->seen.contains(event.id)) {
         state->marked_store.push_back(event);
       }
     }
@@ -286,9 +278,9 @@ void OnlineDlacep::MergeOne(RunState* state, DoneWindow window) {
       state->marked_ids.push_back(event.id);
       if (state->seen.insert(event.id).second) {
         obs::EventsRelayed()->Increment();
-      }
-      if (state->stored.insert(event.id).second) {
-        state->marked_store.push_back(event);
+        if (!state->quarantined_ids.contains(event.id)) {
+          state->marked_store.push_back(event);
+        }
       }
     }
     if (state->drift != nullptr && state->drift->Observe(window.marks)) {
@@ -305,74 +297,56 @@ void OnlineDlacep::DrainMerges(RunState* state, size_t target_in_flight) {
   const double deadline =
       config_.health.enabled ? config_.health.mark_deadline_seconds : 0.0;
   // The merge line is the global dispatch sequence, and sequence `seq`
-  // was dispatched to shard `seq % num_shards_`. Anything popped below
-  // the line is the late result of a previously abandoned window —
-  // stale, discard.
-  while (state->in_flight > target_in_flight) {
-    auto pit = state->pending.find(state->next_merge);
-    DLACEP_CHECK(pit != state->pending.end());
-    RunState::Shard& shard = *state->shards[state->next_merge % num_shards_];
-    DoneWindow window;
+  // was dispatched to shard `seq % num_shards_`. While more than
+  // `target_in_flight` windows are pending the owner's ring is popped
+  // blocking (up to the deadline); after that, whatever the owner has
+  // already finished is retired without waiting, so merge latency
+  // tracks worker completion.
+  while (!state->pending.empty()) {
+    const bool must_merge = state->pending.size() > target_in_flight;
+    WindowRecord& shadow = state->pending.front();
+    DLACEP_CHECK_EQ(shadow.seq, state->next_merge);
+    RingQueue<WindowRecord>& done =
+        state->shards[state->next_merge % num_shards_]->done;
+    WindowRecord window;
     bool have = false;
     for (;;) {
-      RunState::SeqDone done;
-      if (deadline <= 0.0) {
-        if (!shard.done.Pop(&done)) break;  // ring closed (shutdown)
+      if (!must_merge) {
+        if (!done.TryPop(&window)) break;
+      } else if (deadline <= 0.0) {
+        if (!done.Pop(&window)) break;  // ring closed (shutdown)
       } else {
-        const double wait_s = pit->second.close_seconds + deadline -
+        const double wait_s = shadow.close_seconds + deadline -
                               state->watch.ElapsedSeconds();
         if (wait_s <= 0.0) break;  // overdue: abandon below
         bool timed_out = false;
-        if (!shard.done.PopFor(&done, wait_s, &timed_out)) {
+        if (!done.PopFor(&window, wait_s, &timed_out)) {
           if (timed_out) continue;  // recomputes wait_s, then abandons
           break;                    // ring closed (shutdown)
         }
       }
-      if (done.seq < state->next_merge) continue;  // stale late result
-      // A shard's completions are sequence-increasing and every lower
-      // sequence it owns has already merged or been discarded, so the
-      // first live completion is exactly the merge line.
-      DLACEP_CHECK_EQ(done.seq, state->next_merge);
-      window = std::move(done.window);
+      // Anything below the line is the late result of a previously
+      // abandoned window — stale, discard. A shard's completions are
+      // sequence-increasing and every lower sequence it owns has already
+      // merged or been discarded, so the first live completion is
+      // exactly the merge line.
+      if (window.seq < state->next_merge) continue;
+      DLACEP_CHECK_EQ(window.seq, state->next_merge);
       have = true;
       break;
     }
     if (!have) {
-      // Deadline abandon: the shard is wedged (or just too slow).
-      // Synthesize a quarantined stand-in from the router's shadow;
-      // MergeOne relays its events unfiltered and degrades.
-      const RunState::Pending& p = pit->second;
-      window.begin = p.begin;
-      window.level = p.level;
-      window.close_seconds = p.close_seconds;
-      window.events = p.events;
+      if (!must_merge) break;
+      // Deadline abandon: the shard is wedged (or just too slow). The
+      // router's shadow becomes a quarantined stand-in; MergeOne relays
+      // its events unfiltered and degrades. An abandoned probe never
+      // ran its shadow mark, so it is not counted as one.
+      window = std::move(shadow);
+      window.probe = false;
       window.timed_out = true;
     }
-    state->pending.erase(pit);
+    state->pending.pop_front();
     ++state->next_merge;
-    --state->in_flight;
-    MergeOne(state, std::move(window));
-  }
-  // Opportunistically retire whatever the owner shard of the merge line
-  // has already finished, so merge latency tracks worker completion.
-  while (state->in_flight > 0) {
-    auto pit = state->pending.find(state->next_merge);
-    DLACEP_CHECK(pit != state->pending.end());
-    RunState::Shard& shard = *state->shards[state->next_merge % num_shards_];
-    DoneWindow window;
-    bool have = false;
-    RunState::SeqDone done;
-    while (shard.done.TryPop(&done)) {
-      if (done.seq < state->next_merge) continue;  // stale late result
-      DLACEP_CHECK_EQ(done.seq, state->next_merge);
-      window = std::move(done.window);
-      have = true;
-      break;
-    }
-    if (!have) break;
-    state->pending.erase(pit);
-    ++state->next_merge;
-    --state->in_flight;
     MergeOne(state, std::move(window));
   }
 }
@@ -385,89 +359,63 @@ void OnlineDlacep::ShardLoop(RunState* state, size_t shard_index) {
   }
   InferenceContext* ctx = contexts_[shard_index].get();
   const size_t batch_cap = config_.batch_size > 1 ? config_.batch_size : 1;
-  std::vector<RunState::WindowTask> burst;
-  std::vector<RunState::SeqDone> finished;
+  // Level-0/1 windows run the primary filter (level 1 with the threshold
+  // boost); probes only occur while degraded, so this excludes them.
+  const auto filtered = [](const WindowRecord& w) {
+    return w.level < OverloadController::kMaxLevel;
+  };
+  std::vector<WindowRecord> burst;
+  std::vector<OnlineWindow> group;
   for (;;) {
     burst.clear();
     if (shard.work.PopBurst(&burst, kShardWorkBurst) == 0) break;
-    finished.clear();
-    finished.reserve(burst.size());
     size_t i = 0;
     while (i < burst.size()) {
-      // Micro-batching: adjacent level-0/1 windows in the burst mark
-      // through one MarkBatchOnline call (the network filter applies
-      // the boost per window) — a busy shard's backlog batches
-      // naturally, an idle shard marks solo with no added latency.
-      // Shed, degraded, and probe windows always mark solo: their
-      // marking is trivial or intentionally separate, so a degraded run
-      // behaves exactly like batch_size = 1.
-      const RunState::WindowTask& head = burst[i];
-      const bool batchable = batch_cap > 1 &&
-                             head.level < OverloadController::kMaxLevel &&
-                             !head.probe;
+      // Micro-batching: each run of adjacent level-0/1 windows in the
+      // burst, at most batch_size long, marks through one
+      // MarkBatchOnline call (a lone window is a batch of one) — a busy
+      // shard's backlog batches naturally, an idle shard marks solo with
+      // no added latency. Shed and degraded windows mark one at a time:
+      // their marking is trivial or intentionally separate.
       size_t j = i + 1;
-      if (batchable) {
-        while (j < burst.size() && j - i < batch_cap &&
-               burst[j].level < OverloadController::kMaxLevel &&
-               !burst[j].probe) {
+      if (filtered(burst[i])) {
+        while (j < burst.size() && j - i < batch_cap && filtered(burst[j])) {
           ++j;
         }
       }
       Stopwatch mark_watch;
       obs::TraceSpan mark_span(obs::StageWindowMark());
-      if (batchable && j - i > 1) {
-        std::vector<OnlineWindow> windows;
-        windows.reserve(j - i);
+      if (config_.worker_window_hook) {
+        for (size_t k = i; k < j; ++k) config_.worker_window_hook(burst[k].seq);
+      }
+      if (filtered(burst[i])) {
+        group.clear();
         for (size_t k = i; k < j; ++k) {
-          const RunState::WindowTask& t = burst[k];
-          if (config_.worker_window_hook) config_.worker_window_hook(t.seq);
-          windows.push_back(OnlineWindow{
-              t.events.get(), t.begin,
-              t.level == 1 ? config_.overload.threshold_boost : 0.0});
+          const WindowRecord& w = burst[k];
+          group.push_back(OnlineWindow{
+              w.events.get(), w.begin,
+              w.level == 1 ? config_.overload.threshold_boost : 0.0});
         }
         std::vector<std::vector<int>> marks(j - i);
-        filter_->MarkBatchOnline(windows, ctx, marks.data());
-        for (size_t k = i; k < j; ++k) {
-          RunState::WindowTask& t = burst[k];
-          DoneWindow window;
-          window.begin = t.begin;
-          window.level = t.level;
-          window.close_seconds = t.close_seconds;
-          window.events = std::move(t.events);
-          window.marks = std::move(marks[k - i]);
-          finished.push_back(RunState::SeqDone{t.seq, std::move(window)});
+        filter_->MarkBatchOnline(group, ctx, marks.data());
+        for (size_t k = i; k < j; ++k) burst[k].marks = std::move(marks[k - i]);
+      } else if (burst[i].level == OverloadController::kDegradedLevel) {
+        // Degrade-to-exact: relay everything; the exact CEP engine sees
+        // the unfiltered window (recall 1.0). A probe window
+        // additionally exercises the distrusted filter, output inspected
+        // only.
+        WindowRecord& w = burst[i];
+        w.marks.assign(w.events->size(), 1);
+        if (w.probe) {
+          w.shadow_marks = filter_->MarkOnline(*w.events, w.begin, ctx, 0.0);
         }
       } else {
-        RunState::WindowTask& t = burst[i];
-        if (config_.worker_window_hook) config_.worker_window_hook(t.seq);
-        DoneWindow window;
-        window.begin = t.begin;
-        window.level = t.level;
-        window.close_seconds = t.close_seconds;
-        window.events = t.events;
-        window.probe = t.probe;
-        if (t.level == OverloadController::kDegradedLevel) {
-          // Degrade-to-exact: relay everything; the exact CEP engine
-          // sees the unfiltered window (recall 1.0). A probe window
-          // additionally exercises the distrusted filter, output
-          // inspected only.
-          window.marks.assign(t.events->size(), 1);
-          if (t.probe) {
-            window.shadow_marks =
-                filter_->MarkOnline(*t.events, t.begin, ctx, 0.0);
-          }
-        } else if (t.level >= OverloadController::kMaxLevel) {
-          const StreamFilter& shed =
-              config_.overload.shedding == SheddingPolicy::kRandom
-                  ? static_cast<const StreamFilter&>(random_shed_)
-                  : static_cast<const StreamFilter&>(type_shed_);
-          window.marks = shed.MarkOnline(*t.events, t.begin, ctx, 0.0);
-        } else {
-          const double boost =
-              t.level == 1 ? config_.overload.threshold_boost : 0.0;
-          window.marks = filter_->MarkOnline(*t.events, t.begin, ctx, boost);
-        }
-        finished.push_back(RunState::SeqDone{t.seq, std::move(window)});
+        WindowRecord& w = burst[i];
+        const StreamFilter& shed =
+            config_.overload.shedding == SheddingPolicy::kRandom
+                ? static_cast<const StreamFilter&>(random_shed_)
+                : static_cast<const StreamFilter&>(type_shed_);
+        w.marks = shed.MarkOnline(*w.events, w.begin, ctx, 0.0);
       }
       mark_span.Finish();
       shard.stats.mark_seconds += mark_watch.ElapsedSeconds();
@@ -478,7 +426,7 @@ void OnlineDlacep::ShardLoop(RunState* state, size_t shard_index) {
           ->Observe(mark_watch.ElapsedSeconds());
       i = j;
     }
-    shard.done.PushBurst(finished.data(), finished.size());
+    shard.done.PushBurst(burst.data(), burst.size());
   }
 }
 
@@ -535,26 +483,28 @@ void OnlineDlacep::CloseWindow(RunState* state, size_t begin, size_t end) {
     ++state->buffer_offset;
   }
 
-  const double close_seconds = state->watch.ElapsedSeconds();
-  ++state->in_flight;
-  obs::WindowsInFlight()->Set(static_cast<double>(state->in_flight));
+  WindowRecord window;
+  window.seq = seq;
+  window.begin = begin;
+  window.level = level;
+  window.probe = probe;
+  window.close_seconds = state->watch.ElapsedSeconds();
+  window.events = std::move(events);
+  state->pending.push_back(window);
+  obs::WindowsInFlight()->Set(static_cast<double>(state->pending.size()));
 
   // Exchange stage: the detached window is forwarded whole to shard
   // seq mod N. Windows are fixed-size, so round-robin gives every shard
   // an equal share of the marking, and the owner is a pure function of
-  // the dispatch sequence (a restored run resumes at its
-  // windows_dispatched). Occupancy is bounded by in_flight (capped at
-  // max_in_flight_ - 1 by the DrainMerges above), so the push lands
-  // without blocking unless deadline abandons have piled extra tasks
-  // onto a wedged shard — then blocking here is the intended
+  // the dispatch sequence (a resumed run continues at its
+  // windows_dispatched). Occupancy is bounded by the pending windows
+  // (capped at max_in_flight_ by the DrainMerges above), so the push
+  // lands without blocking unless deadline abandons have piled extra
+  // windows onto a wedged shard — then blocking here is the intended
   // backpressure.
   const size_t owner = seq % num_shards_;
-  state->pending.emplace(
-      seq, RunState::Pending{begin, level, close_seconds, events});
   RunState::Shard& shard = *state->shards[owner];
-  RunState::WindowTask task{seq,   begin, level,
-                            probe, close_seconds, std::move(events)};
-  const bool accepted = shard.work.Push(std::move(task));
+  const bool accepted = shard.work.Push(std::move(window));
   DLACEP_CHECK(accepted);
   ++shard.stats.windows_routed;
   obs::ShardRingDepth(owner)->Set(static_cast<double>(shard.work.size()));
@@ -576,26 +526,14 @@ void OnlineDlacep::WriteCheckpointNow(RunState* state) {
   snap.buffer_offset = state->buffer_offset;
   snap.buffer.assign(state->buffer.begin(), state->buffer.end());
   snap.marked_ids = state->marked_ids;
-  snap.marked_events.assign(state->marked_store.begin(),
-                            state->marked_store.end());
+  snap.marked_events = state->marked_store;
   snap.seen.assign(state->seen.begin(), state->seen.end());
   std::sort(snap.seen.begin(), snap.seen.end());
   snap.quarantined.assign(state->quarantined_ids.begin(),
                           state->quarantined_ids.end());
   std::sort(snap.quarantined.begin(), snap.quarantined.end());
-  snap.events_dropped_queue = state->stats.events_dropped_queue;
-  snap.windows_closed = state->stats.windows_closed;
-  snap.windows_boosted = state->stats.windows_boosted;
-  snap.windows_shed = state->stats.windows_shed;
-  snap.windows_quarantined = state->stats.windows_quarantined;
-  snap.windows_degraded = state->stats.windows_degraded;
-  snap.health_violations = state->stats.health_violations;
-  snap.health_degrades = state->stats.health_degrades;
-  snap.health_recoveries = state->stats.health_recoveries;
-  snap.probes_run = state->stats.probes_run;
-  snap.probes_passed = state->stats.probes_passed;
-  snap.checkpoints_written = state->stats.checkpoints_written + 1;
-  snap.drift_flags = state->stats.drift_flags;
+  static_cast<DurableCounters&>(snap) = state->stats;
+  ++snap.checkpoints_written;  // counts the checkpoint being written
   snap.controller_level = state->controller.level();
   snap.probe_pass_run = state->guard.probe_pass_run();
   snap.degraded_since_probe = state->degraded_since_probe;
@@ -663,8 +601,7 @@ Status OnlineDlacep::RestoreFrom(RunState* state, StreamSource* source) {
       a.frequencies.emplace_back(cs.adaptive_freq_types[i],
                                  cs.adaptive_freq_counts[i]);
     }
-    const Status restored = adaptive->Restore(a);
-    if (!restored.ok()) return restored;
+    DLACEP_RETURN_IF_ERROR(adaptive->Restore(a));
   } else if (adaptive != nullptr) {
     return Status::FailedPrecondition(
         "adaptive engine selection configured but the checkpoint has no "
@@ -679,31 +616,15 @@ Status OnlineDlacep::RestoreFrom(RunState* state, StreamSource* source) {
   state->buffer_offset = cs.buffer_offset;
   state->buffer.assign(cs.buffer.begin(), cs.buffer.end());
   state->marked_ids = std::move(cs.marked_ids);
-  for (Event& e : cs.marked_events) {
-    state->stored.insert(e.id);
-    state->marked_store.push_back(std::move(e));
-  }
+  state->marked_store = std::move(cs.marked_events);
   state->seen.insert(cs.seen.begin(), cs.seen.end());
   state->quarantined_ids.insert(cs.quarantined.begin(),
                                 cs.quarantined.end());
+  static_cast<DurableCounters&>(state->stats) = cs;
 
-  state->stats.events_dropped_queue = cs.events_dropped_queue;
-  state->stats.windows_closed = cs.windows_closed;
-  state->stats.windows_boosted = cs.windows_boosted;
-  state->stats.windows_shed = cs.windows_shed;
-  state->stats.windows_quarantined = cs.windows_quarantined;
-  state->stats.windows_degraded = cs.windows_degraded;
-  state->stats.health_violations = cs.health_violations;
-  state->stats.health_degrades = cs.health_degrades;
-  state->stats.health_recoveries = cs.health_recoveries;
-  state->stats.probes_run = cs.probes_run;
-  state->stats.probes_passed = cs.probes_passed;
-  state->stats.checkpoints_written = cs.checkpoints_written;
-  state->stats.drift_flags = cs.drift_flags;
-
-  // Fold the restored baselines into the metric counters so a scrape
-  // equals RuntimeStats whether or not the run resumed from a
-  // checkpoint (relayed increments live on seen-insert; the restored
+  // Fold the checkpoint's baselines into the metric counters so a
+  // scrape equals RuntimeStats whether or not the run resumed from a
+  // checkpoint (relayed increments live on seen-insert; the reloaded
   // seen set never re-inserts, so its baseline lands here).
   obs::EventsIngested()->Increment(cs.appended);
   obs::EventsDropped()->Increment(cs.events_dropped_queue);
@@ -736,7 +657,7 @@ Status OnlineDlacep::RestoreFrom(RunState* state, StreamSource* source) {
         "source ended before the checkpoint watermark — restore needs "
         "the same deterministic stream the checkpoint was taken from");
   }
-  DLACEP_LOG(Info) << "restored checkpoint at watermark " << cs.appended
+  DLACEP_LOG(Info) << "resumed from checkpoint at watermark " << cs.appended
                    << " (" << state->marked_store.size()
                    << " relayed events)";
   return Status::Ok();
@@ -775,8 +696,8 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
 
   // Spawn the shard workers before any window can close. Without
   // deadline abandons, ring occupancy is bounded by
-  // in_flight <= max_in_flight_, so pushes never block. Abandoned
-  // windows leave in_flight while their task/late-result still occupies
+  // pending windows <= max_in_flight_, so pushes never block. Abandoned
+  // windows leave `pending` while their task/late-result still occupies
   // a ring, so capacity carries 2x slack; if a ring still fills behind
   // a wedged shard, the push blocking IS the backpressure (the merge
   // line keeps advancing via abandons and drains the ring on its next
@@ -805,7 +726,7 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
   obs::QueueCapacity()->Set(static_cast<double>(state.queue.capacity()));
   std::thread producer([&] {
     RunState::Arrival arrival;
-    EventId next_id = state.appended;  // restored runs resume the id line
+    EventId next_id = state.appended;  // a resumed run continues the ids
     int consecutive_failures = 0;
     for (;;) {
       const Status read = source->Read(&arrival.event);
@@ -910,7 +831,7 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
     if (state.seen.find(id) == state.seen.end()) ++quarantined_only;
   }
   state.stats.events_quarantined = quarantined_only;
-  state.stats.events_filtered = state.appended - state.stored.size();
+  state.stats.events_filtered = state.appended - state.marked_store.size();
   // Filtered and quarantined-only are set-complement quantities: they
   // exist only once the run is over (a filtered event might still be
   // marked by a later overlapping window), so they sync to counters
@@ -931,20 +852,16 @@ Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {
   state.stats.source_retries = retries;
   state.stats.source_aborted = aborted;
 
-  if (config_.collect_relayed) {
-    result->relayed_events.assign(state.marked_store.begin(),
-                                  state.marked_store.end());
-    result->quarantined_ids.assign(state.quarantined_ids.begin(),
-                                   state.quarantined_ids.end());
-    std::sort(result->quarantined_ids.begin(),
-              result->quarantined_ids.end());
-  }
+  result->relayed_events = std::move(state.marked_store);
+  result->quarantined_ids.assign(state.quarantined_ids.begin(),
+                                 state.quarantined_ids.end());
+  std::sort(result->quarantined_ids.begin(), result->quarantined_ids.end());
   if (!config_.skip_extraction) {
     extractor_.ResetStats();
     Stopwatch extract_watch;
     std::vector<const Event*> marked;
-    marked.reserve(state.marked_store.size());
-    for (const Event& e : state.marked_store) marked.push_back(&e);
+    marked.reserve(result->relayed_events.size());
+    for (const Event& e : result->relayed_events) marked.push_back(&e);
     const Status status =
         extractor_.Extract(std::move(marked), &result->matches);
     DLACEP_CHECK_MSG(status.ok(), status.ToString());

@@ -18,8 +18,9 @@
 // stays global and serial (the count geometry is a property of the
 // whole stream); only the marking is sharded. Each shard is a
 // core-pinned worker thread with its own SPSC work and completion
-// rings and its own nn::InferenceContext; it micro-batches adjacent
-// batchable windows of a burst into one filter call. The router merges
+// rings and its own nn::InferenceContext; it marks each run of
+// adjacent level-0/1 windows of a burst (at most batch_size, possibly
+// one) with one MarkBatchOnline call. The router merges
 // completions strictly by dispatch sequence (the owner of the next
 // sequence is `seq mod N`; a shard's completion ring is FIFO and hence
 // sequence-ordered), so:
@@ -60,7 +61,8 @@
 //   relayed + filtered + dropped + quarantined == ingested.
 //
 // CEP extraction runs once at end-of-stream over the deduplicated
-// relayed events (the engines are batch evaluators); per-window
+// relayed events, which every run returns in OnlineResult together with
+// the quarantined ids (the engines are batch evaluators); per-window
 // latencies therefore measure ingest → merged-marks, which is the
 // filtration service time the overload controller manages.
 
@@ -123,12 +125,13 @@ struct OnlineConfig {
   size_t mark_size = 0;
   size_t step_size = 0;
 
-  /// Maximum windows marked per filter call. 1 = every window marks
-  /// alone (default). >1: a shard worker groups up to batch_size
-  /// adjacent level-0/1 windows of the burst it popped into one
-  /// MarkBatchOnline call — a busy shard's backlog batches naturally,
-  /// an idle shard marks solo, so batching never holds a window back.
-  /// Shed/degraded/probe windows always mark solo. Merge order is
+  /// Maximum windows marked per filter call. A shard worker marks each
+  /// run of adjacent level-0/1 windows of the burst it popped, at most
+  /// batch_size long, with one MarkBatchOnline call (a lone window is a
+  /// batch of one; 1 = every window alone, the default) — a busy
+  /// shard's backlog batches naturally, an idle shard marks solo, so
+  /// batching never holds a window back. Shed and degraded windows
+  /// (probes included) mark one at a time. Merge order is
   /// unchanged (windows retire strictly by dispatch sequence), so
   /// results stay byte-identical to batch_size = 1.
   size_t batch_size = 1;
@@ -138,14 +141,9 @@ struct OnlineConfig {
   /// otherwise ignored.
   bool pin_shard_threads = true;
 
-  /// Serve-layer hooks (src/serve). collect_relayed copies the
-  /// deduplicated relayed events (merge order) and the sorted
-  /// quarantined id set into OnlineResult so a caller can run its own
-  /// extraction over them. skip_extraction skips the built-in
-  /// single-pattern CEP pass entirely — the multi-query server
-  /// evaluates shared sub-plans itself. Both default off: the runtime
-  /// behaves exactly as before.
-  bool collect_relayed = false;
+  /// Serve-layer hook (src/serve): skip the built-in single-pattern CEP
+  /// pass entirely — the multi-query server extracts from
+  /// OnlineResult::relayed_events itself. Default off.
   bool skip_extraction = false;
 
   /// Exact-CEP engine for the end-of-run extraction. kAdaptive lets a
@@ -181,10 +179,10 @@ struct OnlineResult {
   /// PipelineResult::marked_ids.
   std::vector<EventId> marked_ids;
   size_t marked_events = 0;  ///< deduplicated (== stats.events_relayed)
-  /// OnlineConfig::collect_relayed: the deduplicated relayed events in
-  /// deterministic merge order, and the sorted ids that reached the
-  /// store through a quarantined window (recall-1.0 events a per-query
-  /// extraction must always include). Empty unless requested.
+  /// The deduplicated relayed events in deterministic merge order (the
+  /// extraction input), and the sorted ids that reached them through a
+  /// quarantined or degraded window (recall-1.0 events a per-query
+  /// extraction must always include). Filled by every run.
   std::vector<Event> relayed_events;
   std::vector<EventId> quarantined_ids;
   RuntimeStats stats;
@@ -224,32 +222,24 @@ class OnlineDlacep {
   const OnlineConfig& config() const { return config_; }
 
  private:
-  struct DoneWindow {
-    size_t begin = 0;
-    std::vector<int> marks;
-    int level = 0;             ///< overload level the window ran under
-    double close_seconds = 0;  ///< run-clock time the watermark closed it
-    std::shared_ptr<EventStream> events;
-    bool probe = false;        ///< shadow-marked recovery probe
-    bool timed_out = false;    ///< synthesized after a deadline abandon
-    std::vector<int> shadow_marks;  ///< probe output (inspected only)
-  };
+  struct WindowRecord;  ///< one closed window, close → merge (online.cc)
   struct RunState;
 
   void CloseWindow(RunState* state, size_t begin, size_t end);
-  void MergeOne(RunState* state, DoneWindow window);
-  /// Merges every completed window that is next in window order;
-  /// blocks until `target_in_flight` or fewer windows remain pending.
+  void MergeOne(RunState* state, WindowRecord window);
+  /// Merges every completed window that is next in window order, in one
+  /// loop that blocks while more than `target_in_flight` windows are
+  /// pending and only try-pops after that.
   /// The owner shard of sequence `seq` is `seq % num_shards_`, and a
   /// shard's completion ring is sequence-ordered (its worker is FIFO),
   /// so each step pops exactly the owner's ring. With a mark
-  /// deadline configured, an overdue window is abandoned: a synthesized
-  /// quarantined DoneWindow takes its place so a wedged shard can never
-  /// stall the merge line.
+  /// deadline configured, an overdue window is abandoned: the router's
+  /// shadow record, flagged timed out, takes its place so a wedged shard
+  /// can never stall the merge line.
   void DrainMerges(RunState* state, size_t target_in_flight);
-  /// Shard worker body: burst-pops window tasks from the shard's work
-  /// ring, marks them (micro-batching adjacent batchable windows when
-  /// batch_size > 1), and burst-pushes completions.
+  /// Shard worker body: burst-pops windows from the shard's work ring,
+  /// marks them (one MarkBatchOnline call per run of level-0/1
+  /// windows), and burst-pushes them to its completion ring.
   void ShardLoop(RunState* state, size_t shard_index);
   /// Quiesces in-flight windows and atomically persists a checkpoint.
   void WriteCheckpointNow(RunState* state);

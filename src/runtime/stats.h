@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace dlacep {
@@ -80,11 +81,34 @@ struct ShardStats {
   bool pinned = false;          ///< core affinity applied successfully
 };
 
+/// The run counters that survive a checkpoint/restore, declared once:
+/// RuntimeStats and CheckpointState both derive from this block, the
+/// runtime copies it in one assignment each way, and the checkpoint
+/// format stores it as one contiguous block of 13 uint64 in this field
+/// order (reordering the fields changes the DLCK format).
+struct DurableCounters {
+  uint64_t events_dropped_queue = 0;  ///< lost to a full ingest queue
+  uint64_t windows_closed = 0;
+  uint64_t windows_boosted = 0;  ///< marked under a raised threshold
+  uint64_t windows_shed = 0;     ///< marked by the shedding fallback
+  uint64_t windows_quarantined = 0;  ///< failed a health check
+  uint64_t windows_degraded = 0;     ///< relayed unfiltered while degraded
+  uint64_t health_violations = 0;  ///< HealthGuard Inspect() failures
+  uint64_t health_degrades = 0;    ///< times the runtime entered degraded
+  uint64_t health_recoveries = 0;  ///< probed recoveries out of degraded
+  uint64_t probes_run = 0;         ///< shadow probes while degraded
+  uint64_t probes_passed = 0;
+  uint64_t checkpoints_written = 0;
+  uint64_t drift_flags = 0;  ///< drift monitor firings (see drift.h)
+};
+static_assert(sizeof(DurableCounters) == 13 * sizeof(uint64_t) &&
+                  std::is_trivially_copyable_v<DurableCounters>,
+              "the checkpoint format copies DurableCounters as raw bytes");
+
 /// End-of-run snapshot of the online runtime.
-struct RuntimeStats {
+struct RuntimeStats : DurableCounters {
   // Event accounting (see the contract above).
   uint64_t events_ingested = 0;       ///< offered by the source
-  uint64_t events_dropped_queue = 0;  ///< lost to a full ingest queue
   uint64_t events_appended = 0;       ///< entered the assembler stream
   uint64_t events_relayed = 0;        ///< deduplicated marked events
   uint64_t events_filtered = 0;       ///< appended but never marked
@@ -96,29 +120,15 @@ struct RuntimeStats {
   size_t queue_capacity = 0;
   size_t queue_high_water = 0;
 
-  uint64_t windows_closed = 0;
-  uint64_t windows_boosted = 0;  ///< marked under a raised threshold
-  uint64_t windows_shed = 0;     ///< marked by the shedding fallback
-  uint64_t windows_quarantined = 0;  ///< failed a health check
-  uint64_t windows_degraded = 0;     ///< relayed unfiltered while degraded
-
   uint64_t overload_escalations = 0;
   uint64_t overload_recoveries = 0;
   int overload_level_at_exit = 0;
   std::vector<OverloadTransition> transitions;
 
-  // Health / fault-tolerance counters.
-  uint64_t health_violations = 0;   ///< HealthGuard Inspect() failures
-  uint64_t health_degrades = 0;     ///< times the runtime entered degraded
-  uint64_t health_recoveries = 0;   ///< probed recoveries out of degraded
-  uint64_t probes_run = 0;          ///< shadow probes while degraded
-  uint64_t probes_passed = 0;
+  // Source fault tolerance.
   uint64_t source_read_errors = 0;  ///< transient Read() failures observed
   uint64_t source_retries = 0;      ///< retry attempts (incl. successes)
   bool source_aborted = false;      ///< source gave up mid-stream
-  uint64_t checkpoints_written = 0;
-
-  uint64_t drift_flags = 0;  ///< drift monitor firings (see drift.h)
 
   /// One entry per shard. Sums to the global window counters: every
   /// closed window is routed to exactly one shard.

@@ -49,7 +49,6 @@ Status MultiQueryServer::Run(StreamSource* source, MultiQueryResult* result) {
       start_snapshot->max_window, online.mark_size, online.step_size);
   online.mark_size = geometry.mark_size();
   online.step_size = geometry.step_size();
-  online.collect_relayed = true;
   online.skip_extraction = true;
 
   filter_.ResetRecording();

@@ -4,7 +4,7 @@
 //   registry snapshot ──▶ ServeFilter (one trunk forward per window,
 //                          per-query heads, union marks to the runtime)
 //   OnlineDlacep      ──▶ relayed events + quarantined ids
-//                          (collect_relayed, skip_extraction)
+//                          (skip_extraction)
 //   shared extraction ──▶ per-query MatchSets via the SharedCepPlan:
 //                          structural twins evaluated once, type-
 //                          occupancy and 2-prefix witness pruning.
@@ -41,9 +41,9 @@ namespace serve {
 struct ServeConfig {
   /// Runtime knobs (shards/batching/overload/health/...).
   /// mark_size/step_size of 0 resolve to 2W/W of the registry's widest
-  /// query at Run() time; collect_relayed and skip_extraction are
-  /// forced on. An isolated run compared against a serve run must use
-  /// the same explicit geometry.
+  /// query at Run() time; skip_extraction is forced on. An isolated
+  /// run compared against a serve run must use the same explicit
+  /// geometry.
   OnlineConfig online;
   /// Per-chunk partial-match budget for every shared extraction engine
   /// run (EngineOptions::partial_match_budget). 0 disables: no aborts,

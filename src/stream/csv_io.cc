@@ -61,6 +61,11 @@ Status WriteCsv(const EventStream& stream, const std::string& path) {
 }
 
 StatusOr<EventStream> ReadCsv(const std::string& path) {
+  return ReadCsv(path, std::make_shared<Schema>());
+}
+
+StatusOr<EventStream> ReadCsv(const std::string& path,
+                              std::shared_ptr<Schema> schema) {
   std::ifstream in(path);
   if (!in) {
     return Status::NotFound("cannot open for reading: " + path);
@@ -74,13 +79,32 @@ StatusOr<EventStream> ReadCsv(const std::string& path) {
       header[2] != "timestamp") {
     return Status::InvalidArgument("bad CSV header in " + path);
   }
-  auto schema = std::make_shared<Schema>();
   const size_t num_attrs = header.size() - 3;
+  if (schema->num_attrs() == 0 && schema->num_types() == 0) {
+    for (size_t i = 0; i < num_attrs; ++i) {
+      schema->RegisterAttr(header[3 + i]);
+    }
+  }
+  // column_attr[i]: the schema index of the file's i-th attribute.
+  std::vector<size_t> column_attr(num_attrs);
+  std::vector<bool> covered(schema->num_attrs(), false);
   for (size_t i = 0; i < num_attrs; ++i) {
-    schema->RegisterAttr(header[3 + i]);
+    const StatusOr<size_t> index = schema->AttrIndexOf(header[3 + i]);
+    if (!index.ok() || covered[index.value()]) {
+      return Status::InvalidArgument(
+          "attribute columns of " + path +
+          " differ from the schema's (unknown or repeated '" +
+          header[3 + i] + "')");
+    }
+    column_attr[i] = index.value();
+    covered[index.value()] = true;
+  }
+  if (num_attrs != schema->num_attrs()) {
+    return Status::InvalidArgument(
+        StrFormat("%s has %zu attribute columns, the schema %zu",
+                  path.c_str(), num_attrs, schema->num_attrs()));
   }
 
-  // First pass: register all type names so ids are stable, then append.
   EventStream stream(schema);
   size_t line_no = 1;
   while (std::getline(in, line)) {
@@ -102,8 +126,8 @@ StatusOr<EventStream> ReadCsv(const std::string& path) {
     const TypeId type = schema->RegisterType(cells[1]);
     std::vector<double> attrs(num_attrs);
     for (size_t i = 0; i < num_attrs; ++i) {
-      DLACEP_RETURN_IF_ERROR(
-          ParseCell(cells[3 + i], line_no, "attribute", path, &attrs[i]));
+      DLACEP_RETURN_IF_ERROR(ParseCell(cells[3 + i], line_no, "attribute",
+                                       path, &attrs[column_attr[i]]));
     }
     stream.Append(type, ts, std::move(attrs));
   }

@@ -7,6 +7,7 @@
 #ifndef DLACEP_STREAM_CSV_IO_H_
 #define DLACEP_STREAM_CSV_IO_H_
 
+#include <memory>
 #include <string>
 
 #include "common/status.h"
@@ -20,6 +21,15 @@ Status WriteCsv(const EventStream& stream, const std::string& path);
 /// Reads a stream from `path`. Types and attributes are registered in a
 /// fresh schema in column order.
 StatusOr<EventStream> ReadCsv(const std::string& path);
+
+/// Reads a stream from `path` into `schema`, so that every file read
+/// into one schema gives a type name the same id. Columns map to the
+/// schema's attributes by name; a file whose attribute set differs from
+/// the schema's is InvalidArgument (an empty schema first adopts the
+/// file's attributes in column order). Type names the schema lacks are
+/// registered after its existing ones.
+StatusOr<EventStream> ReadCsv(const std::string& path,
+                              std::shared_ptr<Schema> schema);
 
 }  // namespace dlacep
 

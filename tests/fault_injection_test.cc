@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
+#include "common/file_io.h"
 #include "common/rng.h"
 #include "dlacep/oracle_filter.h"
 #include "dlacep/pipeline.h"
@@ -478,6 +480,129 @@ TEST(Checkpoint, KillAndRestoreIsByteIdenticalToUninterruptedRun) {
   EXPECT_EQ(c.marked_events, a.marked_events);
   EXPECT_EQ(c.matches.size(), a.matches.size());
   EXPECT_EQ(c.matches.IntersectionSize(a.matches), a.matches.size());
+}
+
+TEST(Checkpoint, KillAndRestoreKeepsEveryDurableCounter) {
+  // The flaky filter poisons every window beginning before 300: the
+  // first one quarantines and degrades, probes fail until the stream
+  // moves past the bad region, then two passing probes recover. The
+  // kill lands at 250, mid-degradation, so the restored run resumes
+  // from a checkpoint whose quarantine, degrade and probe counters are
+  // all non-zero. One window in flight serializes close → mark → merge,
+  // so the health trajectory is a pure function of the window index and
+  // the quiescing checkpoint writes cannot shift it.
+  const EventStream stream = SmallStream(900, 79);
+  const Pattern pattern = AscendingSeqPattern(stream.schema_ptr(), 2, 8);
+  const std::string dir = FreshDir("ck_durable");
+  OnlineConfig config;
+  config.num_shards = 2;
+  config.max_windows_in_flight = 1;
+  config.overload.enabled = false;
+  config.health.probe_period = 2;
+  config.health.probe_passes = 2;
+
+  FlakyFilter flaky_a(/*bad_before=*/300);
+  OnlineDlacep online_a(pattern, &flaky_a, config);
+  ReplaySource source_a(&stream);
+  const OnlineResult a = online_a.Run(&source_a);
+  EXPECT_EQ(a.stats.windows_quarantined, 1u);
+  EXPECT_EQ(a.stats.health_recoveries, 1u);
+  EXPECT_GT(a.stats.probes_run, a.stats.probes_passed);
+
+  FaultPlan plan;
+  plan.source_fail = true;
+  plan.fail_at = 250;
+  plan.fail_count = 0;
+  FaultInjector injector(plan);
+  auto source_b =
+      injector.WrapSource(std::make_unique<ReplaySource>(&stream));
+  FlakyFilter flaky_b(/*bad_before=*/300);
+  OnlineConfig config_b = config;
+  config_b.checkpoint.dir = dir;
+  config_b.checkpoint.every_events = 64;
+  OnlineDlacep online_b(pattern, &flaky_b, config_b);
+  OnlineResult b;
+  ASSERT_TRUE(online_b.Run(source_b.get(), &b).ok());
+  ASSERT_TRUE(b.stats.source_aborted);
+  EXPECT_EQ(b.stats.windows_quarantined, 1u);
+  EXPECT_EQ(b.stats.health_recoveries, 0u);  // killed while degraded
+  EXPECT_GT(b.stats.probes_run, 0u);
+
+  FlakyFilter flaky_c(/*bad_before=*/300);
+  OnlineConfig config_c = config;
+  config_c.checkpoint.dir = dir;
+  config_c.checkpoint.restore = true;
+  OnlineDlacep online_c(pattern, &flaky_c, config_c);
+  ReplaySource source_c(&stream);
+  OnlineResult c;
+  ASSERT_TRUE(online_c.Run(&source_c, &c).ok());
+
+  ExpectAccounted(c.stats);
+  EXPECT_EQ(c.marked_ids, a.marked_ids);
+  EXPECT_EQ(c.relayed_events.size(), a.relayed_events.size());
+  EXPECT_EQ(c.quarantined_ids, a.quarantined_ids);
+  EXPECT_EQ(c.matches.IntersectionSize(a.matches), a.matches.size());
+  // Every durable counter but checkpoints_written (run A wrote none).
+  EXPECT_EQ(c.stats.events_dropped_queue, a.stats.events_dropped_queue);
+  EXPECT_EQ(c.stats.windows_closed, a.stats.windows_closed);
+  EXPECT_EQ(c.stats.windows_boosted, a.stats.windows_boosted);
+  EXPECT_EQ(c.stats.windows_shed, a.stats.windows_shed);
+  EXPECT_EQ(c.stats.windows_quarantined, a.stats.windows_quarantined);
+  EXPECT_EQ(c.stats.windows_degraded, a.stats.windows_degraded);
+  EXPECT_EQ(c.stats.health_violations, a.stats.health_violations);
+  EXPECT_EQ(c.stats.health_degrades, a.stats.health_degrades);
+  EXPECT_EQ(c.stats.health_recoveries, a.stats.health_recoveries);
+  EXPECT_EQ(c.stats.probes_run, a.stats.probes_run);
+  EXPECT_EQ(c.stats.probes_passed, a.stats.probes_passed);
+  EXPECT_EQ(c.stats.drift_flags, a.stats.drift_flags);
+  EXPECT_GT(c.stats.checkpoints_written, b.stats.checkpoints_written);
+}
+
+TEST(Checkpoint, FileFormatIsPinned) {
+  // Byte length and CRC32 of everything before the trailing payload CRC
+  // (CRC32 over a message plus its own CRC is a constant), as written by
+  // the field-by-field serializer this format started from. The second
+  // state sets all 13 durable counters to distinct values, so the pin
+  // also fixes their order.
+  const auto pin = [](const CheckpointState& state, const char* name,
+                      size_t* size, uint32_t* crc) {
+    const std::string dir = FreshDir(name);
+    ASSERT_TRUE(SaveCheckpoint(state, dir).ok());
+    const StatusOr<std::string> bytes = ReadFile(CheckpointPath(dir));
+    ASSERT_TRUE(bytes.ok());
+    ASSERT_GT(bytes.value().size(), 4u);
+    *size = bytes.value().size();
+    *crc = Crc32(bytes.value().data(), bytes.value().size() - 4);
+  };
+  size_t size = 0;
+  uint32_t crc = 0;
+  pin(SampleState(), "ck_pin_sample", &size, &crc);
+  EXPECT_EQ(size, 650u);
+  EXPECT_EQ(crc, 0xb488e6e6u);
+
+  CheckpointState counted = SampleState();
+  counted.events_dropped_queue = 1;
+  counted.windows_closed = 2;
+  counted.windows_boosted = 3;
+  counted.windows_shed = 4;
+  counted.windows_quarantined = 5;
+  counted.windows_degraded = 6;
+  counted.health_violations = 7;
+  counted.health_degrades = 8;
+  counted.health_recoveries = 9;
+  counted.probes_run = 10;
+  counted.probes_passed = 11;
+  counted.checkpoints_written = 12;
+  counted.drift_flags = 13;
+  pin(counted, "ck_pin_counted", &size, &crc);
+  EXPECT_EQ(size, 650u);
+  EXPECT_EQ(crc, 0x31cfca35u);
+  auto loaded = LoadCheckpoint(::testing::TempDir() + "/ck_pin_counted");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().events_dropped_queue, 1u);
+  EXPECT_EQ(loaded.value().windows_degraded, 6u);
+  EXPECT_EQ(loaded.value().drift_flags, 13u);
+  EXPECT_EQ(loaded.value().controller_level, 3);
 }
 
 TEST(Checkpoint, RestoreRefusesDroppingIngestAndMissingFiles) {

@@ -453,7 +453,6 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
   for (size_t q = 0; q < patterns.size(); ++q) {
     FixedThresholdFilter fixed(system.filter(), thresholds[q]);
     OnlineConfig isolated = make_config(1);
-    isolated.collect_relayed = true;
     OnlineDlacep alone(patterns[q], &fixed, isolated);
     ReplaySource source(&stream);
     const OnlineResult result = alone.Run(&source);

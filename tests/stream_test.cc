@@ -252,5 +252,53 @@ TEST(CsvIo, RejectsMissingFileAndBadHeader) {
   std::remove(path.c_str());
 }
 
+TEST(CsvIo, FilesReadIntoOneSchemaShareTypeIdsAndAttributeOrder) {
+  // Two files of one job that meet their types in different orders and
+  // list their attributes in different column orders: read into one
+  // schema, a type name and an attribute name mean the same id in both.
+  const std::string first = ::testing::TempDir() + "/dlacep_order_a.csv";
+  const std::string second = ::testing::TempDir() + "/dlacep_order_b.csv";
+  FILE* f = std::fopen(first.c_str(), "w");
+  std::fputs("id,type,timestamp,vol,price\n0,S0,0,1,10\n1,S1,1,2,20\n", f);
+  std::fclose(f);
+  f = std::fopen(second.c_str(), "w");
+  std::fputs("id,type,timestamp,price,vol\n0,S1,0,30,3\n1,S2,1,40,4\n"
+             "2,S0,2,50,5\n",
+             f);
+  std::fclose(f);
+
+  auto schema = std::make_shared<Schema>();
+  auto a = ReadCsv(first, schema);
+  auto b = ReadCsv(second, schema);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(b.value()[0].type, a.value()[1].type);  // S1
+  EXPECT_EQ(b.value()[2].type, a.value()[0].type);  // S0
+  EXPECT_EQ(b.value().schema().TypeName(b.value()[1].type), "S2");
+  const size_t vol = schema->AttrIndexOf("vol").value();
+  const size_t price = schema->AttrIndexOf("price").value();
+  EXPECT_DOUBLE_EQ(b.value()[0].attr(vol), 3.0);
+  EXPECT_DOUBLE_EQ(b.value()[0].attr(price), 30.0);
+
+  // Read separately, the second file gives S1 the id S0 has in the first.
+  auto alone = ReadCsv(second);
+  ASSERT_TRUE(alone.ok());
+  EXPECT_EQ(alone.value()[0].type, a.value()[0].type);
+
+  // A file whose attribute set differs from the schema's is refused.
+  f = std::fopen(second.c_str(), "w");
+  std::fputs("id,type,timestamp,vol\n0,S1,0,3\n", f);
+  std::fclose(f);
+  const auto missing = ReadCsv(second, schema);
+  EXPECT_EQ(missing.status().code(), StatusCode::kInvalidArgument);
+  f = std::fopen(second.c_str(), "w");
+  std::fputs("id,type,timestamp,vol,size\n0,S1,0,3,1\n", f);
+  std::fclose(f);
+  const auto renamed = ReadCsv(second, schema);
+  EXPECT_EQ(renamed.status().code(), StatusCode::kInvalidArgument);
+  std::remove(first.c_str());
+  std::remove(second.c_str());
+}
+
 }  // namespace
 }  // namespace dlacep

@@ -308,11 +308,16 @@ int Generate(const Args& args) {
   return 0;
 }
 
-StatusOr<EventStream> LoadStream(const std::string& path) {
+/// Reads the CSV at `path` into `schema`. Every stream of one command is
+/// read into one schema (or, for a training stream, a copy of the query's
+/// schema), so a type name has the same id in each of them.
+StatusOr<EventStream> LoadStream(
+    const std::string& path,
+    std::shared_ptr<Schema> schema = std::make_shared<Schema>()) {
   if (path.empty()) {
     return Status::InvalidArgument("missing CSV path");
   }
-  return ReadCsv(path);
+  return ReadCsv(path, std::move(schema));
 }
 
 int RunQuery(const Args& args) {
@@ -363,10 +368,12 @@ int CompareMulti(const Args& args, const EventStream& train,
                  const EventStream& test);
 
 int Compare(const Args& args) {
-  auto train = LoadStream(args.Get("train"));
-  auto test = LoadStream(args.Get("test"));
+  auto schema = std::make_shared<Schema>();
+  auto train = LoadStream(args.Get("train"), schema);
+  auto test = LoadStream(args.Get("test"), schema);
   if (!train.ok() || !test.ok()) {
-    std::fprintf(stderr, "cannot load streams\n");
+    std::fprintf(stderr, "cannot load streams: %s\n",
+                 (train.ok() ? test : train).status().ToString().c_str());
     return 1;
   }
   const std::string filter = args.Get("filter", "event");
@@ -499,7 +506,8 @@ StatusOr<OnlineFilter> MakeOnlineFilter(const Args& args,
   } else if (kind == "oracle") {
     out.owned = std::make_unique<OracleFilter>(pattern);
   } else if (kind == "event" || kind == "window") {
-    auto train = LoadStream(args.Get("train"));
+    auto train = LoadStream(args.Get("train"),
+                            std::make_shared<Schema>(pattern.schema()));
     if (!train.ok()) {
       return Status::InvalidArgument(
           "--filter " + kind + " needs --train F.csv (" +
@@ -731,7 +739,8 @@ int StreamMultiQuery(const Args& args, std::vector<Pattern> patterns,
   const EventNetworkFilter* heads = nullptr;
   const StreamFilter* base_filter = nullptr;
   if (kind == "event") {
-    auto train = LoadStream(args.Get("train"));
+    auto train = LoadStream(args.Get("train"),
+                            std::make_shared<Schema>(patterns[0].schema()));
     if (!train.ok()) {
       std::fprintf(stderr, "--filter event needs --train F.csv (%s)\n",
                    train.status().ToString().c_str());
