@@ -65,29 +65,40 @@ void BM_BiLstmForwardSeqLen(benchmark::State& state) {
 }
 BENCHMARK(BM_BiLstmForwardSeqLen)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
+// Args are {hidden, T}: T = 32 across hidden sizes, plus the trunk
+// shapes of the end-to-end workloads — H = 96 (serve8) and a T = 40,
+// H = 64 window (filter_online).
+void HiddenArgs(benchmark::internal::Benchmark* b) {
+  for (int64_t hidden : {8, 16, 32, 64, 96}) b->Args({hidden, 32});
+  b->Args({64, 40});
+}
+
 void BM_BiLstmForwardHidden(benchmark::State& state) {
   const size_t hidden = static_cast<size_t>(state.range(0));
+  const size_t t_steps = static_cast<size_t>(state.range(1));
   Rng rng(3);
   StackedBiLstm stack("s", 8, hidden, 2, &rng);
-  const Matrix input = Matrix::Randn(32, 8, 1.0, &rng);
+  const Matrix input = Matrix::Randn(t_steps, 8, 1.0, &rng);
   for (auto _ : state) {
     Tape tape;
     benchmark::DoNotOptimize(stack.Forward(&tape, tape.Input(input)));
   }
 }
-BENCHMARK(BM_BiLstmForwardHidden)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_BiLstmForwardHidden)->Apply(HiddenArgs);
 
-// Tape-free counterparts of the two benches above: frozen weights,
+// Tape-free counterparts of the two benches above: frozen fp32 weights,
 // fused LSTM cell, one InferenceContext reused across iterations (the
 // steady state of pipeline filtration — allocation-free after the
 // first pass). Each iteration is the one frozen Forward on a batch of
-// one window, so the numbers stay per-window.
+// one window (the same inputs rounded to the float slab), so the
+// numbers stay per-window.
 void BM_BiLstmInferSeqLen(benchmark::State& state) {
   const size_t t_steps = static_cast<size_t>(state.range(0));
   Rng rng(2);
   StackedBiLstm stack("s", 8, 16, 2, &rng);
   const StackedBiLstmInfer frozen = Freeze(stack);
-  const Matrix input = Matrix::Randn(t_steps, 8, 1.0, &rng);
+  const MatrixF input =
+      CastMatrix<float>(Matrix::Randn(t_steps, 8, 1.0, &rng));
   const size_t offsets[] = {0, t_steps};
   InferenceContext ctx;
   for (auto _ : state) {
@@ -101,10 +112,12 @@ BENCHMARK(BM_BiLstmInferSeqLen)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_BiLstmInferHidden(benchmark::State& state) {
   const size_t hidden = static_cast<size_t>(state.range(0));
+  const size_t t_steps = static_cast<size_t>(state.range(1));
   Rng rng(3);
   StackedBiLstm stack("s", 8, hidden, 2, &rng);
   const StackedBiLstmInfer frozen = Freeze(stack);
-  const Matrix input = Matrix::Randn(32, 8, 1.0, &rng);
+  const MatrixF input =
+      CastMatrix<float>(Matrix::Randn(t_steps, 8, 1.0, &rng));
   const size_t offsets[] = {0, input.rows()};
   InferenceContext ctx;
   for (auto _ : state) {
@@ -112,7 +125,7 @@ void BM_BiLstmInferHidden(benchmark::State& state) {
     benchmark::DoNotOptimize(frozen.Forward(&ctx, input, offsets).data());
   }
 }
-BENCHMARK(BM_BiLstmInferHidden)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_BiLstmInferHidden)->Apply(HiddenArgs);
 
 // End-to-end filter forward at the paper-scale hidden size: the full
 // BiLSTM event filter (stack + emission heads + BI-CRF marginals +

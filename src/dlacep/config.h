@@ -54,8 +54,9 @@ struct DlacepConfig {
   /// tail batch may be smaller; 0 and 1 = one window per call, the
   /// default) and each is marked with one MarkBatchWith call, so the NN
   /// trunk runs once per batch. Marks are byte-identical at every batch
-  /// size; the underlying activations agree to <= 1e-9 (see
-  /// nn/infer.h).
+  /// size, and so are the underlying fp32 activations: every frozen
+  /// GEMM entry is one serial FMA chain whatever rows share the slab
+  /// (see nn/infer.h).
   size_t batch_size = 1;
 
   NetworkConfig network;

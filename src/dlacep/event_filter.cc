@@ -119,28 +119,28 @@ std::vector<Matrix> EventNetworkFilter::SlabMarginals(
   InferenceContext* c = ctx != nullptr ? ctx : &local;
   c->Reset();
   std::vector<size_t> offsets;
-  const Matrix& x_all = StackWindows(c, features, &offsets);
-  const Matrix& h = std::visit(
-      [&](const auto& b) -> const Matrix& {
+  const MatrixF& x_all = StackWindows(c, features, &offsets);
+  const MatrixF& h = std::visit(
+      [&](const auto& b) -> const MatrixF& {
         return b.Forward(c, x_all, offsets);
       },
       frozen_.backbone);
   // The emission heads are row-local dot products (MatMulTransBInto),
   // so one stacked call over the slab equals per-window heads bit for
   // bit.
-  Matrix& emissions_f = c->Acquire(offsets.back(), 2);
-  Matrix& emissions_b = c->Acquire(offsets.back(), 2);
+  MatrixF& emissions_f = c->Acquire<float>(offsets.back(), 2);
+  MatrixF& emissions_b = c->Acquire<float>(offsets.back(), 2);
   frozen_.head_fwd.Forward(h, &emissions_f);
   frozen_.head_bwd.Forward(h, &emissions_b);
 
-  // The CRF chains stay per-window: slice each window's emissions back
-  // out of the slab.
+  // The CRF chains stay per-window and in double: slice each window's
+  // emissions back out of the slab, widening them as they are copied.
   std::vector<Matrix> marginals;
   marginals.reserve(features.size());
   for (size_t w = 0; w < features.size(); ++w) {
     const size_t t_len = offsets[w + 1] - offsets[w];
-    Matrix& ef = c->Acquire(t_len, 2);
-    Matrix& eb = c->Acquire(t_len, 2);
+    Matrix& ef = c->Acquire<double>(t_len, 2);
+    Matrix& eb = c->Acquire<double>(t_len, 2);
     std::copy_n(emissions_f.data() + offsets[w] * 2, t_len * 2, ef.data());
     std::copy_n(emissions_b.data() + offsets[w] * 2, t_len * 2, eb.data());
     marginals.push_back(crf_.Marginals(ef, eb));

@@ -83,26 +83,29 @@ std::vector<double> WindowNetworkFilter::SlabProbabilities(
   InferenceContext* c = ctx != nullptr ? ctx : &local;
   c->Reset();
   std::vector<size_t> offsets;
-  const Matrix& x_all = StackWindows(c, features, &offsets);
-  const Matrix& h = frozen_.stack.Forward(c, x_all, offsets);
+  const MatrixF& x_all = StackWindows(c, features, &offsets);
+  const MatrixF& h = frozen_.stack.Forward(c, x_all, offsets);
   // Per-window column max pooling into one B×2H matrix, so the 1-unit
   // head runs as a single B-row GEMM (row-local → bit-identical logits).
   const size_t batch = features.size();
-  Matrix& pooled = c->Acquire(batch, h.cols());
+  MatrixF& pooled = c->Acquire<float>(batch, h.cols());
   for (size_t w = 0; w < batch; ++w) {
     for (size_t j = 0; j < h.cols(); ++j) {
-      double best = h(offsets[w], j);
+      float best = h(offsets[w], j);
       for (size_t i = offsets[w] + 1; i < offsets[w + 1]; ++i) {
         best = std::max(best, h(i, j));
       }
       pooled(w, j) = best;
     }
   }
-  Matrix& logits = c->Acquire(batch, 1);
+  MatrixF& logits = c->Acquire<float>(batch, 1);
   frozen_.head.Forward(pooled, &logits);
+  // The logit widens to double before the sigmoid, so the probability
+  // is compared with the double threshold at the tape's precision.
   std::vector<double> probabilities(batch);
   for (size_t w = 0; w < batch; ++w) {
-    probabilities[w] = 1.0 / (1.0 + std::exp(-logits(w, 0)));
+    const double logit = logits(w, 0);
+    probabilities[w] = 1.0 / (1.0 + std::exp(-logit));
   }
   return probabilities;
 }

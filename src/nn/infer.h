@@ -18,6 +18,14 @@
 //    reused 1×4H gate row. Freeze() snapshots the current parameter
 //    values; a frozen cell does not track later parameter updates.
 //
+//  * The frozen trunk runs in single precision: Freeze() rounds the
+//    trained double weights to float, StackWindows() is the one point
+//    where the featurizer's double features become the float input
+//    slab, and every activation, gate row and cell state is a MatrixF.
+//    Training, the tape, the CRF and the thresholds stay double; the
+//    filters widen the trunk's outputs (emissions, window logits) back
+//    to double at the head.
+//
 //  * `InferenceContext` is a reusable scratch arena. Activations and
 //    gate rows are acquired from it in a deterministic per-model order,
 //    so after the first window every buffer is already allocated at the
@@ -31,21 +39,24 @@
 //    ΣT×D input, `offsets` being the B+1 exclusive prefix sums of the
 //    window lengths (offsets[0] = 0). A single window is a batch of one
 //    with offsets {0, T}. The LSTM hoists the input projection of every
-//    window into one ΣT-row register-tiled GEMM, then runs each
-//    window's recurrence on its own; Dense is row-local and the TCN
-//    convolution clamps at window edges. A window's rows are therefore
-//    computed by the same arithmetic whatever batch it rides in, except
-//    that the LSTM projection GEMM may round tile edges differently at
-//    another ΣT (<= 1e-9; thresholded marks stay byte-identical).
+//    window into one ΣT-row GEMM, then runs each window's recurrence on
+//    its own; Dense is row-local and the TCN convolution clamps at
+//    window edges. The float GEMMs compute every entry as one serial
+//    FMA chain whatever rows ride beside it (nn/matrix.h), so a window's
+//    activations are bit-identical in any batch and at any slab
+//    position.
 //
-// The tape forward remains the golden reference: both paths must agree
-// to <= 1e-9 elementwise (tests/infer_equivalence_test.cc).
+// The tape forward remains the golden reference. The two paths differ by
+// fp32 rounding only, within the error bound derived in
+// tests/infer_equivalence_test.cc; thresholded marks agree except where
+// a tape score lies within that bound of the threshold.
 
 #ifndef DLACEP_NN_INFER_H_
 #define DLACEP_NN_INFER_H_
 
 #include <deque>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "nn/layers.h"
@@ -71,12 +82,19 @@ class InferenceContext {
   /// is how the fault-injection harness poisons a forward pass.
   void Reset();
 
-  /// Next scratch buffer, reshaped to rows×cols. Contents unspecified —
-  /// the producer must overwrite (or Fill) every entry. References stay
-  /// valid until the slot is re-acquired after a Reset().
-  Matrix& Acquire(size_t rows, size_t cols);
-
-  size_t num_buffers() const { return pool_.size(); }
+  /// Next scratch buffer of element type T (float for the trunk, double
+  /// where a head widens for the CRF), reshaped to rows×cols. Contents
+  /// unspecified — the producer must overwrite (or Fill) every entry.
+  /// References stay valid until the slot is re-acquired after a
+  /// Reset().
+  template <typename T>
+  MatrixT<T>& Acquire(size_t rows, size_t cols) {
+    Pool<T>& pool = PoolOf<T>();
+    if (pool.next == pool.slots.size()) pool.slots.emplace_back();
+    MatrixT<T>& m = pool.slots[pool.next++];
+    m.Resize(rows, cols);
+    return m;
+  }
 
   /// True when the current forward pass was poisoned by the fault hook.
   /// The trunk Forward implementations consult this and NaN-fill their
@@ -86,9 +104,22 @@ class InferenceContext {
  private:
   // Deque, not vector: Acquire hands out references while later calls
   // keep appending slots — references must survive growth (same
-  // reasoning as Tape's node store).
-  std::deque<Matrix> pool_;
-  size_t next_ = 0;
+  // reasoning as Tape's node store). One slot sequence per element type.
+  template <typename T>
+  struct Pool {
+    std::deque<MatrixT<T>> slots;
+    size_t next = 0;
+  };
+  template <typename T>
+  Pool<T>& PoolOf() {
+    if constexpr (std::is_same_v<T, float>) {
+      return float_pool_;
+    } else {
+      return double_pool_;
+    }
+  }
+  Pool<float> float_pool_;
+  Pool<double> double_pool_;
   // Set per forward pass by Reset() when the fault hook fires.
   bool poison_ = false;
 };
@@ -104,11 +135,11 @@ void SetInferenceFaultHook(bool (*hook)(void* ctx), void* ctx);
 
 /// Frozen Dense: y = x·W + b with W stored transposed (out×in).
 struct DenseInfer {
-  Matrix wt;  ///< out×in
-  Matrix b;   ///< 1×out
+  MatrixF wt;  ///< out×in
+  MatrixF b;   ///< 1×out
   /// out must be pre-shaped N×out_dim; fully overwritten. Row-local:
   /// a stacked slab of B windows gives each window's rows bit for bit.
-  void Forward(const Matrix& x, Matrix* out) const;
+  void Forward(const MatrixF& x, MatrixF* out) const;
 };
 
 /// Frozen LSTM cell. The input projection of the whole slab is hoisted
@@ -120,20 +151,21 @@ struct DenseInfer {
 struct LstmInfer {
   size_t in_dim = 0;
   size_t hidden = 0;
-  Matrix wx;  ///< in×4H  (snapshot of Lstm's Wx: the hoisted ΣT×in·in×4H
-              ///<         projection rides the register-tiled MatMulInto)
-  Matrix wh;  ///< H×4H   (snapshot of Lstm's Wh: the recurrent update is
-              ///<         an axpy over rows, vectorized across gates)
-  Matrix b;   ///< 1×4H
+  MatrixF wx;  ///< in×4H  (snapshot of Lstm's Wx: the hoisted ΣT×in·in×4H
+               ///<         projection rides the register-tiled MatMulInto)
+  MatrixF wh;  ///< H×4H   (snapshot of Lstm's Wh: the recurrent update is
+               ///<         a one-row MatMulInto whose 1×4H destination
+               ///<         stays in registers across the reduction)
+  MatrixF b;   ///< 1×4H
   /// Runs the recurrence over each of the B windows stacked in x_all
   /// (ΣT×in, window b at rows [offsets[b], offsets[b+1]), all lengths
   /// > 0) and writes hidden state rows into columns [col, col+H) of
   /// `out_all` (ΣT×C, C >= col+H) at the same rows (reverse=true scans
   /// each window right-to-left, like the tape path). Scratch (gates, h,
   /// c) comes from `ctx`.
-  void Forward(InferenceContext* ctx, const Matrix& x_all,
+  void Forward(InferenceContext* ctx, const MatrixF& x_all,
                std::span<const size_t> offsets, bool reverse,
-               Matrix* out_all, size_t col) const;
+               MatrixF* out_all, size_t col) const;
 };
 
 /// Frozen BiLSTM: forward and backward cells writing the two halves of
@@ -142,8 +174,8 @@ struct BiLstmInfer {
   LstmInfer fwd;
   LstmInfer bwd;
   /// out_all must be pre-shaped ΣT×2H; fully overwritten.
-  void Forward(InferenceContext* ctx, const Matrix& x_all,
-               std::span<const size_t> offsets, Matrix* out_all) const;
+  void Forward(InferenceContext* ctx, const MatrixF& x_all,
+               std::span<const size_t> offsets, MatrixF* out_all) const;
 };
 
 /// Frozen stacked BiLSTM.
@@ -153,8 +185,8 @@ struct StackedBiLstmInfer {
   /// the next Reset(); window b's activation occupies rows
   /// [offsets[b], offsets[b+1]). Observes the batch-size histogram
   /// (obs::NnBatchWindows).
-  const Matrix& Forward(InferenceContext* ctx, const Matrix& x_all,
-                        std::span<const size_t> offsets) const;
+  const MatrixF& Forward(InferenceContext* ctx, const MatrixF& x_all,
+                         std::span<const size_t> offsets) const;
 };
 
 /// Frozen TCN: centered dilated Conv1D + bias + ReLU per layer, with
@@ -162,8 +194,8 @@ struct StackedBiLstmInfer {
 /// tap k of output channel o is a contiguous row segment.
 struct TcnInfer {
   struct Layer {
-    Matrix wt;  ///< hidden×(K·D_in)
-    Matrix b;   ///< 1×hidden
+    MatrixF wt;  ///< hidden×(K·D_in)
+    MatrixF b;   ///< 1×hidden
   };
   size_t kernel = 0;
   std::vector<Layer> layers;
@@ -172,20 +204,33 @@ struct TcnInfer {
   /// cache-warm across all B windows. Returns the last layer's
   /// ΣT×hidden slab (lives in `ctx`). Observes the batch-size
   /// histogram.
-  const Matrix& Forward(InferenceContext* ctx, const Matrix& x_all,
-                        std::span<const size_t> offsets) const;
+  const MatrixF& Forward(InferenceContext* ctx, const MatrixF& x_all,
+                         std::span<const size_t> offsets) const;
 };
 
-/// Stacks B windows' feature matrices (all with the same column count)
-/// batch-major into one ΣT×D slab acquired from `ctx` — the input of the
-/// Forward entry points — and sets `offsets` to its B+1 row prefix
-/// sums. `windows` must be non-empty.
-const Matrix& StackWindows(InferenceContext* ctx,
-                           std::span<const Matrix> windows,
-                           std::vector<size_t>* offsets);
+/// Magnitude at which StackWindows saturates a feature. Features are
+/// standardized, so real ones sit within a few units of zero, but a
+/// finite CSV attribute may be as large as 1e308 and would round to
+/// ±inf in float, turning gate sums into NaN. At 1e15 any weight above
+/// 1e-13 in magnitude still drives its gate past saturation (|z| > 17
+/// for the sigmoid, 9 for tanh, in fp32), so the gate saturates in the
+/// same direction as the double tape's, while a reduction over n such
+/// inputs stays below FLT_MAX (3.4e38) for any n·max|w| below 3e23.
+inline constexpr float kFrozenInputBound = 1e15f;
 
-// Freeze-time repacking: snapshot the layer's current parameter values
-// into the transposed/fused inference layout. Call again after any
+/// Stacks B windows' feature matrices (all with the same column count)
+/// batch-major into one ΣT×D float slab acquired from `ctx` — the input
+/// of the Forward entry points — and sets `offsets` to its B+1 row
+/// prefix sums. The one double → float conversion of the frozen path:
+/// each feature is clamped to ±kFrozenInputBound, then rounded. `windows`
+/// must be non-empty.
+const MatrixF& StackWindows(InferenceContext* ctx,
+                            std::span<const Matrix> windows,
+                            std::vector<size_t>* offsets);
+
+// Freeze-time repacking: snapshot the layer's current parameter values,
+// rounded to float, into the transposed/fused inference layout. Call
+// again after any
 // parameter mutation (training step, LoadParameters) that should be
 // visible to inference.
 DenseInfer Freeze(const Dense& layer);

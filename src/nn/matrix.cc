@@ -11,61 +11,74 @@
 
 namespace dlacep {
 
-Matrix Matrix::Randn(size_t rows, size_t cols, double stddev, Rng* rng) {
-  Matrix m(rows, cols);
-  for (double& v : m.data_) v = rng->Normal(0.0, stddev);
+template <typename T>
+MatrixT<T> MatrixT<T>::Randn(size_t rows, size_t cols, double stddev,
+                             Rng* rng) {
+  MatrixT m(rows, cols);
+  for (T& v : m.data_) v = static_cast<T>(rng->Normal(0.0, stddev));
   return m;
 }
 
-Matrix Matrix::Xavier(size_t rows, size_t cols, Rng* rng) {
+template <typename T>
+MatrixT<T> MatrixT<T>::Xavier(size_t rows, size_t cols, Rng* rng) {
   const double limit = std::sqrt(6.0 / static_cast<double>(rows + cols));
-  Matrix m(rows, cols);
-  for (double& v : m.data_) v = rng->Uniform(-limit, limit);
+  MatrixT m(rows, cols);
+  for (T& v : m.data_) v = static_cast<T>(rng->Uniform(-limit, limit));
   return m;
 }
 
-Matrix Matrix::Row(const std::vector<double>& values) {
-  Matrix m(1, values.size());
+template <typename T>
+MatrixT<T> MatrixT<T>::Row(const std::vector<T>& values) {
+  MatrixT m(1, values.size());
   std::copy(values.begin(), values.end(), m.data_.begin());
   return m;
 }
 
-void Matrix::AddInPlace(const Matrix& other) {
+template <typename T>
+void MatrixT<T>::AddInPlace(const MatrixT& other) {
   DLACEP_CHECK(SameShape(other));
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
 }
 
-void Matrix::AxpyInPlace(double scale, const Matrix& other) {
+template <typename T>
+void MatrixT<T>::AxpyInPlace(T scale, const MatrixT& other) {
   DLACEP_CHECK(SameShape(other));
   for (size_t i = 0; i < data_.size(); ++i) {
     data_[i] += scale * other.data_[i];
   }
 }
 
-double Matrix::Norm() const {
-  double sum = 0.0;
-  for (double v : data_) sum += v * v;
+template <typename T>
+T MatrixT<T>::Norm() const {
+  T sum = 0;
+  for (T v : data_) sum += v * v;
   return std::sqrt(sum);
 }
 
-double Matrix::Sum() const {
-  double sum = 0.0;
-  for (double v : data_) sum += v;
+template <typename T>
+T MatrixT<T>::Sum() const {
+  T sum = 0;
+  for (T v : data_) sum += v;
   return sum;
 }
 
-double Matrix::MaxAbsDiff(const Matrix& other) const {
+template <typename T>
+T MatrixT<T>::MaxAbsDiff(const MatrixT& other) const {
   DLACEP_CHECK(SameShape(other));
-  double worst = 0.0;
+  T worst = 0;
   for (size_t i = 0; i < data_.size(); ++i) {
     worst = std::max(worst, std::abs(data_[i] - other.data_[i]));
   }
   return worst;
 }
 
-std::string Matrix::ShapeString() const {
+template <typename T>
+std::string MatrixT<T>::ShapeString() const {
   return StrFormat("%zux%zu", rows_, cols_);
 }
+
+template class MatrixT<double>;
+template class MatrixT<float>;
 
 namespace {
 
@@ -193,6 +206,145 @@ __attribute__((target("avx512f"))) void MatMulTileAvx512(
       double sum = cd[i * n + j];
       for (size_t k = 0; k < kk; ++k) sum += arow[k] * bd[k * n + j];
       cd[i * n + j] = sum;
+    }
+  }
+}
+
+// Float micro-kernel for C += A·B: an R-row × V-vector (16 floats
+// each) block of C lives in R·V zmm accumulators across the entire k
+// reduction — per k step: V B loads, R A broadcasts, R·V FMAs. `tail`
+// masks the block's last vector for a partial column panel. Each C
+// entry is one serial FMA chain in ascending k, so the block shape never
+// changes a result bit.
+template <int R, int V>
+__attribute__((target("avx512f"))) inline void TileF32(
+    const float* a, size_t kk, const float* b, size_t ldb, float* c,
+    size_t ldc, __mmask16 tail) {
+  __m512 acc[R][V];
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v) {
+      acc[r][v] = _mm512_maskz_loadu_ps(v == V - 1 ? tail : 0xFFFF,
+                                        c + r * ldc + 16 * v);
+    }
+  }
+  for (size_t k = 0; k < kk; ++k) {
+    __m512 bv[V];
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v) {
+      bv[v] = _mm512_maskz_loadu_ps(v == V - 1 ? tail : 0xFFFF,
+                                    b + k * ldb + 16 * v);
+    }
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) {
+      const __m512 av = _mm512_set1_ps(a[r * kk + k]);
+#pragma GCC unroll 16
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm512_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v) {
+      _mm512_mask_storeu_ps(c + r * ldc + 16 * v, v == V - 1 ? tail : 0xFFFF,
+                            acc[r][v]);
+    }
+  }
+}
+
+// R rows of C: column panels as wide as sixteen accumulators allow (a
+// 1×256 panel holds the LSTM's whole H = 64 gate row in registers),
+// then narrower panels, then one masked tail vector.
+template <int R>
+__attribute__((target("avx512f"))) void RowsF32(const float* a,
+                                                const float* b, float* c,
+                                                size_t kk, size_t n) {
+  constexpr int kWide = 16 / R;
+  size_t j = 0;
+  for (; j + 16 * kWide <= n; j += 16 * kWide) {
+    TileF32<R, kWide>(a, kk, b + j, n, c + j, n, 0xFFFF);
+  }
+  if constexpr (kWide > 8) {
+    for (; j + 128 <= n; j += 128) {
+      TileF32<R, 8>(a, kk, b + j, n, c + j, n, 0xFFFF);
+    }
+  }
+  if constexpr (kWide > 4) {
+    for (; j + 64 <= n; j += 64) {
+      TileF32<R, 4>(a, kk, b + j, n, c + j, n, 0xFFFF);
+    }
+  }
+  for (; j + 16 <= n; j += 16) TileF32<R, 1>(a, kk, b + j, n, c + j, n, 0xFFFF);
+  if (j < n) {
+    const __mmask16 tail = static_cast<__mmask16>((1u << (n - j)) - 1);
+    TileF32<R, 1>(a, kk, b + j, n, c + j, n, tail);
+  }
+}
+
+__attribute__((target("avx512f"))) void MatMulF32Avx512(const float* ad,
+                                                        const float* bd,
+                                                        float* cd, size_t m,
+                                                        size_t kk, size_t n) {
+  size_t i = 0;
+  for (; i + 4 <= m; i += 4) RowsF32<4>(ad + i * kk, bd, cd + i * n, kk, n);
+  for (; i < m; ++i) RowsF32<1>(ad + i * kk, bd, cd + i * n, kk, n);
+}
+
+// C (+)= A·Bᵗ in floats, J output columns of a 16-row block at a time:
+// the sixteen rows' A entries at step k are one gather, so each lane
+// runs its entry's dot product as a serial FMA chain from zero in
+// ascending k — the same chain as the scalar path.
+template <int J>
+__attribute__((target("avx512f"))) inline void TransBBlockF32(
+    const float* a, const float* bt, float* c, size_t kk, size_t n,
+    size_t rows, __m512i index, bool accumulate) {
+  const __mmask16 mask =
+      rows == 16 ? 0xFFFF : static_cast<__mmask16>((1u << rows) - 1);
+  __m512 acc[J];
+#pragma GCC unroll 4
+  for (int jj = 0; jj < J; ++jj) acc[jj] = _mm512_setzero_ps();
+  for (size_t k = 0; k < kk; ++k) {
+    const __m512 av = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), mask,
+                                               index, a + k, 4);
+#pragma GCC unroll 4
+    for (int jj = 0; jj < J; ++jj) {
+      acc[jj] = _mm512_fmadd_ps(av, _mm512_set1_ps(bt[jj * kk + k]), acc[jj]);
+    }
+  }
+  alignas(64) float lanes[J][16];
+#pragma GCC unroll 4
+  for (int jj = 0; jj < J; ++jj) _mm512_store_ps(lanes[jj], acc[jj]);
+  for (size_t l = 0; l < rows; ++l) {
+    float* crow = c + l * n;
+    for (int jj = 0; jj < J; ++jj) {
+      crow[jj] = accumulate ? crow[jj] + lanes[jj][l] : lanes[jj][l];
+    }
+  }
+}
+
+__attribute__((target("avx512f"))) void MatMulTransBF32Avx512(
+    const float* ad, const float* bd, float* cd, size_t m, size_t kk,
+    size_t n, bool accumulate) {
+  const __m512i index = _mm512_mullo_epi32(
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+      _mm512_set1_epi32(static_cast<int>(kk)));
+  for (size_t i = 0; i < m; i += 16) {
+    const size_t rows = std::min<size_t>(16, m - i);
+    const float* a = ad + i * kk;
+    float* c = cd + i * n;
+    size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      TransBBlockF32<4>(a, bd + j * kk, c + j, kk, n, rows, index, accumulate);
+    }
+    if (j + 2 <= n) {
+      TransBBlockF32<2>(a, bd + j * kk, c + j, kk, n, rows, index, accumulate);
+      j += 2;
+    }
+    if (j < n) {
+      TransBBlockF32<1>(a, bd + j * kk, c + j, kk, n, rows, index, accumulate);
     }
   }
 }
@@ -390,6 +542,71 @@ DLACEP_GEMM_CLONES void MatMulTransBInto(const Matrix& a, const Matrix& b_t, Mat
       } else {
         crow[j] = sum;
       }
+    }
+  }
+}
+
+// Float GEMMs: one serial FMA chain per entry on every dispatch. The
+// AVX-512 kernels above run wherever the CPU has them; elsewhere the
+// loops below run as the x86-64-v3 clone (vectorized across j, FMA
+// instructions) or the portable default (libm fmaf), with the same
+// per-entry chain and so the same bits.
+DLACEP_GEMM_CLONES void MatMulInto(const MatrixF& a, const MatrixF& b,
+                                   MatrixF* out, bool accumulate) {
+  DLACEP_CHECK(out != nullptr);
+  DLACEP_CHECK_EQ(a.cols(), b.rows());
+  DLACEP_CHECK_EQ(out->rows(), a.rows());
+  DLACEP_CHECK_EQ(out->cols(), b.cols());
+  const size_t m = a.rows();
+  const size_t kk = a.cols();
+  const size_t n = b.cols();
+  if (!accumulate) out->Fill(0.0f);
+  const float* ad = a.data();
+  const float* bd = b.data();
+  float* cd = out->data();
+#if defined(__x86_64__)
+  if (GemmHasAvx512()) {
+    MatMulF32Avx512(ad, bd, cd, m, kk, n);
+    return;
+  }
+#endif
+  for (size_t i = 0; i < m; ++i) {
+    float* crow = cd + i * n;
+    for (size_t k = 0; k < kk; ++k) {
+      const float ak = ad[i * kk + k];
+      const float* brow = bd + k * n;
+      for (size_t j = 0; j < n; ++j) crow[j] = std::fma(ak, brow[j], crow[j]);
+    }
+  }
+}
+
+DLACEP_GEMM_CLONES void MatMulTransBInto(const MatrixF& a,
+                                         const MatrixF& b_t, MatrixF* out,
+                                         bool accumulate) {
+  DLACEP_CHECK(out != nullptr);
+  DLACEP_CHECK_EQ(a.cols(), b_t.cols());
+  DLACEP_CHECK_EQ(out->rows(), a.rows());
+  DLACEP_CHECK_EQ(out->cols(), b_t.rows());
+  const size_t m = a.rows();
+  const size_t kk = a.cols();
+  const size_t n = b_t.rows();
+  const float* ad = a.data();
+  const float* bd = b_t.data();
+  float* cd = out->data();
+#if defined(__x86_64__)
+  if (GemmHasAvx512()) {
+    MatMulTransBF32Avx512(ad, bd, cd, m, kk, n, accumulate);
+    return;
+  }
+#endif
+  for (size_t i = 0; i < m; ++i) {
+    const float* arow = ad + i * kk;
+    float* crow = cd + i * n;
+    for (size_t j = 0; j < n; ++j) {
+      const float* brow = bd + j * kk;
+      float sum = 0.0f;
+      for (size_t k = 0; k < kk; ++k) sum = std::fma(arow[k], brow[k], sum);
+      crow[j] = accumulate ? crow[j] + sum : sum;
     }
   }
 }

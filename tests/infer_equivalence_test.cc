@@ -1,16 +1,22 @@
 // Golden equivalence suite for the tape-free inference fast path
-// (nn/infer.h): the autograd tape forward is the reference
-// implementation, and the frozen forward-only path must reproduce it —
-// activations to within 1e-9 elementwise, thresholded marks exactly —
-// across random models, sequence lengths {1, 7, 64}, and all three
-// network filter types. Also pins the InferenceContext reuse contract:
-// recycling one arena across calls of different shapes must not change
-// any result.
+// (nn/infer.h): the autograd tape forward (double) is the reference
+// implementation, and the frozen forward-only path (float) must
+// reproduce it — activations within the fp32 error bound derived below,
+// thresholded marks exactly — across random models, sequence lengths
+// {1, 7, 64}, and all three network filter types. Within the frozen
+// path, a window's activations are bit-identical whatever batch it
+// rides in. Also pins the InferenceContext reuse contract (recycling one
+// arena across calls of different shapes must not change any result)
+// and the 64-byte alignment of every float matrix and arena slab.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dlacep/event_filter.h"
@@ -25,8 +31,63 @@ namespace {
 
 using testing_util::SmallStream;
 
-constexpr double kTol = 1e-9;
 const size_t kSeqLens[] = {1, 7, 64};
+
+// ---------------------------------------------------------------------
+// The fp32 error bound of the frozen path against the double tape.
+//
+// u = 2^-24 is float's unit roundoff. Write an activation's update as a
+// pre-activation z = b + Σ_{k<n} a_k·w_k followed by an elementwise map
+// of slope <= 1 (σ, tanh, ReLU, identity):
+//  * Rounding a_k and w_k to float moves each product by <= 2u·|a_k w_k|,
+//    and the serial fma chain adds Higham's γ_n <= n·u·Σ|a_k w_k| (first
+//    order). With every term bounded by m = max|a|·max|w|, the
+//    pre-activation is off by at most δz = (n + 2)·n·m·u.
+//  * σ and tanh are evaluated from expf (libmvec: <= 4 ulp) with one add,
+//    one divide and, for tanh, one subtract: <= 8u more on values in
+//    [-1, 1]. A gate is off by at most δz + 8u.
+//  * An LSTM step c_t = f·c_{t-1} + i·g, h_t = o·tanh(c_t) with every
+//    factor in [-1, 1] adds at most three gate errors to c and two more
+//    to h, plus a rounding each: <= 6·(δz + 8u) per step.
+//  * First order, and assuming the recurrence does not expand an error
+//    it carries (the forget gate is < 1 and σ' <= 1/4), the per-step
+//    errors add over the T steps of a window and the L stacked layers.
+// So after `steps` = L·T dependent updates (L for the position-local
+// TCN and Dense) an activation is within
+//     Fp32Bound(n, m, steps) = 6·steps·((n + 2)·n·m + 8)·u
+// of the tape, n being the longest reduction of one update (in + H + 1
+// for an LSTM gate). The bound comes from the shapes and the weights,
+// not from observed deltas; those sit orders of magnitude below it.
+constexpr double kU = 1.0 / (1 << 24);
+
+double Fp32Bound(size_t n, double m, size_t steps) {
+  const double nd = static_cast<double>(n);
+  return 6.0 * static_cast<double>(steps) * ((nd + 2.0) * nd * m + 8.0) * kU;
+}
+
+double MaxAbs(const Matrix& m) {
+  double worst = 0.0;
+  for (size_t i = 0; i < m.size(); ++i) {
+    worst = std::max(worst, std::abs(m.data()[i]));
+  }
+  return worst;
+}
+
+double MaxAbsWeight(const std::vector<Parameter*>& params) {
+  double worst = 0.0;
+  for (const Parameter* p : params) worst = std::max(worst, MaxAbs(p->value));
+  return worst;
+}
+
+/// Runs one window through a frozen sequence cell as a batch of one.
+template <typename Frozen>
+Matrix ForwardOne(const Frozen& frozen, const Matrix& x) {
+  InferenceContext ctx;
+  ctx.Reset();
+  std::vector<size_t> offsets;
+  const MatrixF& x_all = StackWindows(&ctx, {&x, 1}, &offsets);
+  return CastMatrix<double>(frozen.Forward(&ctx, x_all, offsets));
+}
 
 // ---------------------------------------------------------------------
 // Layer-level activation equivalence.
@@ -41,9 +102,12 @@ TEST(InferEquivalence, DenseMatchesTape) {
       const Matrix& ref = dense.Forward(&tape, tape.Input(x)).value();
 
       const DenseInfer frozen = Freeze(dense);
-      Matrix out(t, 9);
-      frozen.Forward(x, &out);
-      EXPECT_LE(ref.MaxAbsDiff(out), kTol) << "seed " << seed << " T " << t;
+      MatrixF out(t, 9);
+      frozen.Forward(CastMatrix<float>(x), &out);
+      const double m = std::max(1.0, MaxAbs(x)) * MaxAbsWeight(dense.Params());
+      EXPECT_LE(ref.MaxAbsDiff(CastMatrix<double>(out)),
+                Fp32Bound(5 + 1, m, 1))
+          << "seed " << seed << " T " << t;
     }
   }
 }
@@ -53,18 +117,18 @@ TEST(InferEquivalence, StackedBiLstmMatchesTape) {
     Rng rng(seed);
     StackedBiLstm stack("s", 4, 6, 2, &rng);
     const StackedBiLstmInfer frozen = Freeze(stack);
-    InferenceContext ctx;
     for (size_t t : kSeqLens) {
       const Matrix x = Matrix::Randn(t, 4, 1.0, &rng);
       Tape tape;
       const Matrix& ref = stack.Forward(&tape, tape.Input(x)).value();
 
-      ctx.Reset();
-      const size_t offsets[] = {0, t};  // one window: a batch of one
-      const Matrix& out = frozen.Forward(&ctx, x, offsets);
+      const Matrix out = ForwardOne(frozen, x);
       ASSERT_EQ(ref.rows(), out.rows());
       ASSERT_EQ(ref.cols(), out.cols());
-      EXPECT_LE(ref.MaxAbsDiff(out), kTol) << "seed " << seed << " T " << t;
+      // Layer 2 reads the 2H = 12 wide layer-1 output: n = 12 + 6 + 1.
+      const double m = std::max(1.0, MaxAbs(x)) * MaxAbsWeight(stack.Params());
+      EXPECT_LE(ref.MaxAbsDiff(out), Fp32Bound(12 + 6 + 1, m, 2 * t))
+          << "seed " << seed << " T " << t;
     }
   }
 }
@@ -74,85 +138,67 @@ TEST(InferEquivalence, TcnMatchesTape) {
     Rng rng(seed);
     Tcn tcn("t", 3, 5, 2, 3, &rng);
     const TcnInfer frozen = Freeze(tcn);
-    InferenceContext ctx;
     for (size_t t : kSeqLens) {
       const Matrix x = Matrix::Randn(t, 3, 1.0, &rng);
       Tape tape;
       const Matrix& ref = tcn.Forward(&tape, tape.Input(x)).value();
 
-      ctx.Reset();
-      const size_t offsets[] = {0, t};  // one window: a batch of one
-      const Matrix& out = frozen.Forward(&ctx, x, offsets);
+      const Matrix out = ForwardOne(frozen, x);
       ASSERT_EQ(ref.rows(), out.rows());
       ASSERT_EQ(ref.cols(), out.cols());
-      EXPECT_LE(ref.MaxAbsDiff(out), kTol) << "seed " << seed << " T " << t;
+      // Layer 2 reduces K·hidden + 1 = 16 terms. Its inputs are layer 1's
+      // ReLU outputs, bounded by (K·D_in + 1)·max|x|·max|w| = 10·A·W.
+      const double a = std::max(1.0, MaxAbs(x));
+      const double w = MaxAbsWeight(tcn.Params());
+      const double m = std::max(a, 10.0 * a * w) * w;
+      EXPECT_LE(ref.MaxAbsDiff(out), Fp32Bound(3 * 5 + 1, m, 2))
+          << "seed " << seed << " T " << t;
     }
   }
 }
 
 // ---------------------------------------------------------------------
-// Batched inference: Forward over a ragged stacked slab must match the
-// tape forward of each window on its own, row for row, to the
-// suite-wide 1e-9 — the tape stays the golden reference whatever batch
-// a window rides in.
-
-std::vector<size_t> PrefixOffsets(const std::vector<size_t>& lens) {
-  std::vector<size_t> offsets(1, 0);
-  for (size_t len : lens) offsets.push_back(offsets.back() + len);
-  return offsets;
-}
-
-Matrix StackWindows(const std::vector<Matrix>& windows) {
-  size_t total = 0;
-  for (const Matrix& w : windows) total += w.rows();
-  const size_t cols = windows[0].cols();
-  Matrix all(total, cols);
-  size_t row = 0;
-  for (const Matrix& w : windows) {
-    std::copy_n(w.data(), w.rows() * cols, all.data() + row * cols);
-    row += w.rows();
-  }
-  return all;
-}
+// Batched inference: Forward over a ragged stacked slab must give each
+// window exactly the activations the same frozen cell gives it alone —
+// bit for bit, since every float GEMM entry is one serial FMA chain
+// whatever rows ride beside it.
 
 // Ragged on purpose: a length-1 window, a tail shorter than the batch
 // max, and a repeat length — each window's recurrence and convolution
 // edges must stay inside its own rows.
 const std::vector<size_t> kRaggedLens = {7, 1, 64, 3, 7};
 
+template <typename Frozen>
+void CheckBatchMatchesSingle(const Frozen& frozen, size_t in_dim, Rng* rng,
+                             uint64_t seed) {
+  std::vector<Matrix> windows;
+  for (size_t t : kRaggedLens) {
+    windows.push_back(Matrix::Randn(t, in_dim, 1.0, rng));
+  }
+  InferenceContext ctx;
+  ctx.Reset();
+  std::vector<size_t> offsets;
+  const MatrixF& x_all = StackWindows(&ctx, windows, &offsets);
+  const MatrixF& out = frozen.Forward(&ctx, x_all, offsets);
+  ASSERT_EQ(out.rows(), offsets.back());
+  for (size_t w = 0; w < windows.size(); ++w) {
+    const Matrix single = ForwardOne(frozen, windows[w]);
+    ASSERT_EQ(single.cols(), out.cols());
+    for (size_t r = 0; r < single.rows(); ++r) {
+      for (size_t c = 0; c < single.cols(); ++c) {
+        EXPECT_EQ(static_cast<double>(out(offsets[w] + r, c)), single(r, c))
+            << "seed " << seed << " window " << w << " (" << r << "," << c
+            << ")";
+      }
+    }
+  }
+}
+
 TEST(InferEquivalence, StackedBiLstmBatchMatchesSingle) {
   for (uint64_t seed : {11u, 12u}) {
     Rng rng(seed);
     StackedBiLstm stack("s", 4, 6, 2, &rng);
-    const StackedBiLstmInfer frozen = Freeze(stack);
-
-    std::vector<Matrix> windows;
-    for (size_t t : kRaggedLens) {
-      windows.push_back(Matrix::Randn(t, 4, 1.0, &rng));
-    }
-    std::vector<Matrix> refs;
-    for (const Matrix& x : windows) {
-      Tape tape;
-      refs.push_back(stack.Forward(&tape, tape.Input(x)).value());
-    }
-
-    const Matrix x_all = StackWindows(windows);
-    const std::vector<size_t> offsets = PrefixOffsets(kRaggedLens);
-    InferenceContext ctx;
-    ctx.Reset();
-    const Matrix& out = frozen.Forward(&ctx, x_all, offsets);
-    ASSERT_EQ(out.rows(), x_all.rows());
-    for (size_t w = 0; w < kRaggedLens.size(); ++w) {
-      const Matrix& ref = refs[w];
-      ASSERT_EQ(ref.cols(), out.cols());
-      for (size_t r = 0; r < ref.rows(); ++r) {
-        for (size_t c = 0; c < ref.cols(); ++c) {
-          EXPECT_NEAR(out(offsets[w] + r, c), ref(r, c), kTol)
-              << "seed " << seed << " window " << w << " (" << r << ","
-              << c << ")";
-        }
-      }
-    }
+    CheckBatchMatchesSingle(Freeze(stack), 4, &rng, seed);
   }
 }
 
@@ -160,35 +206,110 @@ TEST(InferEquivalence, TcnBatchMatchesSingle) {
   for (uint64_t seed : {21u, 22u}) {
     Rng rng(seed);
     Tcn tcn("t", 3, 5, 2, 3, &rng);
-    const TcnInfer frozen = Freeze(tcn);
+    CheckBatchMatchesSingle(Freeze(tcn), 3, &rng, seed);
+  }
+}
 
-    std::vector<Matrix> windows;
-    for (size_t t : kRaggedLens) {
-      windows.push_back(Matrix::Randn(t, 3, 1.0, &rng));
-    }
-    std::vector<Matrix> refs;
-    for (const Matrix& x : windows) {
-      Tape tape;
-      refs.push_back(tcn.Forward(&tape, tape.Input(x)).value());
-    }
+// ---------------------------------------------------------------------
+// The float GEMMs: every entry is the serial chain c = fma(a_k, b_k, c)
+// in ascending k, so a row's result does not depend on its tile, its
+// neighbours or the dispatch — checked against a scalar std::fma chain
+// at shapes that hit every tile, panel and masked-tail path.
 
-    const Matrix x_all = StackWindows(windows);
-    const std::vector<size_t> offsets = PrefixOffsets(kRaggedLens);
-    InferenceContext ctx;
-    ctx.Reset();
-    const Matrix& out = frozen.Forward(&ctx, x_all, offsets);
-    ASSERT_EQ(out.rows(), x_all.rows());
-    for (size_t w = 0; w < kRaggedLens.size(); ++w) {
-      const Matrix& ref = refs[w];
-      for (size_t r = 0; r < ref.rows(); ++r) {
-        for (size_t c = 0; c < ref.cols(); ++c) {
-          EXPECT_NEAR(out(offsets[w] + r, c), ref(r, c), kTol)
-              << "seed " << seed << " window " << w << " (" << r << ","
-              << c << ")";
+MatrixF RandomF(size_t rows, size_t cols, Rng* rng) {
+  return CastMatrix<float>(Matrix::Randn(rows, cols, 1.0, rng));
+}
+
+MatrixF RowOf(const MatrixF& m, size_t r) {
+  MatrixF row(1, m.cols());
+  std::copy_n(m.data() + r * m.cols(), m.cols(), row.data());
+  return row;
+}
+
+TEST(FrozenGemm, EveryEntryIsOneSerialFmaChain) {
+  Rng rng(5);
+  for (size_t m : {1u, 3u, 4u, 5u, 17u, 40u}) {
+    for (size_t k : {1u, 7u, 64u}) {
+      for (size_t n : {2u, 24u, 100u, 256u, 384u}) {
+        const MatrixF a = RandomF(m, k, &rng);
+        const MatrixF b = RandomF(k, n, &rng);
+        const MatrixF b_t = RandomF(n, k, &rng);
+        const MatrixF init = RandomF(m, n, &rng);
+        MatrixF prod = init;
+        MatMulInto(a, b, &prod, /*accumulate=*/true);
+        MatrixF prod_t(m, n);
+        MatMulTransBInto(a, b_t, &prod_t);
+        for (size_t i = 0; i < m; ++i) {
+          MatrixF row_prod = RowOf(init, i);
+          MatMulInto(RowOf(a, i), b, &row_prod, /*accumulate=*/true);
+          MatrixF row_prod_t(1, n);
+          MatMulTransBInto(RowOf(a, i), b_t, &row_prod_t);
+          for (size_t j = 0; j < n; ++j) {
+            float chain = init(i, j);
+            float dot = 0.0f;
+            for (size_t kk = 0; kk < k; ++kk) {
+              chain = std::fma(a(i, kk), b(kk, j), chain);
+              dot = std::fma(a(i, kk), b_t(j, kk), dot);
+            }
+            ASSERT_EQ(prod(i, j), chain)
+                << m << "x" << k << "x" << n << " (" << i << "," << j << ")";
+            ASSERT_EQ(row_prod(0, j), chain);
+            ASSERT_EQ(prod_t(i, j), dot)
+                << m << "x" << k << "x" << n << " (" << i << "," << j << ")";
+            ASSERT_EQ(row_prod_t(0, j), dot);
+          }
         }
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Aligned storage: a float matrix's data() sits on a 64-byte boundary
+// after construction, growth, copy and move, and so does every float
+// slab the inference arena hands out. (Double storage, the tape's, is
+// left to std::allocator; see MatrixStorage in nn/matrix.h.)
+
+bool Aligned64(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
+}
+
+TEST(AlignedStorage, FloatMatrixDataIs64ByteAligned) {
+  MatrixF m(3, 5);
+  EXPECT_TRUE(Aligned64(m.data()));
+  m.Resize(40, 33);  // growth reallocates
+  EXPECT_TRUE(Aligned64(m.data()));
+  MatrixF copy(m);
+  EXPECT_TRUE(Aligned64(copy.data()));
+  MatrixF assigned(1, 1);
+  assigned = m;
+  EXPECT_TRUE(Aligned64(assigned.data()));
+  MatrixF moved(std::move(copy));
+  EXPECT_TRUE(Aligned64(moved.data()));
+  MatrixF move_assigned;
+  move_assigned = std::move(assigned);
+  EXPECT_TRUE(Aligned64(move_assigned.data()));
+}
+
+TEST(AlignedStorage, EveryFloatArenaSlabIs64ByteAligned) {
+  InferenceContext ctx;
+  // Odd shapes, growing and shrinking across passes.
+  for (size_t pass = 0; pass < 3; ++pass) {
+    ctx.Reset();
+    for (size_t rows : {1u, 7u, 64u, 3u}) {
+      EXPECT_TRUE(Aligned64(ctx.Acquire<float>(rows, 5 + 11 * pass).data()));
+    }
+  }
+  // The slabs a real forward acquires: input, projections, gates, states.
+  Rng rng(9);
+  StackedBiLstm stack("s", 4, 6, 2, &rng);
+  const StackedBiLstmInfer frozen = Freeze(stack);
+  const Matrix x = Matrix::Randn(13, 4, 1.0, &rng);
+  ctx.Reset();
+  std::vector<size_t> offsets;
+  const MatrixF& x_all = StackWindows(&ctx, {&x, 1}, &offsets);
+  EXPECT_TRUE(Aligned64(x_all.data()));
+  EXPECT_TRUE(Aligned64(frozen.Forward(&ctx, x_all, offsets).data()));
 }
 
 // ---------------------------------------------------------------------
@@ -305,12 +426,23 @@ TEST_F(InferFilterEquivalence, WindowNetworkFilter) {
     CheckFilter(filter, 3000 + seed);
 
     // The window probability itself — the pre-threshold activation —
-    // must agree to 1e-9, not just the thresholded decision.
+    // must agree within the fp32 bound, not just the thresholded
+    // decision. The trunk's reductions are at most D + 2H + H + 1 long;
+    // the head reads 2H max-pooled trunk outputs (gain <= 2H·max|w| on
+    // their errors) and adds its own 2H + 1 term rounding; the sigmoid's
+    // slope is <= 1/4.
     Rng rng(4000 + seed);
     for (size_t t : kSeqLens) {
       const Matrix features = RandomFeatures(t, &rng);
+      const size_t h = network.hidden_dim;
+      const double w = MaxAbsWeight(filter.Params());
+      const double trunk = Fp32Bound(featurizer_.feature_dim() + 3 * h + 1,
+                                     std::max(1.0, MaxAbs(features)) * w,
+                                     network.num_layers * t);
+      const double bound =
+          2.0 * static_cast<double>(h) * w * trunk + Fp32Bound(2 * h + 1, w, 1);
       EXPECT_NEAR(filter.WindowProbability(features),
-                  filter.WindowProbabilityTape(features), kTol)
+                  filter.WindowProbabilityTape(features), bound)
           << "T " << t;
     }
   }
@@ -415,6 +547,73 @@ TEST_F(InferFilterEquivalence, EventNetworkFilterBatchOnlineBoosts) {
     mark(*filter, [](size_t i) { return i % 2 == 0 ? 0.0 : 0.2; });
     EXPECT_GT(marked(mark(*filter, [](size_t) { return 0.0; })), 0u);
     EXPECT_EQ(marked(mark(*filter, [](size_t) { return 0.6; })), 0u);
+  }
+}
+
+// A finite but extreme attribute (CSV accepts any finite value, and the
+// raw channel is only standardized) would round to inf in float, where
+// an inf meeting a zero weight or an opposite-sign inf in one sum gives
+// NaN. StackWindows saturates it instead, so every mark stays valid —
+// no kInvalidMark quarantine — and equals the double tape's, through
+// both the batch and the online entry points. (The TCN is left out: the
+// double tape itself scores such a window non-finite, so the fp64 and
+// fp32 paths both quarantine it.)
+TEST_F(InferFilterEquivalence, ExtremeFiniteAttributeKeepsMarksFinite) {
+  constexpr size_t kExtreme = 120;
+  EventStream extreme(stream_.schema_ptr());
+  for (size_t i = 0; i < stream_.size(); ++i) {
+    Event event = stream_[i];
+    if (i == kExtreme) event.attrs[0] = 1e300;
+    extreme.AppendArrival(event);
+  }
+  NetworkConfig network;
+  network.hidden_dim = 8;
+  network.num_layers = 2;
+  network.seed = 81;
+  const EventNetworkFilter event_filter(&featurizer_, network, 0.5);
+  const WindowNetworkFilter window_filter(&featurizer_, network, 0.5);
+
+  // The slab itself: the extreme feature is saturated, not rounded to
+  // inf, and a NaN feature still passes through.
+  Matrix features = featurizer_.Encode(extreme.View(kExtreme, 2));
+  features(1, 0) = std::numeric_limits<double>::quiet_NaN();
+  InferenceContext slab_ctx;
+  std::vector<size_t> offsets;
+  const MatrixF& slab = StackWindows(&slab_ctx, {&features, 1}, &offsets);
+  const float* row = slab.data();
+  EXPECT_EQ(*std::max_element(row, row + slab.cols()), kFrozenInputBound);
+  EXPECT_TRUE(std::isnan(slab(1, 0)));
+
+  // Windows around the extreme event, at its start, middle and end.
+  const std::vector<WindowRange> ranges = {
+      {kExtreme, kExtreme + 16}, {kExtreme - 7, kExtreme + 9},
+      {kExtreme - 15, kExtreme + 1}, {kExtreme, kExtreme + 1}};
+  std::vector<std::shared_ptr<EventStream>> slices;
+  std::vector<OnlineWindow> online;
+  for (const WindowRange& r : ranges) {
+    slices.push_back(
+        std::make_shared<EventStream>(extreme.Slice(r.begin, r.size())));
+    online.push_back(OnlineWindow{slices.back().get(), r.begin, 0.0});
+  }
+  for (const TrainableFilter* filter :
+       {static_cast<const TrainableFilter*>(&event_filter),
+        static_cast<const TrainableFilter*>(&window_filter)}) {
+    SCOPED_TRACE(filter->name());
+    InferenceContext ctx;
+    std::vector<std::vector<int>> batch(ranges.size());
+    filter->MarkBatchWith(extreme, ranges, &ctx, batch.data());
+    std::vector<std::vector<int>> streamed(ranges.size());
+    filter->MarkBatchOnline(online, &ctx, streamed.data());
+    for (size_t w = 0; w < ranges.size(); ++w) {
+      const std::vector<int> tape = filter->MarkFeaturesTape(
+          featurizer_.Encode(extreme.View(ranges[w].begin, ranges[w].size())));
+      ASSERT_EQ(std::count(tape.begin(), tape.end(), kInvalidMark), 0)
+          << "the double tape itself stays finite, window " << w;
+      EXPECT_EQ(std::count(batch[w].begin(), batch[w].end(), kInvalidMark), 0)
+          << "window " << w;
+      EXPECT_EQ(batch[w], tape) << "window " << w;
+      EXPECT_EQ(streamed[w], tape) << "window " << w;
+    }
   }
 }
 
