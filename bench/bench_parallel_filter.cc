@@ -203,56 +203,6 @@ void SweepShards(const std::string& label, const Pattern& pattern,
   }
 }
 
-/// Micro-batch sweep: windows marked per MarkBatchWith call, single
-/// worker so the GEMM batching effect is not confounded with thread
-/// scaling. batch=1 is the exact per-window path and the speedup
-/// baseline; marks must merge identically at every batch size.
-void SweepBatch(const std::string& label, const Pattern& pattern,
-                const BuiltDlacep& built, const DlacepConfig& base,
-                const EventStream& test) {
-  constexpr size_t kBatchSweep[] = {1, 4, 8, 16};
-  const double num_windows = static_cast<double>(
-      built.pipeline->assembler().Windows(test.size()).size());
-  double baseline_seconds = 0.0;
-  PipelineResult reference;
-  for (const size_t batch : kBatchSweep) {
-    DlacepConfig config = base;
-    config.num_threads = 1;
-    config.batch_size = batch;
-    DlacepPipeline pipeline(
-        pattern, std::make_unique<BorrowedFilter>(&built.pipeline->filter()),
-        config);
-    double best_seconds = 0.0;
-    bool identical = true;
-    PipelineResult result;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-      result = pipeline.Evaluate(test);
-      if (rep == 0 || result.filter_seconds < best_seconds) {
-        best_seconds = result.filter_seconds;
-      }
-      if (batch == 1 && rep == 0) reference = result;
-      identical = identical && result.marked_ids == reference.marked_ids &&
-                  result.marked_events == reference.marked_events &&
-                  result.matches.size() == reference.matches.size();
-    }
-    if (batch == 1) baseline_seconds = best_seconds;
-    std::printf("%-28s batch=%2zu  filter=%8.4fs  %9.1f w/s  "
-                "speedup=%5.2fx  identical=%s\n",
-                label.c_str(), batch, best_seconds,
-                num_windows / std::max(best_seconds, 1e-9),
-                baseline_seconds / std::max(best_seconds, 1e-9),
-                identical ? "yes" : "NO");
-    std::fflush(stdout);
-    const std::string key = label + " batch=" + std::to_string(batch);
-    JsonReport::Metric(key, "filter_seconds", best_seconds);
-    JsonReport::Metric(key, "windows_per_sec",
-                       num_windows / std::max(best_seconds, 1e-9));
-    JsonReport::Metric(key, "speedup",
-                       baseline_seconds / std::max(best_seconds, 1e-9));
-    JsonReport::Metric(key, "identical", identical ? 1.0 : 0.0);
-  }
-}
-
 void SweepInferencePath(const std::string& label, const Pattern& pattern,
                         const BuiltDlacep& built, const DlacepConfig& base,
                         const EventStream& test) {
@@ -447,8 +397,6 @@ int Run() {
     SweepThreads("QA1(j=4,k=4) event-net", pattern, built, config, test);
     std::printf("--- sharded online runtime (events/sec) ---\n");
     SweepShards("QA1(j=4,k=4) event-net", pattern, built, test);
-    std::printf("--- micro-batch sweep (1 worker, windows/sec) ---\n");
-    SweepBatch("QA1(j=4,k=4) event-net", pattern, built, config, test);
     std::printf("--- tape vs inference fast path (windows/sec) ---\n");
     SweepInferencePath("QA1(j=4,k=4) event-net", pattern, built, config,
                        test);
@@ -470,8 +418,6 @@ int Run() {
     BuiltDlacep built =
         BuildDlacep(pattern, train, FilterKind::kWindowNetwork, config);
     SweepThreads("QA3(j=5,k=12) window-net", pattern, built, config, test);
-    std::printf("--- micro-batch sweep (1 worker, windows/sec) ---\n");
-    SweepBatch("QA3(j=5,k=12) window-net", pattern, built, config, test);
     std::printf("--- tape vs inference fast path (windows/sec) ---\n");
     SweepInferencePath("QA3(j=5,k=12) window-net", pattern, built, config,
                        test);

@@ -41,23 +41,13 @@ struct DlacepConfig {
   size_t step_size = 0;
 
   /// Worker threads for the filtration stage. Every assembler window is
-  /// an independent inference, so the pipeline shards windows across a
-  /// fixed-size thread pool and merges the per-window marks back in
-  /// window order — the marked-event sequence, MatchSet, and
-  /// filtering_ratio() are byte-identical to the sequential run
-  /// (tests/determinism_test.cc). 1 = the exact legacy sequential path
-  /// (default); 0 = hardware concurrency.
+  /// an independent inference, so the pipeline hands windows out to up
+  /// to this many workers (one of them the calling thread) and merges
+  /// the per-window marks back in window order — the marked-event
+  /// sequence, MatchSet, and filtering_ratio() are byte-identical to
+  /// the sequential run (tests/determinism_test.cc). 1 = the calling
+  /// thread alone (default); 0 = hardware concurrency.
   size_t num_threads = 1;
-
-  /// Windows marked per filter call in the filtration stage: consecutive
-  /// assembler windows are grouped into micro-batches of this size (the
-  /// tail batch may be smaller; 0 and 1 = one window per call, the
-  /// default) and each is marked with one MarkBatchWith call, so the NN
-  /// trunk runs once per batch. Marks are byte-identical at every batch
-  /// size, and so are the underlying fp32 activations: every frozen
-  /// GEMM entry is one serial FMA chain whatever rows share the slab
-  /// (see nn/infer.h).
-  size_t batch_size = 1;
 
   NetworkConfig network;
   TrainConfig train = DefaultDlacepTrainConfig();

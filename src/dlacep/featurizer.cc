@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 
 namespace dlacep {
@@ -19,21 +20,22 @@ Featurizer::Featurizer(const std::vector<std::vector<TypeId>>& type_sets,
   std::vector<std::vector<TypeId>> sets = type_sets;
   std::sort(sets.begin(), sets.end());
   sets.erase(std::unique(sets.begin(), sets.end()), sets.end());
-  DLACEP_CHECK_LE(sets.size(), 64u);
   std::set<TypeId> referenced;
   for (const auto& set : sets) {
     referenced.insert(set.begin(), set.end());
   }
-  std::unordered_map<uint64_t, size_t> slot_of_signature;
+  // A type's signature is the ascending list of the sets it belongs to;
+  // slots are numbered in first appearance over the sorted type ids.
+  std::map<std::vector<size_t>, size_t> slot_of_signature;
   for (TypeId type : referenced) {
-    uint64_t signature = 0;
+    std::vector<size_t> signature;
     for (size_t s = 0; s < sets.size(); ++s) {
       if (std::binary_search(sets[s].begin(), sets[s].end(), type)) {
-        signature |= uint64_t{1} << s;
+        signature.push_back(s);
       }
     }
-    auto [it, inserted] =
-        slot_of_signature.emplace(signature, slot_of_signature.size());
+    auto [it, inserted] = slot_of_signature.emplace(
+        std::move(signature), slot_of_signature.size());
     type_slot_.emplace(type, it->second);
   }
   num_type_slots_ = slot_of_signature.size() + 1;  // + "other"
@@ -83,11 +85,13 @@ Matrix Featurizer::Encode(std::span<const Event> window) const {
     features(t, slot) = 1.0;
     for (size_t a = 0; a < num_attrs_; ++a) {
       const AttrStats& stats = attr_stats_[a];
-      features(t, num_type_slots_ + 1 + a) =
-          (e.attr(a) - stats.mean) / stats.stddev;
+      features(t, num_type_slots_ + 1 + a) = std::clamp(
+          (e.attr(a) - stats.mean) / stats.stddev, -kAttrBound, kAttrBound);
       const AttrStats& log_stats = log_attr_stats_[a];
       features(t, num_type_slots_ + 1 + num_attrs_ + a) =
-          (SignedLog(e.attr(a)) - log_stats.mean) / log_stats.stddev;
+          std::clamp((SignedLog(e.attr(a)) - log_stats.mean) /
+                         log_stats.stddev,
+                     -kAttrBound, kAttrBound);
     }
   }
   return features;

@@ -12,7 +12,7 @@
 // the pattern gets its own slot and all other types share one "other"
 // slot (the paper's example: 500 types, 1 referenced → 2 categories).
 // Numeric attributes are standardized with the mean/stddev of the
-// training stream. Blank (padding) events encode as zeros plus the blank
+// training stream and clipped to ±kAttrBound. Blank (padding) events encode as zeros plus the blank
 // flag — used by the simulated time-based-window experiment (Fig 14).
 
 #ifndef DLACEP_DLACEP_FEATURIZER_H_
@@ -48,6 +48,16 @@ class Featurizer {
 
   /// The signed-log transform used for the second attribute channel.
   static double SignedLog(double v);
+
+  /// Bound on both standardized attribute channels: about three times
+  /// the largest value a simulated stream produces (~33 standard
+  /// deviations, a shocked stock stream), so one extreme but finite
+  /// input (say 1e300, ~1e3 on the signed-log channel) stays a moderate
+  /// feature instead of driving a TCN's activations to inf. From ~500 on,
+  /// a TCN's two CRF directions saturate at 0 and 1, whose 0.5 average
+  /// ties the default threshold, so fp32 and fp64 could round the same
+  /// window to different marks.
+  static constexpr double kAttrBound = 100.0;
 
  private:
   std::unordered_map<TypeId, size_t> type_slot_;  ///< referenced types

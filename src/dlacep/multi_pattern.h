@@ -10,8 +10,8 @@
 //
 // This is single-pattern DLACEP over a pattern set: training is the
 // batch pipeline's TrainFilter() on the unified labels (labeler.h), and
-// filtration is its FiltrationPass, so num_threads, batch_size and the
-// filtering ratio mean exactly what they mean for DlacepPipeline. Only
+// filtration is its FiltrationPass, so num_threads and the filtering
+// ratio mean exactly what they mean for DlacepPipeline. Only
 // the extraction differs: one extractor per pattern, built once.
 //
 // All patterns must share the schema and use count windows; the
@@ -57,13 +57,6 @@ class MultiPatternDlacep {
   /// by this object; valid for its lifetime.
   const EventNetworkFilter* filter() const {
     return static_cast<const EventNetworkFilter*>(filter_.get());
-  }
-
-  /// Windows marked per filter call in Evaluate (mirrors
-  /// DlacepConfig::batch_size). Exposed so equivalence tests can sweep
-  /// batch sizes without retraining a second system.
-  void set_batch_size(size_t batch_size) {
-    filtration_.set_batch_size(batch_size);
   }
 
  private:

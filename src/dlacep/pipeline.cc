@@ -1,9 +1,12 @@
 #include "dlacep/pipeline.h"
 
 #include <algorithm>
+#include <atomic>
 #include <span>
+#include <thread>
 
 #include "common/logging.h"
+#include "common/threads.h"
 #include "dlacep/event_filter.h"
 #include "dlacep/oracle_filter.h"
 #include "dlacep/window_filter.h"
@@ -27,44 +30,43 @@ FiltrationPass::FiltrationPass(const InputAssembler& assembler,
                                const DlacepConfig& config)
     : assembler_(assembler),
       filter_(filter),
-      num_threads_(config.num_threads),
-      batch_size_(config.batch_size) {
+      num_threads_(config.num_threads) {
   DLACEP_CHECK(filter_ != nullptr);
 }
 
 std::vector<const Event*> FiltrationPass::Run(const EventStream& stream,
                                               FiltrationStats* stats) {
   // Every assembler window is an independent forward-only inference
-  // (filters are const/re-entrant), so windows fan out over the pool
-  // into per-window mark buffers, each worker on its own scratch arena.
-  // filter_seconds stays wall clock: it brackets the fan-out and merge.
+  // (filters are const/re-entrant), marked on its own as a batch of one
+  // into its own mark buffer. The workers — the calling thread plus
+  // workers − 1 forked threads — take windows from one shared index,
+  // each on its own scratch arena, and all join before the merge.
+  // filter_seconds stays wall clock: it brackets the fork-join and merge.
   Stopwatch watch;
   const std::vector<WindowRange> windows = assembler_.Windows(stream.size());
   std::vector<std::vector<int>> window_marks(windows.size());
-  const size_t workers = ResolveNumThreads(num_threads_);
-  if (workers > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(workers);
-  }
-  ThreadPool* pool = workers > 1 ? pool_.get() : nullptr;
+  const size_t workers =
+      std::min(ResolveNumThreads(num_threads_), windows.size());
   while (contexts_.size() < workers) {
     contexts_.push_back(std::make_unique<InferenceContext>());
   }
-  // Micro-batched filtration: consecutive windows are grouped into
-  // fixed chunks of batch_size (tail chunk smaller) and each chunk is
-  // one MarkBatchWith call, so the NN trunk runs once per chunk; a chunk
-  // of one is a window marked on its own. Chunk boundaries depend only
-  // on batch_size, never on the worker count, so marks stay
-  // byte-identical across num_threads.
-  const size_t batch_size = std::max<size_t>(batch_size_, 1);
-  const size_t num_batches = (windows.size() + batch_size - 1) / batch_size;
-  ParallelForWorker(pool, num_batches, [&](size_t worker, size_t bi) {
-    obs::TraceSpan mark_span(obs::StageWindowMark());
-    const size_t begin = bi * batch_size;
-    const size_t count = std::min(batch_size, windows.size() - begin);
-    filter_->MarkBatchWith(
-        stream, std::span<const WindowRange>(windows.data() + begin, count),
-        contexts_[worker].get(), window_marks.data() + begin);
-  });
+  std::atomic<size_t> next_window{0};
+  auto mark_windows = [&](InferenceContext* ctx) {
+    for (;;) {
+      const size_t i = next_window.fetch_add(1, std::memory_order_relaxed);
+      if (i >= windows.size()) return;
+      obs::TraceSpan mark_span(obs::StageWindowMark());
+      filter_->MarkBatchWith(stream, {&windows[i], 1}, ctx,
+                             &window_marks[i]);
+    }
+  };
+  {
+    std::vector<std::jthread> forked;
+    for (size_t w = 1; w < workers; ++w) {
+      forked.emplace_back(mark_windows, contexts_[w].get());
+    }
+    if (workers > 0) mark_windows(contexts_[0].get());
+  }  // ~jthread joins every forked worker
 
   // Deterministic merge in window order: the concatenated mark sequence
   // is identical to what the sequential loop produced, regardless of

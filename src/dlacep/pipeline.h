@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "dlacep/assembler.h"
 #include "dlacep/config.h"
 #include "dlacep/extractor.h"
@@ -46,8 +45,8 @@ struct FiltrationStats {
   size_t marked_events = 0;
   /// Ids of marked events in deterministic merge order (window by
   /// window, duplicates from overlapping windows included). This is the
-  /// mark vector: byte-identical across num_threads and batch_size
-  /// settings, which the determinism tests assert.
+  /// mark vector: byte-identical at every num_threads, which the
+  /// determinism tests assert.
   std::vector<EventId> marked_ids;
   double filter_seconds = 0.0;  ///< wall clock, whatever num_threads is
   double cep_seconds = 0.0;
@@ -94,11 +93,11 @@ size_t MaxCountWindow(std::span<const Pattern> patterns);
 
 /// The filtration half of batch evaluation: marks every assembler window
 /// of a stream with `filter` and merges the marks in window order.
-/// Windows go in chunks of config.batch_size (one MarkBatchWith call
-/// each) over a pool of config.num_threads workers, built on the first
-/// Run() that wants more than one, with one InferenceContext per worker
-/// reused across chunks and runs. The output is byte-identical at every
-/// num_threads and batch_size.
+/// Each window is one MarkBatchWith call over a one-window span. Up to
+/// config.num_threads workers (the calling thread plus forked threads,
+/// never more workers than windows) take windows from one shared index,
+/// each on its own InferenceContext reused across runs, and all join
+/// before the merge. The output is byte-identical at every num_threads.
 class FiltrationPass {
  public:
   /// `filter` is not owned and must outlive the pass.
@@ -112,17 +111,13 @@ class FiltrationPass {
                                 FiltrationStats* stats);
 
   const InputAssembler& assembler() const { return assembler_; }
-  void set_batch_size(size_t batch_size) { batch_size_ = batch_size; }
 
  private:
   InputAssembler assembler_;
   const StreamFilter* filter_;
   size_t num_threads_;
-  size_t batch_size_;
-  std::unique_ptr<ThreadPool> pool_;
-  /// One inference scratch arena per worker (slot 0 doubles as the
-  /// sequential path's arena) — after the first window each Mark runs
-  /// allocation-free.
+  /// One inference scratch arena per worker (slot 0 is the calling
+  /// thread's) — after the first window each mark runs allocation-free.
   std::vector<std::unique_ptr<InferenceContext>> contexts_;
 };
 
@@ -136,9 +131,9 @@ class DlacepPipeline {
                  const DlacepConfig& config);
 
   /// Runs filtration + extraction over `stream`. With
-  /// config.num_threads != 1 the filtration stage fans window inference
-  /// out over a fixed-size thread pool; the result is byte-identical to
-  /// the sequential run (deterministic window-order merge).
+  /// config.num_threads != 1 the filtration stage forks window inference
+  /// out over worker threads; the result is byte-identical to the
+  /// sequential run (deterministic window-order merge).
   PipelineResult Evaluate(const EventStream& stream);
 
   /// Runs Evaluate() plus a baseline ECEP engine over the same stream.

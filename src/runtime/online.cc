@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
+#include "common/threads.h"
 #include "common/timer.h"
 #include "dlacep/assembler.h"
 #include "obs/stages.h"

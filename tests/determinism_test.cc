@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
+#include <thread>
+#include <vector>
 
 #include "dlacep/event_filter.h"
 #include "dlacep/multi_pattern.h"
@@ -106,23 +109,42 @@ TEST(Determinism, SavedFilterProducesIdenticalMarksAfterReload) {
 }
 
 /// Non-owning view so one trained filter can serve several pipelines
-/// with different num_threads settings.
+/// with different num_threads settings. Forwards the batch marking call
+/// with the worker's arena, and records which thread marked each window
+/// in a slot per window start that only one worker may write (a window
+/// marked twice, or concurrently, shows up as a data race).
 class BorrowedFilter : public StreamFilter {
  public:
-  explicit BorrowedFilter(const StreamFilter* inner) : inner_(inner) {}
+  BorrowedFilter(const StreamFilter* inner,
+                 std::vector<std::thread::id>* marked_by)
+      : inner_(inner), marked_by_(marked_by) {}
   std::string name() const override { return inner_->name(); }
   std::vector<int> Mark(const EventStream& stream,
                         WindowRange range) const override {
     return inner_->Mark(stream, range);
   }
+  void MarkBatchWith(const EventStream& stream,
+                     std::span<const WindowRange> windows,
+                     InferenceContext* ctx,
+                     std::vector<int>* marks) const override {
+    for (const WindowRange& range : windows) {
+      (*marked_by_)[range.begin] = std::this_thread::get_id();
+    }
+    inner_->MarkBatchWith(stream, windows, ctx, marks);
+  }
 
  private:
   const StreamFilter* inner_;
+  std::vector<std::thread::id>* marked_by_;
 };
 
 /// Parallel filtration must be byte-identical to the sequential path:
 /// same mark vector (merge order included), same dedup count, same
-/// filtering ratio, same matches.
+/// filtering ratio, same matches. Covered: the whole test stream at
+/// hardware concurrency (num_threads = 0) and fixed counts, a four-window
+/// prefix with more threads than windows, a stream shorter than one
+/// mark window (one truncated window, which the calling thread marks
+/// alone), and the empty stream (no window, no mark).
 void ExpectThreadCountInvariance(FilterKind kind) {
   const EventStream train = SmallStream(800, 206);
   const EventStream test = SmallStream(400, 207);
@@ -134,32 +156,58 @@ void ExpectThreadCountInvariance(FilterKind kind) {
   config.train.max_epochs = 6;
 
   BuiltDlacep built = BuildDlacep(pattern, train, kind, config);
+  const EventStream four_windows = test.Slice(0, 40);
+  const EventStream short_stream = test.Slice(0, 10);
+  const EventStream empty(test.schema_ptr());
+  ASSERT_EQ(built.pipeline->assembler().Windows(four_windows.size()).size(),
+            4u);
+  ASSERT_EQ(built.pipeline->assembler().Windows(short_stream.size()).size(),
+            1u);
 
-  auto evaluate = [&](size_t num_threads) {
+  std::vector<std::thread::id> marked_by;
+  auto evaluate = [&](const EventStream& stream, size_t num_threads) {
+    marked_by.assign(stream.size(), std::thread::id());
     DlacepConfig threaded = config;
     threaded.num_threads = num_threads;
     DlacepPipeline pipeline(
         pattern,
-        std::make_unique<BorrowedFilter>(&built.pipeline->filter()),
+        std::make_unique<BorrowedFilter>(&built.pipeline->filter(),
+                                         &marked_by),
         threaded);
-    return pipeline.Evaluate(test);
+    return pipeline.Evaluate(stream);
   };
 
-  const PipelineResult sequential = evaluate(1);
-  for (const size_t num_threads : {size_t{2}, size_t{4}}) {
-    SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
-    const PipelineResult parallel = evaluate(num_threads);
-    EXPECT_EQ(parallel.marked_ids, sequential.marked_ids);
-    EXPECT_EQ(parallel.marked_events, sequential.marked_events);
-    EXPECT_DOUBLE_EQ(parallel.filtering_ratio(),
-                     sequential.filtering_ratio());
-    ASSERT_EQ(parallel.matches.size(), sequential.matches.size());
-    auto it_p = parallel.matches.begin();
-    auto it_s = sequential.matches.begin();
-    for (; it_s != sequential.matches.end(); ++it_p, ++it_s) {
-      EXPECT_EQ(it_p->ids, it_s->ids);
+  const struct {
+    const EventStream* stream;
+    std::vector<size_t> thread_counts;
+  } cases[] = {{&test, {0, 2, 4}},
+               {&four_windows, {8}},
+               {&short_stream, {4}},
+               {&empty, {4}}};
+  for (const auto& c : cases) {
+    const PipelineResult sequential = evaluate(*c.stream, 1);
+    for (const size_t num_threads : c.thread_counts) {
+      SCOPED_TRACE("events=" + std::to_string(c.stream->size()) +
+                   " num_threads=" + std::to_string(num_threads));
+      const PipelineResult parallel = evaluate(*c.stream, num_threads);
+      EXPECT_EQ(parallel.marked_ids, sequential.marked_ids);
+      EXPECT_EQ(parallel.marked_events, sequential.marked_events);
+      EXPECT_DOUBLE_EQ(parallel.filtering_ratio(),
+                       sequential.filtering_ratio());
+      ASSERT_EQ(parallel.matches.size(), sequential.matches.size());
+      auto it_p = parallel.matches.begin();
+      auto it_s = sequential.matches.begin();
+      for (; it_s != sequential.matches.end(); ++it_p, ++it_s) {
+        EXPECT_EQ(it_p->ids, it_s->ids);
+      }
     }
   }
+  // The one-window stream: its window was marked on the calling thread.
+  evaluate(short_stream, 4);
+  EXPECT_EQ(marked_by[0], std::this_thread::get_id());
+  const PipelineResult none = evaluate(empty, 4);
+  EXPECT_TRUE(none.marked_ids.empty());
+  EXPECT_EQ(none.total_events, 0u);
 }
 
 TEST(Determinism, EventNetworkMarksAreThreadCountInvariant) {
@@ -188,7 +236,6 @@ TEST(Determinism, MultiPatternMarksAreThreadCountInvariant) {
     config.network.hidden_dim = 6;
     config.network.num_layers = 1;
     config.train.max_epochs = 4;
-    config.batch_size = 3;
     config.num_threads = num_threads;
     MultiPatternDlacep system(patterns, train, config);
     return system.Evaluate(test);
@@ -196,7 +243,7 @@ TEST(Determinism, MultiPatternMarksAreThreadCountInvariant) {
 
   const MultiPatternResult sequential = evaluate(1);
   ASSERT_EQ(sequential.per_pattern.size(), patterns.size());
-  for (const size_t num_threads : {size_t{2}, size_t{4}}) {
+  for (const size_t num_threads : {size_t{0}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
     const MultiPatternResult parallel = evaluate(num_threads);
     EXPECT_EQ(parallel.marked_ids, sequential.marked_ids);

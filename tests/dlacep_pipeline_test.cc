@@ -98,6 +98,36 @@ TEST(Featurizer, CompactsTypesAndStandardizesAttrs) {
   EXPECT_NEAR(mean, 0.0, 1e-9);
 }
 
+// Signatures are not capped at 64 sets: 70 pairwise-disjoint sets
+// {2k, 2k+1} give 70 slots, slot k shared by both members of set k
+// (first appearance over sorted type ids), and every other type falls
+// into the shared "other" slot.
+TEST(Featurizer, CompactsMoreThanSixtyFourTypeSets) {
+  constexpr size_t kSets = 70;
+  auto schema = MakeSyntheticSchema(2 * kSets + 5, 1);
+  std::vector<std::vector<TypeId>> type_sets;
+  for (size_t k = kSets; k-- > 0;) {  // input order must not matter
+    type_sets.push_back({static_cast<TypeId>(2 * k),
+                         static_cast<TypeId>(2 * k + 1)});
+  }
+  EventStream stream(schema);
+  for (size_t type = 0; type < 2 * kSets + 5; ++type) {
+    stream.Append(static_cast<TypeId>(type), static_cast<double>(type),
+                  {1.0 + static_cast<double>(type)});
+  }
+  const Featurizer featurizer(type_sets, stream);
+  EXPECT_EQ(featurizer.num_type_slots(), kSets + 1);
+
+  const Matrix features = featurizer.Encode(SpanOf(stream));
+  for (size_t type = 0; type < stream.size(); ++type) {
+    const size_t slot = type < 2 * kSets ? type / 2 : kSets;
+    for (size_t s = 0; s < featurizer.num_type_slots(); ++s) {
+      EXPECT_EQ(features(type, s), s == slot ? 1.0 : 0.0)
+          << "type " << type << " slot " << s;
+    }
+  }
+}
+
 TEST(Featurizer, BlankEventsEncodeAsBlankFlag) {
   auto schema = MakeSyntheticSchema(3, 1);
   EventStream stream(schema);
@@ -268,43 +298,6 @@ TEST(Pipeline, MergeDedupsExtractorInputWithoutChangingResults) {
             reference.stats().events_processed);
   EXPECT_EQ(result.cep_stats.partial_matches,
             reference.stats().partial_matches);
-}
-
-// Micro-batched filtration (config.batch_size > 1) must reproduce the
-// per-window path byte for byte, at every thread count: batch chunk
-// boundaries depend only on batch_size, never on the worker count.
-TEST(Pipeline, BatchedEvaluateMatchesPerWindowAcrossThreads) {
-  const EventStream train = SmallStream(600, 79);
-  const EventStream test = SmallStream(400, 80);
-  const Pattern pattern = TypeOnlySeq(train.schema_ptr(), 8);
-
-  DlacepConfig base;
-  base.network.hidden_dim = 8;
-  base.network.num_layers = 1;
-  base.train.max_epochs = 2;
-
-  auto run = [&](size_t batch_size, size_t threads) {
-    DlacepConfig config = base;  // seeded: retraining is deterministic
-    config.batch_size = batch_size;
-    config.num_threads = threads;
-    BuiltDlacep built =
-        BuildDlacep(pattern, train, FilterKind::kEventNetwork, config);
-    return built.pipeline->Evaluate(test);
-  };
-
-  const PipelineResult ref = run(1, 1);
-  for (size_t threads : {1u, 4u}) {
-    for (size_t batch_size : {3u, 8u}) {
-      const PipelineResult got = run(batch_size, threads);
-      EXPECT_EQ(got.marked_ids, ref.marked_ids)
-          << "batch_size=" << batch_size << " threads=" << threads;
-      EXPECT_EQ(got.marked_events, ref.marked_events)
-          << "batch_size=" << batch_size << " threads=" << threads;
-      EXPECT_EQ(got.matches.size(), ref.matches.size());
-      EXPECT_EQ(got.matches.IntersectionSize(ref.matches),
-                ref.matches.size());
-    }
-  }
 }
 
 // Property: for NEG-free patterns DLACEP can never invent a match,

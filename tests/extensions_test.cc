@@ -240,7 +240,7 @@ TEST(MultiPattern, SharedFilterServesBothPatternsWithoutFalsePositives) {
 TEST(MultiPattern, FastPathEvaluateMatchesLegacyTapeMarking) {
   // Evaluate now marks through the frozen-cell fast path (MarkWith /
   // MarkBatchWith); the autograd-tape Mark per window is the reference
-  // it must reproduce bit for bit, at any batch size.
+  // it must reproduce bit for bit.
   const EventStream train = SmallStream(1200, 71);
   const EventStream test = SmallStream(500, 72);
   auto schema = train.schema_ptr();
@@ -274,17 +274,14 @@ TEST(MultiPattern, FastPathEvaluateMatchesLegacyTapeMarking) {
     ASSERT_TRUE(extractor.Extract(marked, &reference[p]).ok());
   }
 
-  for (const size_t batch : {1u, 4u}) {
-    system.set_batch_size(batch);
-    const MultiPatternResult result = system.Evaluate(test);
-    ASSERT_EQ(result.per_pattern.size(), patterns.size());
-    for (size_t p = 0; p < patterns.size(); ++p) {
-      EXPECT_EQ(result.per_pattern[p].size(), reference[p].size())
-          << "batch=" << batch << " pattern=" << p;
-      EXPECT_EQ(result.per_pattern[p].IntersectionSize(reference[p]),
-                reference[p].size())
-          << "batch=" << batch << " pattern=" << p;
-    }
+  const MultiPatternResult result = system.Evaluate(test);
+  ASSERT_EQ(result.per_pattern.size(), patterns.size());
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    EXPECT_EQ(result.per_pattern[p].size(), reference[p].size())
+        << "pattern=" << p;
+    EXPECT_EQ(result.per_pattern[p].IntersectionSize(reference[p]),
+              reference[p].size())
+        << "pattern=" << p;
   }
 }
 
@@ -333,7 +330,6 @@ TEST(MultiPattern, OnePatternEqualsBuildDlacep) {
   const Pattern pattern = TypeOnlySeq(train.schema_ptr(), 8);
   DlacepConfig config = SmallMultiConfig();
   config.oversample_positive = 3;
-  config.batch_size = 4;
 
   BuiltDlacep built =
       BuildDlacep(pattern, train, FilterKind::kEventNetwork, config);

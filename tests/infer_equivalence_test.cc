@@ -550,14 +550,15 @@ TEST_F(InferFilterEquivalence, EventNetworkFilterBatchOnlineBoosts) {
   }
 }
 
-// A finite but extreme attribute (CSV accepts any finite value, and the
-// raw channel is only standardized) would round to inf in float, where
-// an inf meeting a zero weight or an opposite-sign inf in one sum gives
-// NaN. StackWindows saturates it instead, so every mark stays valid —
-// no kInvalidMark quarantine — and equals the double tape's, through
-// both the batch and the online entry points. (The TCN is left out: the
-// double tape itself scores such a window non-finite, so the fp64 and
-// fp32 paths both quarantine it.)
+// A finite but extreme attribute (CSV accepts any finite value) must
+// keep every mark valid — no kInvalidMark quarantine — and equal to the
+// double tape's, through both the batch and the online entry points, for
+// the BiLSTM and TCN event networks and the window network. Two bounds
+// keep it finite: Featurizer::Encode clips both standardized attribute
+// channels to ±kAttrBound (without it the TCN's double tape scores the
+// window non-finite), and StackWindows saturates any feature beyond
+// ±kFrozenInputBound, which would round to inf in float, where an inf
+// meeting a zero weight or an opposite-sign inf in one sum gives NaN.
 TEST_F(InferFilterEquivalence, ExtremeFiniteAttributeKeepsMarksFinite) {
   constexpr size_t kExtreme = 120;
   EventStream extreme(stream_.schema_ptr());
@@ -571,11 +572,14 @@ TEST_F(InferFilterEquivalence, ExtremeFiniteAttributeKeepsMarksFinite) {
   network.num_layers = 2;
   network.seed = 81;
   const EventNetworkFilter event_filter(&featurizer_, network, 0.5);
+  const EventNetworkFilter tcn_filter(&featurizer_, network, 0.5,
+                                      EventBackbone::Tcn(3));
   const WindowNetworkFilter window_filter(&featurizer_, network, 0.5);
 
-  // The slab itself: the extreme feature is saturated, not rounded to
-  // inf, and a NaN feature still passes through.
+  // The slab itself: a feature beyond float range is saturated, not
+  // rounded to inf, and a NaN feature still passes through.
   Matrix features = featurizer_.Encode(extreme.View(kExtreme, 2));
+  features(0, 0) = 1e300;
   features(1, 0) = std::numeric_limits<double>::quiet_NaN();
   InferenceContext slab_ctx;
   std::vector<size_t> offsets;
@@ -597,6 +601,7 @@ TEST_F(InferFilterEquivalence, ExtremeFiniteAttributeKeepsMarksFinite) {
   }
   for (const TrainableFilter* filter :
        {static_cast<const TrainableFilter*>(&event_filter),
+        static_cast<const TrainableFilter*>(&tcn_filter),
         static_cast<const TrainableFilter*>(&window_filter)}) {
     SCOPED_TRACE(filter->name());
     InferenceContext ctx;

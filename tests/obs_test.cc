@@ -364,8 +364,8 @@ TEST(Stages, AccessorsAreStableAndTouchRegistersSchema) {
 }
 
 // Every marking call runs the trunk Forward, a lone window as a batch
-// of one, so a batch_size = 1 Evaluate observes one forward of one
-// window per assembler window.
+// of one, so Evaluate observes one forward of one window per assembler
+// window.
 TEST(Stages, SoloEvaluateCountsOneTrunkForwardPerWindow) {
   const EventStream stream = testing_util::SmallStream(300, 5);
   const Pattern pattern =
@@ -374,7 +374,6 @@ TEST(Stages, SoloEvaluateCountsOneTrunkForwardPerWindow) {
   config.network.hidden_dim = 4;
   config.network.num_layers = 1;
   config.train.max_epochs = 1;
-  config.batch_size = 1;
   const BuiltDlacep built =
       BuildDlacep(pattern, stream, FilterKind::kEventNetwork, config);
   const size_t windows =

@@ -7,7 +7,7 @@
 //       Evaluate a PQL query exactly and print matches + statistics.
 //   compare   --query Q --train F.csv --test G.csv
 //             [--filter event|window] [--hidden N] [--layers N]
-//             [--epochs N] [--num_threads N] [--shards N]
+//             [--epochs N] [--num_threads N] [--shards N [--batch_size N]]
 //             [--save model.bin | --load model.bin]
 //       Train (or load) a DLACEP filter on the training stream and
 //       compare DLACEP against exact CEP on the test stream. With
@@ -210,7 +210,7 @@ StatusOr<EngineKind> ParseEngineKind(const Args& args) {
 }
 
 /// The filter flags shared by every command that trains one: --hidden,
-/// --layers, --epochs, --threshold, --batch_size and --num_threads.
+/// --layers, --epochs, --threshold and --num_threads.
 DlacepConfig MakeTrainConfig(const Args& args) {
   DlacepConfig config;
   config.num_threads = static_cast<size_t>(args.GetInt("num_threads", 1));
@@ -219,7 +219,6 @@ DlacepConfig MakeTrainConfig(const Args& args) {
   config.train.max_epochs = static_cast<size_t>(args.GetInt("epochs", 30));
   config.event_threshold = args.GetDouble("threshold", 0.35);
   config.window_threshold = config.event_threshold;
-  config.batch_size = static_cast<size_t>(args.GetInt("batch_size", 1));
   return config;
 }
 
@@ -233,8 +232,8 @@ int Usage() {
                "  dlacep compare --query Q --train F.csv --test G.csv\n"
                "       [--filter event|window] [--hidden N] [--layers N]"
                " [--epochs N]\n"
-               "       [--threshold P] [--num_threads N] [--batch_size N]"
-               " [--shards N]\n"
+               "       [--threshold P] [--num_threads N]"
+               " [--shards N [--batch_size N]]\n"
                "       [--save model.bin | --load model.bin]\n"
                "  dlacep replay --query Q --data F.csv [--filter KIND]\n"
                "       [--rate EV_PER_SEC] [--queue_capacity N]"
@@ -455,7 +454,8 @@ int Compare(const Args& args) {
   if (shards > 0) {
     OnlineConfig online_config;
     online_config.num_shards = static_cast<size_t>(shards);
-    online_config.batch_size = config.batch_size;
+    online_config.batch_size =
+        static_cast<size_t>(args.GetInt("batch_size", 1));
     online_config.overload.enabled = false;  // lossless, like the batch run
     OnlineDlacep online(pattern.value(), &built.pipeline->filter(),
                         online_config);
