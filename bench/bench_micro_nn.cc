@@ -51,6 +51,65 @@ void BM_MatMulTransBInto(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTransBInto)->Arg(16)->Arg(64)->Arg(128);
 
+// Both precisions at the shapes the LSTM actually runs (arg: hidden
+// size H; H = 12 for cep_batch, 64 for filter_online, 96 for serve8).
+// Each step's recurrent forward is a one-row 1×H · H×4H product, in
+// the tape (double) and in the frozen trunk (float), accumulated into
+// the gate row.
+template <typename T>
+void BM_MatMulRecurrent(benchmark::State& state) {
+  const size_t h = static_cast<size_t>(state.range(0));
+  Rng rng(7);
+  const MatrixT<T> h_row = CastMatrix<T>(Matrix::Randn(1, h, 1.0, &rng));
+  const MatrixT<T> wh = CastMatrix<T>(Matrix::Randn(h, 4 * h, 1.0, &rng));
+  MatrixT<T> gates(1, 4 * h);
+  for (auto _ : state) {
+    MatMulInto(h_row, wh, &gates, /*accumulate=*/false);
+    benchmark::DoNotOptimize(gates.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_TEMPLATE(BM_MatMulRecurrent, double)->Arg(12)->Arg(64)->Arg(96);
+BENCHMARK_TEMPLATE(BM_MatMulRecurrent, float)->Arg(12)->Arg(64)->Arg(96);
+
+// The tape's backward of that step: dh = dgates · Whᵗ, a one-row
+// 1×4H · (H×4H)ᵗ product.
+template <typename T>
+void BM_MatMulTransBRecurrent(benchmark::State& state) {
+  const size_t h = static_cast<size_t>(state.range(0));
+  Rng rng(8);
+  const MatrixT<T> dgates =
+      CastMatrix<T>(Matrix::Randn(1, 4 * h, 1.0, &rng));
+  const MatrixT<T> wh = CastMatrix<T>(Matrix::Randn(h, 4 * h, 1.0, &rng));
+  MatrixT<T> dh(1, h);
+  for (auto _ : state) {
+    MatMulTransBInto(dgates, wh, &dh, /*accumulate=*/false);
+    benchmark::DoNotOptimize(dh.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_TEMPLATE(BM_MatMulTransBRecurrent, double)
+    ->Arg(12)->Arg(64)->Arg(96);
+BENCHMARK_TEMPLATE(BM_MatMulTransBRecurrent, float)
+    ->Arg(12)->Arg(64)->Arg(96);
+
+// An emission head over a T = 32 window: T×2H · 2H×2.
+template <typename T>
+void BM_MatMulHead(benchmark::State& state) {
+  const size_t h = static_cast<size_t>(state.range(0));
+  Rng rng(9);
+  const MatrixT<T> x = CastMatrix<T>(Matrix::Randn(32, 2 * h, 1.0, &rng));
+  const MatrixT<T> w = CastMatrix<T>(Matrix::Randn(2 * h, 2, 1.0, &rng));
+  MatrixT<T> out(32, 2);
+  for (auto _ : state) {
+    MatMulInto(x, w, &out, /*accumulate=*/false);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_TEMPLATE(BM_MatMulHead, double)->Arg(12)->Arg(64)->Arg(96);
+BENCHMARK_TEMPLATE(BM_MatMulHead, float)->Arg(12)->Arg(64)->Arg(96);
+
 void BM_BiLstmForwardSeqLen(benchmark::State& state) {
   const size_t t_steps = static_cast<size_t>(state.range(0));
   Rng rng(2);

@@ -17,11 +17,12 @@
 // picture of the tape-free fast path at the pipeline level, and a check
 // that both paths merge to identical marks.
 //
-// A third sweep streams the test set through the sharded online
-// runtime (OnlineConfig::num_shards in {1, 2, 4, 8}) and reports
-// end-to-end events/sec — the thread-per-core runtime's headline
-// scaling number, gated in CI (4 shards must beat 1 shard by >= 2.5x
-// on the multi-core runners, with byte-identical marks).
+// A third sweep streams its own, longer stream (kShardStreamEvents)
+// through the sharded online runtime (OnlineConfig::num_shards in
+// {1, 2, 4, 8}) and reports end-to-end events/sec — the
+// thread-per-core runtime's headline scaling number, gated in CI (4
+// shards must beat 1 shard by >= 2.5x on the multi-core runners, with
+// byte-identical marks).
 
 #include <cstdio>
 #include <thread>
@@ -103,6 +104,11 @@ class TapePathFilter : public StreamFilter {
 
 constexpr size_t kThreadSweep[] = {1, 2, 4, 8};
 constexpr int kRepetitions = 3;
+// The shard sweep's stream: long enough (0.66–1.0 s per 1-shard pass
+// on a 4-vCPU VM) that thread start-up is a negligible share of a
+// pass. A 3,000-event stream (4–6 ms per pass) let the 4-shard ratio
+// swing 0.45–1.89x between runs of one binary.
+constexpr size_t kShardStreamEvents = 300000;
 
 void SweepThreads(const std::string& label, const Pattern& pattern,
                   const BuiltDlacep& built, const DlacepConfig& base,
@@ -396,7 +402,8 @@ int Run() {
         BuildDlacep(pattern, train, FilterKind::kEventNetwork, config);
     SweepThreads("QA1(j=4,k=4) event-net", pattern, built, config, test);
     std::printf("--- sharded online runtime (events/sec) ---\n");
-    SweepShards("QA1(j=4,k=4) event-net", pattern, built, test);
+    SweepShards("QA1(j=4,k=4) event-net", pattern, built,
+                GenerateStockStream(StockConfig(kShardStreamEvents, 2002)));
     std::printf("--- tape vs inference fast path (windows/sec) ---\n");
     SweepInferencePath("QA1(j=4,k=4) event-net", pattern, built, config,
                        test);

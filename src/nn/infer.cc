@@ -198,7 +198,7 @@ void LstmInfer::Forward(InferenceContext* ctx, const MatrixF& x_all,
   DLACEP_CHECK_LE(col + hidden, out_all->cols());
   const size_t h = hidden;
 
-  // Input projection for every window in one blocked GEMM — the
+  // Input projection for every window in one GEMM — the
   // recurrence only depends on it row by row, so there is no reason to
   // pay matrix-vector arithmetic intensity ΣT times.
   MatrixF& xproj = ctx->Acquire<float>(total, 4 * h);

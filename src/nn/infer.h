@@ -14,8 +14,8 @@
 //    TCN weights transposed so every output entry is a dot product of
 //    contiguous rows (the layout MatMulTransBInto runs on); LSTM weights
 //    kept gate-concatenated so the whole-sequence input projection is
-//    one register-tiled GEMM and one fused pass per step fills a single
-//    reused 1×4H gate row. Freeze() snapshots the current parameter
+//    one multi-row MatMulInto and one fused pass per step fills a
+//    single reused 1×4H gate row. Freeze() snapshots the current parameter
 //    values; a frozen cell does not track later parameter updates.
 //
 //  * The frozen trunk runs in single precision: Freeze() rounds the
@@ -143,7 +143,7 @@ struct DenseInfer {
 };
 
 /// Frozen LSTM cell. The input projection of the whole slab is hoisted
-/// out of the recurrence and computed as one blocked GEMM (ΣT×in ·
+/// out of the recurrence and computed as one GEMM (ΣT×in ·
 /// in×4H → ΣT×4H, all four gates [i|f|g|o] side by side); each step is
 /// then a single fused pass over a reused 1×4H gate row: bias +
 /// precomputed input projection + h·Wh followed by the elementwise cell
@@ -152,7 +152,7 @@ struct LstmInfer {
   size_t in_dim = 0;
   size_t hidden = 0;
   MatrixF wx;  ///< in×4H  (snapshot of Lstm's Wx: the hoisted ΣT×in·in×4H
-               ///<         projection rides the register-tiled MatMulInto)
+               ///<         projection rides MatMulInto's 4-row tiles)
   MatrixF wh;  ///< H×4H   (snapshot of Lstm's Wh: the recurrent update is
                ///<         a one-row MatMulInto whose 1×4H destination
                ///<         stays in registers across the reduction)

@@ -45,10 +45,11 @@ struct AlignedAllocator {
 };
 
 /// Element storage of MatrixT<T>. The frozen trunk's floats are 64-byte
-/// aligned. The tape's doubles stay on std::allocator: aligned double
-/// storage made the tape's H = 64 forward 1.4–1.6× slower
-/// (bench_micro_nn BM_BiLstmForwardHidden/64/32), while the same
-/// allocator without the alignment did not.
+/// aligned. The tape's doubles stay on std::allocator: on aligned
+/// storage bench_micro_nn's BM_TrainingStep ran 1.3–1.6× slower (1.40
+/// and 1.50 ms against 0.89 and 1.11 ms, medians of two 7-run series on
+/// a 4-vCPU AVX-512 VM), although BM_BiLstmForwardHidden/96/32 ran 2×
+/// faster (3.9 against 7.6 ms).
 template <typename T>
 using MatrixStorage =
     std::vector<T, std::conditional_t<std::is_same_v<T, float>,
@@ -157,21 +158,19 @@ MatrixT<To> CastMatrix(const MatrixT<From>& m) {
 /// MatMulInto.
 Matrix MatMulPlain(const Matrix& a, const Matrix& b);
 
-// Shared GEMM kernels, one overload per element type. All write into a
-// caller-provided, pre-shaped output: with accumulate=false the output
-// is overwritten, with accumulate=true the product is added on top (the
-// shape gradient accumulation needs).
+// Shared GEMM kernels, one overload per element type and one kernel per
+// layout behind both. All write into a caller-provided, pre-shaped
+// output: with accumulate=false the output is overwritten, with
+// accumulate=true the product is added on top (the shape gradient
+// accumulation needs).
 //
-// Double (training): the inner loops are cache-blocked over the
-// reduction dimension and register-tiled (four reduction rows live in
-// registers per pass).
-//
-// Float (frozen inference): every output entry is one serial fused
+// In both precisions every output entry is one serial fused
 // multiply-add chain over k, c = fma(a_k, b_k, c), in ascending k, on
-// every dispatch (AVX-512 tile, AVX2 clone, scalar). A row's result is
-// therefore bit-identical whatever rows ride beside it — the property
-// that makes a window's activations independent of its batch and slab
-// position.
+// every dispatch (AVX-512 kernels, x86-64-v3/v4 clones, portable
+// std::fma). A row's result is therefore bit-identical whatever rows
+// ride beside it and whichever CPU runs it — the property that makes a
+// frozen window's activations independent of its batch and slab
+// position, and a tape row independent of its neighbours.
 
 /// out (+)= a × b. a: M×K, b: K×N, out: M×N.
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,

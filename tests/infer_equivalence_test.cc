@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -211,45 +212,57 @@ TEST(InferEquivalence, TcnBatchMatchesSingle) {
 }
 
 // ---------------------------------------------------------------------
-// The float GEMMs: every entry is the serial chain c = fma(a_k, b_k, c)
-// in ascending k, so a row's result does not depend on its tile, its
-// neighbours or the dispatch — checked against a scalar std::fma chain
-// at shapes that hit every tile, panel and masked-tail path.
+// The GEMMs, in both precisions: every entry is one serial FMA chain in
+// ascending k — c = fma(a_k, b_k, c) from C's value for A·B and Aᵗ·B,
+// from zero for the A·Bᵗ dot product — so a row's result does not
+// depend on its tile, its neighbours or the dispatch. Checked against a
+// scalar std::fma chain at shapes that hit every tile, panel, gather
+// block and masked-tail path.
 
-MatrixF RandomF(size_t rows, size_t cols, Rng* rng) {
-  return CastMatrix<float>(Matrix::Randn(rows, cols, 1.0, rng));
+template <typename T>
+MatrixT<T> RandomOf(size_t rows, size_t cols, Rng* rng) {
+  return CastMatrix<T>(Matrix::Randn(rows, cols, 1.0, rng));
 }
 
-MatrixF RowOf(const MatrixF& m, size_t r) {
-  MatrixF row(1, m.cols());
+template <typename T>
+MatrixT<T> RowOf(const MatrixT<T>& m, size_t r) {
+  MatrixT<T> row(1, m.cols());
   std::copy_n(m.data() + r * m.cols(), m.cols(), row.data());
   return row;
 }
 
-TEST(FrozenGemm, EveryEntryIsOneSerialFmaChain) {
+template <typename T>
+void CheckEveryEntryIsOneSerialFmaChain() {
   Rng rng(5);
   for (size_t m : {1u, 3u, 4u, 5u, 17u, 40u}) {
     for (size_t k : {1u, 7u, 64u}) {
       for (size_t n : {2u, 24u, 100u, 256u, 384u}) {
-        const MatrixF a = RandomF(m, k, &rng);
-        const MatrixF b = RandomF(k, n, &rng);
-        const MatrixF b_t = RandomF(n, k, &rng);
-        const MatrixF init = RandomF(m, n, &rng);
-        MatrixF prod = init;
+        const MatrixT<T> a = RandomOf<T>(m, k, &rng);
+        const MatrixT<T> b = RandomOf<T>(k, n, &rng);
+        const MatrixT<T> b_t = RandomOf<T>(n, k, &rng);
+        const MatrixT<T> a_t = RandomOf<T>(k, m, &rng);
+        const MatrixT<T> init = RandomOf<T>(m, n, &rng);
+        MatrixT<T> prod = init;
         MatMulInto(a, b, &prod, /*accumulate=*/true);
-        MatrixF prod_t(m, n);
+        MatrixT<T> prod_t(m, n);
         MatMulTransBInto(a, b_t, &prod_t);
+        MatrixT<T> prod_ta = init;
+        if constexpr (std::is_same_v<T, double>) {
+          MatMulTransAInto(a_t, b, &prod_ta, /*accumulate=*/true);
+        }
         for (size_t i = 0; i < m; ++i) {
-          MatrixF row_prod = RowOf(init, i);
+          MatrixT<T> row_prod = RowOf(init, i);
           MatMulInto(RowOf(a, i), b, &row_prod, /*accumulate=*/true);
-          MatrixF row_prod_t(1, n);
+          MatrixT<T> row_prod_t(1, n);
           MatMulTransBInto(RowOf(a, i), b_t, &row_prod_t);
           for (size_t j = 0; j < n; ++j) {
-            float chain = init(i, j);
-            float dot = 0.0f;
+            T chain = init(i, j);
+            T dot = 0;
+            T chain_ta = init(i, j);
             for (size_t kk = 0; kk < k; ++kk) {
               chain = std::fma(a(i, kk), b(kk, j), chain);
               dot = std::fma(a(i, kk), b_t(j, kk), dot);
+              chain_ta = std::fma(a_t(kk, i), b(kk, j), chain_ta);
             }
             ASSERT_EQ(prod(i, j), chain)
                 << m << "x" << k << "x" << n << " (" << i << "," << j << ")";
@@ -257,10 +270,27 @@ TEST(FrozenGemm, EveryEntryIsOneSerialFmaChain) {
             ASSERT_EQ(prod_t(i, j), dot)
                 << m << "x" << k << "x" << n << " (" << i << "," << j << ")";
             ASSERT_EQ(row_prod_t(0, j), dot);
+            if constexpr (std::is_same_v<T, double>) {
+              ASSERT_EQ(prod_ta(i, j), chain_ta)
+                  << m << "x" << k << "x" << n << " (" << i << "," << j
+                  << ")";
+            }
           }
         }
       }
     }
+  }
+}
+
+// The frozen trunk's floats and the tape's doubles share the contract.
+TEST(FrozenGemm, EveryEntryIsOneSerialFmaChain) {
+  {
+    SCOPED_TRACE("float");
+    CheckEveryEntryIsOneSerialFmaChain<float>();
+  }
+  {
+    SCOPED_TRACE("double");
+    CheckEveryEntryIsOneSerialFmaChain<double>();
   }
 }
 
