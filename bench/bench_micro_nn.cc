@@ -148,9 +148,8 @@ BENCHMARK(BM_BiLstmForwardHidden)->Apply(HiddenArgs);
 // Tape-free counterparts of the two benches above: frozen fp32 weights,
 // fused LSTM cell, one InferenceContext reused across iterations (the
 // steady state of pipeline filtration — allocation-free after the
-// first pass). Each iteration is the one frozen Forward on a batch of
-// one window (the same inputs rounded to the float slab), so the
-// numbers stay per-window.
+// first pass). Each iteration is the one frozen Forward on one window
+// (the same inputs rounded to float), so the numbers are per-window.
 void BM_BiLstmInferSeqLen(benchmark::State& state) {
   const size_t t_steps = static_cast<size_t>(state.range(0));
   Rng rng(2);
@@ -158,11 +157,10 @@ void BM_BiLstmInferSeqLen(benchmark::State& state) {
   const StackedBiLstmInfer frozen = Freeze(stack);
   const MatrixF input =
       CastMatrix<float>(Matrix::Randn(t_steps, 8, 1.0, &rng));
-  const size_t offsets[] = {0, t_steps};
   InferenceContext ctx;
   for (auto _ : state) {
     ctx.Reset();
-    benchmark::DoNotOptimize(frozen.Forward(&ctx, input, offsets).data());
+    benchmark::DoNotOptimize(frozen.Forward(&ctx, input).data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(t_steps));
@@ -177,11 +175,10 @@ void BM_BiLstmInferHidden(benchmark::State& state) {
   const StackedBiLstmInfer frozen = Freeze(stack);
   const MatrixF input =
       CastMatrix<float>(Matrix::Randn(t_steps, 8, 1.0, &rng));
-  const size_t offsets[] = {0, input.rows()};
   InferenceContext ctx;
   for (auto _ : state) {
     ctx.Reset();
-    benchmark::DoNotOptimize(frozen.Forward(&ctx, input, offsets).data());
+    benchmark::DoNotOptimize(frozen.Forward(&ctx, input).data());
   }
 }
 BENCHMARK(BM_BiLstmInferHidden)->Apply(HiddenArgs);

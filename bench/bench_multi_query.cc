@@ -103,7 +103,12 @@ int Run() {
     for (size_t q = 0; q < patterns.size(); ++q) {
       OnlineDlacep alone(patterns[q], multi.filter(), online);
       ReplaySource source(&test);
-      OnlineResult result = alone.Run(&source);
+      OnlineResult result;
+      if (const Status status = alone.Run(&source, &result); !status.ok()) {
+        std::fprintf(stderr, "isolated q%zu: %s\n", q,
+                     status.ToString().c_str());
+        return 1;
+      }
       total += result.stats.elapsed_seconds;
       if (rep == 0) independent[q] = std::move(result.matches);
     }

@@ -180,7 +180,8 @@ void SweepShards(const std::string& label, const Pattern& pattern,
     OnlineResult result;
     for (int rep = 0; rep < kRepetitions; ++rep) {
       ReplaySource source(&test);
-      result = online.Run(&source);
+      const Status status = online.Run(&source, &result);
+      DLACEP_CHECK_MSG(status.ok(), status.ToString());
       const double stream_seconds =
           result.stats.elapsed_seconds - result.stats.extract_seconds;
       if (rep == 0 || stream_seconds < best_seconds) {

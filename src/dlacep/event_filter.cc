@@ -112,67 +112,47 @@ std::vector<int> EventNetworkFilter::Threshold(const Matrix& marginals,
   return marks;
 }
 
-std::vector<Matrix> EventNetworkFilter::SlabMarginals(
-    std::span<const Matrix> features, InferenceContext* ctx) const {
+Matrix EventNetworkFilter::WindowMarginals(const Matrix& features,
+                                           InferenceContext* ctx) const {
   obs::TraceSpan forward_span(obs::StageNnForwardInfer());
   InferenceContext local;
   InferenceContext* c = ctx != nullptr ? ctx : &local;
   c->Reset();
-  std::vector<size_t> offsets;
-  const MatrixF& x_all = StackWindows(c, features, &offsets);
+  const MatrixF& x = FrozenInput(c, features);
   const MatrixF& h = std::visit(
-      [&](const auto& b) -> const MatrixF& {
-        return b.Forward(c, x_all, offsets);
-      },
+      [&](const auto& b) -> const MatrixF& { return b.Forward(c, x); },
       frozen_.backbone);
-  // The emission heads are row-local dot products (MatMulTransBInto),
-  // so one stacked call over the slab equals per-window heads bit for
-  // bit.
-  MatrixF& emissions_f = c->Acquire<float>(offsets.back(), 2);
-  MatrixF& emissions_b = c->Acquire<float>(offsets.back(), 2);
+  MatrixF& emissions_f = c->Acquire<float>(h.rows(), 2);
+  MatrixF& emissions_b = c->Acquire<float>(h.rows(), 2);
   frozen_.head_fwd.Forward(h, &emissions_f);
   frozen_.head_bwd.Forward(h, &emissions_b);
-
-  // The CRF chains stay per-window and in double: slice each window's
-  // emissions back out of the slab, widening them as they are copied.
-  std::vector<Matrix> marginals;
-  marginals.reserve(features.size());
-  for (size_t w = 0; w < features.size(); ++w) {
-    const size_t t_len = offsets[w + 1] - offsets[w];
-    Matrix& ef = c->Acquire<double>(t_len, 2);
-    Matrix& eb = c->Acquire<double>(t_len, 2);
-    std::copy_n(emissions_f.data() + offsets[w] * 2, t_len * 2, ef.data());
-    std::copy_n(emissions_b.data() + offsets[w] * 2, t_len * 2, eb.data());
-    marginals.push_back(crf_.Marginals(ef, eb));
-  }
-  return marginals;
+  // The CRF chain runs in double: widen the emissions as they are
+  // copied out of the float arena.
+  Matrix& ef = c->Acquire<double>(h.rows(), 2);
+  Matrix& eb = c->Acquire<double>(h.rows(), 2);
+  std::copy_n(emissions_f.data(), emissions_f.size(), ef.data());
+  std::copy_n(emissions_b.data(), emissions_b.size(), eb.data());
+  return crf_.Marginals(ef, eb);
 }
 
-void EventNetworkFilter::DecodeSlab(std::span<const Matrix> features,
-                                    InferenceContext* ctx,
-                                    std::span<const double> boosts,
-                                    std::vector<int>* marks) const {
-  const std::vector<Matrix> marginals = SlabMarginals(features, ctx);
-  for (size_t w = 0; w < marginals.size(); ++w) {
-    marks[w] = Threshold(marginals[w], event_threshold_ + boosts[w]);
-  }
+std::vector<int> EventNetworkFilter::Decode(const Matrix& features,
+                                            InferenceContext* ctx,
+                                            double threshold_boost) const {
+  return Threshold(WindowMarginals(features, ctx),
+                   event_threshold_ + threshold_boost);
 }
 
-void EventNetworkFilter::MarkBatchOnlineMultiHead(
-    std::span<const OnlineWindow> windows, InferenceContext* ctx,
-    std::span<const double> thresholds,
-    std::vector<std::vector<std::vector<int>>>* marks) const {
-  marks->assign(windows.size(), {});
-  if (windows.empty()) return;
-  const std::vector<Matrix> marginals =
-      SlabMarginals(Featurize(Views(windows)), ctx);
-  for (size_t w = 0; w < windows.size(); ++w) {
-    (*marks)[w].resize(thresholds.size());
-    for (size_t q = 0; q < thresholds.size(); ++q) {
-      (*marks)[w][q] =
-          Threshold(marginals[w], thresholds[q] + windows[w].threshold_boost);
-    }
+std::vector<std::vector<int>> EventNetworkFilter::MarkOnlineMultiHead(
+    const EventStream& window, InferenceContext* ctx,
+    std::span<const double> thresholds, double threshold_boost) const {
+  const Matrix marginals =
+      WindowMarginals(Featurize(window.View(0, window.size())), ctx);
+  std::vector<std::vector<int>> marks;
+  marks.reserve(thresholds.size());
+  for (const double threshold : thresholds) {
+    marks.push_back(Threshold(marginals, threshold + threshold_boost));
   }
+  return marks;
 }
 
 std::vector<int> EventNetworkFilter::MarkFeaturesTape(

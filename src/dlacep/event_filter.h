@@ -45,17 +45,16 @@ class EventNetworkFilter : public TrainableFilter, public SequenceModel {
   std::string name() const override;
 
   /// Multi-head decoding for the serving layer (src/serve): featurize
-  /// the micro-batch and run trunk + emission heads once over the slab
-  /// (as MarkBatchOnline), then decode each window's shared CRF
-  /// marginals against one threshold per registered query, the window's
-  /// overload boost added to each. (*marks)[w][q] is window w under
-  /// query q's threshold and equals MarkOnline(window w, ., ctx,
-  /// thresholds[q] + boost - event_threshold) bit for bit — the trunk
-  /// forward is query-independent.
-  void MarkBatchOnlineMultiHead(
-      std::span<const OnlineWindow> windows, InferenceContext* ctx,
-      std::span<const double> thresholds,
-      std::vector<std::vector<std::vector<int>>>* marks) const;
+  /// one window and run trunk + emission heads once (as MarkOnline),
+  /// then decode its shared CRF marginals against one threshold per
+  /// registered query, the window's overload boost added to each.
+  /// Element q is the window under query q's threshold and equals
+  /// MarkOnline(window, ., ctx, thresholds[q] + threshold_boost -
+  /// event_threshold) bit for bit — the trunk forward is
+  /// query-independent.
+  std::vector<std::vector<int>> MarkOnlineMultiHead(
+      const EventStream& window, InferenceContext* ctx,
+      std::span<const double> thresholds, double threshold_boost) const;
   double event_threshold() const { return event_threshold_; }
   std::vector<int> MarkFeaturesTape(const Matrix& features) const override;
   void OnParamsChanged() override;
@@ -70,14 +69,11 @@ class EventNetworkFilter : public TrainableFilter, public SequenceModel {
   std::vector<Parameter*> Params() override;
 
  private:
-  void DecodeSlab(std::span<const Matrix> features, InferenceContext* ctx,
-                  std::span<const double> boosts,
-                  std::vector<int>* marks) const override;
-  /// CRF posterior marginals (T×2) of each window of a micro-batch: the
-  /// backbone and emission heads run once over the stacked slab; the
-  /// CRF chains stay per window.
-  std::vector<Matrix> SlabMarginals(std::span<const Matrix> features,
-                                    InferenceContext* ctx) const;
+  std::vector<int> Decode(const Matrix& features, InferenceContext* ctx,
+                          double threshold_boost) const override;
+  /// CRF posterior marginals (T×2) of one window: the backbone and
+  /// emission heads run on the frozen float path, the CRF in double.
+  Matrix WindowMarginals(const Matrix& features, InferenceContext* ctx) const;
   std::pair<Var, Var> Emissions(Tape* tape, const Matrix& features) const;
   std::vector<int> Threshold(const Matrix& marginals,
                              double threshold) const;

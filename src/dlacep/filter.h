@@ -29,10 +29,10 @@ class InferenceContext;
 /// window (relaying it unfiltered), and flips into degraded mode.
 inline constexpr int kInvalidMark = -1;
 
-/// One window of a MarkBatchOnline() micro-batch: the events the online
+/// One window of a MarkBatchOnline() call: the events the online
 /// runtime materialized for it, its position in the full stream, and
-/// the overload threshold boost in force when it closed (windows inside
-/// one batch may have closed under different overload levels).
+/// the overload threshold boost in force when it closed (windows of one
+/// call may have closed under different overload levels).
 struct OnlineWindow {
   const EventStream* events = nullptr;
   size_t stream_begin = 0;
@@ -87,15 +87,15 @@ class StreamFilter {
     return MarkWith(window, WindowRange{0, window.size()}, ctx);
   }
 
-  /// Marks a micro-batch of assembler windows in one call, writing
-  /// windows.size() mark vectors to `marks[0..B)` in window order. The
-  /// default is a per-window MarkWith loop — exact legacy semantics for
-  /// filters with nothing to batch (oracle, pass-through, shedding).
-  /// Network filters override it to stack the windows' feature matrices
-  /// batch-major and run the trunk once over the slab (nn/infer.h
-  /// Forward); batched marks must equal the per-window marks byte for
-  /// byte. Same const/re-entrancy contract as Mark();
-  /// `ctx` must not be shared across concurrent calls.
+  /// Marks several assembler windows in one call, writing
+  /// windows.size() mark vectors to `marks[0..B)` in window order: a
+  /// per-window MarkWith loop. Grouping windows is per-call dispatch
+  /// only — every filter marks, and every network runs its trunk on,
+  /// one window at a time (nn/infer.h) — so the marks equal the
+  /// per-window marks byte for byte. A decorator (a timing probe) may
+  /// override it to wrap the whole call. Same const/re-entrancy
+  /// contract as Mark(); `ctx` must not be shared across concurrent
+  /// calls.
   virtual void MarkBatchWith(const EventStream& stream,
                              std::span<const WindowRange> windows,
                              InferenceContext* ctx,
@@ -105,11 +105,10 @@ class StreamFilter {
     }
   }
 
-  /// Batched twin of MarkOnline for the online runtime's
-  /// batch-collection stage. The default loops MarkOnline — which keeps
-  /// position-salted filters (random shedding) exactly deterministic —
-  /// and network filters override it to batch the trunk forward while
-  /// still applying each window's own threshold boost.
+  /// The online runtime's grouped twin of MarkOnline: a per-window
+  /// MarkOnline loop, each window under its own threshold boost (which
+  /// also keeps position-salted filters such as random shedding exactly
+  /// deterministic).
   virtual void MarkBatchOnline(std::span<const OnlineWindow> windows,
                                InferenceContext* ctx,
                                std::vector<int>* marks) const {
@@ -121,12 +120,10 @@ class StreamFilter {
 };
 
 /// A filter backed by a trainable network. It owns the routing of every
-/// marking entry point: each featurizes its window(s) under one
+/// marking entry point: each featurizes its window under one
 /// StageFeatureBuild span, then hands the features to the one decode
-/// hook, DecodeSlab, which runs the network's Forward once over the
-/// stacked slab. A single window (Mark, MarkWith, MarkOnline,
-/// MarkFeaturesWith) is a micro-batch of one. Subclasses implement only
-/// the network and its decode.
+/// hook, Decode, which runs the network's Forward over that window.
+/// Subclasses implement only the network and its decode.
 class TrainableFilter : public StreamFilter {
  public:
   /// `featurizer` is not owned and must outlive the filter.
@@ -141,13 +138,6 @@ class TrainableFilter : public StreamFilter {
   std::vector<int> MarkOnline(const EventStream& window, size_t stream_begin,
                               InferenceContext* ctx,
                               double threshold_boost) const override;
-  void MarkBatchWith(const EventStream& stream,
-                     std::span<const WindowRange> windows,
-                     InferenceContext* ctx,
-                     std::vector<int>* marks) const override;
-  void MarkBatchOnline(std::span<const OnlineWindow> windows,
-                       InferenceContext* ctx,
-                       std::vector<int>* marks) const override;
 
   /// Trains on pre-encoded samples (see BuildFilterDataset); returns the
   /// trainer's result.
@@ -184,24 +174,16 @@ class TrainableFilter : public StreamFilter {
   virtual BinaryMetrics Score(const std::vector<Sample>& samples) const = 0;
 
  protected:
-  /// Encodes every window of a micro-batch under one StageFeatureBuild
-  /// span.
-  std::vector<Matrix> Featurize(
-      std::span<const std::span<const Event>> windows) const;
-  /// The events of each online window, in order.
-  static std::vector<std::span<const Event>> Views(
-      std::span<const OnlineWindow> windows);
+  /// Encodes one window's events under a StageFeatureBuild span.
+  Matrix Featurize(std::span<const Event> window) const;
 
  private:
-  /// Marks a non-empty micro-batch with one network Forward over the
-  /// stacked slab, writing features.size() mark vectors to marks[0..B);
-  /// window w's threshold is raised by boosts[w]. A window's marks must
-  /// not depend on the batch it rides in. `ctx` may be null (use a
-  /// call-local arena).
-  virtual void DecodeSlab(std::span<const Matrix> features,
-                          InferenceContext* ctx,
-                          std::span<const double> boosts,
-                          std::vector<int>* marks) const = 0;
+  /// Marks one window from its features with one network Forward; the
+  /// decision threshold is raised by `threshold_boost`. `ctx` may be
+  /// null (use a call-local arena).
+  virtual std::vector<int> Decode(const Matrix& features,
+                                  InferenceContext* ctx,
+                                  double threshold_boost) const = 0;
 
   const Featurizer* featurizer_;  ///< not owned
 };

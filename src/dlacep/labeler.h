@@ -50,7 +50,7 @@ class SampleLabeler {
 
   /// Labels the events of stream[range] (exact CEP + negation awareness).
   /// Re-entrant: concurrent calls are serialized on the internal engine
-  /// (OracleFilter::Mark runs under the pipeline's thread pool).
+  /// (OracleFilter::Mark runs on the pipeline's fork-join workers).
   LabeledSample Label(const EventStream& stream, WindowRange range) const;
 
  private:

@@ -1,5 +1,7 @@
 #include "dlacep/shedding_filter.h"
 
+#include <algorithm>
+
 namespace dlacep {
 
 RandomSheddingFilter::RandomSheddingFilter(double keep_probability,
@@ -42,11 +44,15 @@ std::vector<int> RandomSheddingFilter::MarkOnline(
                                       : stream_begin);
 }
 
-TypeSheddingFilter::TypeSheddingFilter(const Pattern& pattern) {
-  relevant_.assign(pattern.schema().num_types(), false);
-  for (TypeId type : pattern.ReferencedTypes()) {
-    if (type >= 0 && static_cast<size_t>(type) < relevant_.size()) {
-      relevant_[static_cast<size_t>(type)] = true;
+TypeSheddingFilter::TypeSheddingFilter(std::span<const Pattern> patterns) {
+  DLACEP_CHECK(!patterns.empty());
+  for (const Pattern& pattern : patterns) {
+    relevant_.resize(
+        std::max(relevant_.size(), pattern.schema().num_types()), false);
+    for (TypeId type : pattern.ReferencedTypes()) {
+      if (type >= 0 && static_cast<size_t>(type) < relevant_.size()) {
+        relevant_[static_cast<size_t>(type)] = true;
+      }
     }
   }
 }
@@ -56,7 +62,8 @@ std::vector<int> TypeSheddingFilter::Mark(const EventStream& stream,
   std::vector<int> marks(range.size(), 0);
   for (size_t t = 0; t < range.size(); ++t) {
     const Event& e = stream[range.begin + t];
-    if (!e.is_blank() && relevant_[static_cast<size_t>(e.type)]) {
+    if (!e.is_blank() && static_cast<size_t>(e.type) < relevant_.size() &&
+        relevant_[static_cast<size_t>(e.type)]) {
       marks[t] = 1;
     }
   }

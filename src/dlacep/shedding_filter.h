@@ -11,6 +11,7 @@
 #ifndef DLACEP_DLACEP_SHEDDING_FILTER_H_
 #define DLACEP_DLACEP_SHEDDING_FILTER_H_
 
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -58,9 +59,16 @@ class RandomSheddingFilter : public StreamFilter {
 /// content-aware policy — it achieves exactly the filtering ratio of the
 /// pattern-irrelevant traffic and loses no matches, but cannot filter
 /// within the relevant types (where DLACEP's gains come from).
+///
+/// A pattern set is unified the way the labeler unifies labels: an
+/// event is relayed iff ANY pattern references its type, so no pattern
+/// of the set loses a match.
 class TypeSheddingFilter : public StreamFilter {
  public:
-  explicit TypeSheddingFilter(const Pattern& pattern);
+  /// `patterns` must be non-empty.
+  explicit TypeSheddingFilter(std::span<const Pattern> patterns);
+  explicit TypeSheddingFilter(const Pattern& pattern)
+      : TypeSheddingFilter(std::span<const Pattern>(&pattern, 1)) {}
 
   std::string name() const override { return "type-shedding"; }
 

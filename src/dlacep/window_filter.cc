@@ -48,11 +48,6 @@ std::vector<Parameter*> WindowNetworkFilter::Params() {
   return params;
 }
 
-double WindowNetworkFilter::WindowProbability(
-    const Matrix& features) const {
-  return SlabProbabilities({&features, 1}, nullptr)[0];
-}
-
 double WindowNetworkFilter::WindowProbabilityTape(
     const Matrix& features) const {
   obs::TraceSpan forward_span(obs::StageNnForwardTape());
@@ -76,49 +71,32 @@ std::vector<int> MarksForProbability(bool applicable, double probability,
 
 }  // namespace
 
-std::vector<double> WindowNetworkFilter::SlabProbabilities(
-    std::span<const Matrix> features, InferenceContext* ctx) const {
+double WindowNetworkFilter::WindowProbability(const Matrix& features,
+                                              InferenceContext* ctx) const {
   obs::TraceSpan forward_span(obs::StageNnForwardInfer());
   InferenceContext local;
   InferenceContext* c = ctx != nullptr ? ctx : &local;
   c->Reset();
-  std::vector<size_t> offsets;
-  const MatrixF& x_all = StackWindows(c, features, &offsets);
-  const MatrixF& h = frozen_.stack.Forward(c, x_all, offsets);
-  // Per-window column max pooling into one B×2H matrix, so the 1-unit
-  // head runs as a single B-row GEMM (row-local → bit-identical logits).
-  const size_t batch = features.size();
-  MatrixF& pooled = c->Acquire<float>(batch, h.cols());
-  for (size_t w = 0; w < batch; ++w) {
-    for (size_t j = 0; j < h.cols(); ++j) {
-      float best = h(offsets[w], j);
-      for (size_t i = offsets[w] + 1; i < offsets[w + 1]; ++i) {
-        best = std::max(best, h(i, j));
-      }
-      pooled(w, j) = best;
-    }
+  const MatrixF& h = frozen_.stack.Forward(c, FrozenInput(c, features));
+  MatrixF& pooled = c->Acquire<float>(1, h.cols());
+  for (size_t j = 0; j < h.cols(); ++j) {
+    float best = h(0, j);
+    for (size_t i = 1; i < h.rows(); ++i) best = std::max(best, h(i, j));
+    pooled(0, j) = best;
   }
-  MatrixF& logits = c->Acquire<float>(batch, 1);
-  frozen_.head.Forward(pooled, &logits);
+  MatrixF& logit = c->Acquire<float>(1, 1);
+  frozen_.head.Forward(pooled, &logit);
   // The logit widens to double before the sigmoid, so the probability
   // is compared with the double threshold at the tape's precision.
-  std::vector<double> probabilities(batch);
-  for (size_t w = 0; w < batch; ++w) {
-    const double logit = logits(w, 0);
-    probabilities[w] = 1.0 / (1.0 + std::exp(-logit));
-  }
-  return probabilities;
+  return 1.0 / (1.0 + std::exp(-static_cast<double>(logit(0, 0))));
 }
 
-void WindowNetworkFilter::DecodeSlab(std::span<const Matrix> features,
-                                     InferenceContext* ctx,
-                                     std::span<const double> boosts,
-                                     std::vector<int>* marks) const {
-  const std::vector<double> p = SlabProbabilities(features, ctx);
-  for (size_t w = 0; w < p.size(); ++w) {
-    marks[w] = MarksForProbability(IsApplicable(p[w], boosts[w]), p[w],
-                                   features[w].rows());
-  }
+std::vector<int> WindowNetworkFilter::Decode(const Matrix& features,
+                                             InferenceContext* ctx,
+                                             double threshold_boost) const {
+  const double p = WindowProbability(features, ctx);
+  return MarksForProbability(IsApplicable(p, threshold_boost), p,
+                             features.rows());
 }
 
 std::vector<int> WindowNetworkFilter::MarkFeaturesTape(

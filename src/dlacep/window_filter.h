@@ -36,8 +36,12 @@ class WindowNetworkFilter : public TrainableFilter, public SequenceModel {
   Var Loss(Tape* tape, const Sample& sample) override;
   std::vector<Parameter*> Params() override;
 
-  /// Raw sigmoid probability that the window is applicable (fast path).
-  double WindowProbability(const Matrix& features) const;
+  /// Raw sigmoid probability that the window is applicable (fast path):
+  /// one trunk Forward over the window, column max pooling into a 1×2H
+  /// row, the head, then the sigmoid. `ctx` may be null (use a
+  /// call-local arena).
+  double WindowProbability(const Matrix& features,
+                           InferenceContext* ctx = nullptr) const;
   /// Same probability via the tape forward — the golden reference the
   /// equivalence suite pins WindowProbability() against.
   double WindowProbabilityTape(const Matrix& features) const;
@@ -51,16 +55,10 @@ class WindowNetworkFilter : public TrainableFilter, public SequenceModel {
   }
 
  private:
-  /// Each window's sigmoid probability (SlabProbabilities) against the
-  /// threshold raised by its own boost.
-  void DecodeSlab(std::span<const Matrix> features, InferenceContext* ctx,
-                  std::span<const double> boosts,
-                  std::vector<int>* marks) const override;
-  /// One trunk Forward over the stacked feature slab, per-window max
-  /// pooling into a B×2H matrix, a single B-row head GEMM, then each
-  /// window's sigmoid. `ctx` may be null (use a call-local arena).
-  std::vector<double> SlabProbabilities(std::span<const Matrix> features,
-                                        InferenceContext* ctx) const;
+  /// The window's sigmoid probability against the threshold raised by
+  /// `threshold_boost`.
+  std::vector<int> Decode(const Matrix& features, InferenceContext* ctx,
+                          double threshold_boost) const override;
   Var Logit(Tape* tape, const Matrix& features) const;
   void Refreeze();
 

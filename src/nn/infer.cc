@@ -186,25 +186,22 @@ void DenseInfer::Forward(const MatrixF& x, MatrixF* out) const {
   }
 }
 
-void LstmInfer::Forward(InferenceContext* ctx, const MatrixF& x_all,
-                        std::span<const size_t> offsets, bool reverse,
-                        MatrixF* out_all, size_t col) const {
-  DLACEP_CHECK_GE(offsets.size(), 2u);
-  const size_t total = offsets.back();
-  DLACEP_CHECK_EQ(offsets[0], 0u);
-  DLACEP_CHECK_EQ(x_all.rows(), total);
-  DLACEP_CHECK_EQ(x_all.cols(), in_dim);
-  DLACEP_CHECK_EQ(out_all->rows(), total);
-  DLACEP_CHECK_LE(col + hidden, out_all->cols());
+void LstmInfer::Forward(InferenceContext* ctx, const MatrixF& x,
+                        bool reverse, MatrixF* out, size_t col) const {
+  const size_t t_len = x.rows();
+  DLACEP_CHECK_GT(t_len, 0u);  // no empty windows
+  DLACEP_CHECK_EQ(x.cols(), in_dim);
+  DLACEP_CHECK_EQ(out->rows(), t_len);
+  DLACEP_CHECK_LE(col + hidden, out->cols());
   const size_t h = hidden;
 
-  // Input projection for every window in one GEMM — the
-  // recurrence only depends on it row by row, so there is no reason to
-  // pay matrix-vector arithmetic intensity ΣT times.
-  MatrixF& xproj = ctx->Acquire<float>(total, 4 * h);
+  // Input projection for every step in one GEMM — the recurrence only
+  // depends on it row by row, so there is no reason to pay
+  // matrix-vector arithmetic intensity T times.
+  MatrixF& xproj = ctx->Acquire<float>(t_len, 4 * h);
   {
     obs::TraceSpan gemm_span(obs::StageNnGemm());
-    MatMulInto(x_all, wx, &xproj, /*accumulate=*/false);
+    MatMulInto(x, wx, &xproj, /*accumulate=*/false);
   }
 
   MatrixF& gates = ctx->Acquire<float>(1, 4 * h);
@@ -214,134 +211,103 @@ void LstmInfer::Forward(InferenceContext* ctx, const MatrixF& x_all,
   float* hs = h_state.data();
   float* cs = c_state.data();
   const float* bias = b.data();
-  const size_t out_stride = out_all->cols();
+  const size_t out_stride = out->cols();
   const CellUpdateFn cell_update = PickCellUpdate();
 
-  // One span over every recurrence, not per step: the per-step cell
-  // work is far below clock resolution and a clock read per step would
-  // dominate it. The windows run one after another, with weights and
-  // scratch hot across the batch: a register-resident 1×4H destination
-  // beats a lockstep B×H·H×4H GEMM at these hidden sizes.
+  // One span over the recurrence, not per step: the per-step cell work
+  // is far below clock resolution and a clock read per step would
+  // dominate it.
   obs::TraceSpan cell_span(obs::StageNnCell());
-  for (size_t w = 0; w + 1 < offsets.size(); ++w) {
-    DLACEP_CHECK_LT(offsets[w], offsets[w + 1]);  // no empty windows
-    const size_t t_len = offsets[w + 1] - offsets[w];
-    h_state.Fill(0.0f);
-    c_state.Fill(0.0f);
-    for (size_t step = 0; step < t_len; ++step) {
-      const size_t row = offsets[w] + (reverse ? t_len - 1 - step : step);
-      // One fused pass fills all four gates: g = x_t·Wx (precomputed) +
-      // b + h·Wh. The recurrent term is a 1×H · H×4H product accumulated
-      // in place; the float GEMM keeps the whole 1×4H row in registers
-      // across the reduction where the CPU allows (16 zmm at H = 64).
-      const float* xrow = xproj.data() + row * 4 * h;
-      for (size_t gi = 0; gi < 4 * h; ++gi) g[gi] = xrow[gi] + bias[gi];
-      MatMulInto(h_state, wh, &gates, /*accumulate=*/true);
-      cell_update(g, h, cs, hs, out_all->data() + row * out_stride + col);
-    }
+  h_state.Fill(0.0f);
+  c_state.Fill(0.0f);
+  for (size_t step = 0; step < t_len; ++step) {
+    const size_t row = reverse ? t_len - 1 - step : step;
+    // One fused pass fills all four gates: g = x_t·Wx (precomputed) +
+    // b + h·Wh. The recurrent term is a 1×H · H×4H product accumulated
+    // in place; the float GEMM keeps the whole 1×4H row in registers
+    // across the reduction where the CPU allows (16 zmm at H = 64).
+    const float* xrow = xproj.data() + row * 4 * h;
+    for (size_t gi = 0; gi < 4 * h; ++gi) g[gi] = xrow[gi] + bias[gi];
+    MatMulInto(h_state, wh, &gates, /*accumulate=*/true);
+    cell_update(g, h, cs, hs, out->data() + row * out_stride + col);
   }
 }
 
-void BiLstmInfer::Forward(InferenceContext* ctx, const MatrixF& x_all,
-                          std::span<const size_t> offsets,
-                          MatrixF* out_all) const {
-  fwd.Forward(ctx, x_all, offsets, /*reverse=*/false, out_all, 0);
-  bwd.Forward(ctx, x_all, offsets, /*reverse=*/true, out_all, fwd.hidden);
+void BiLstmInfer::Forward(InferenceContext* ctx, const MatrixF& x,
+                          MatrixF* out) const {
+  fwd.Forward(ctx, x, /*reverse=*/false, out, 0);
+  bwd.Forward(ctx, x, /*reverse=*/true, out, fwd.hidden);
 }
 
-const MatrixF& StackedBiLstmInfer::Forward(
-    InferenceContext* ctx, const MatrixF& x_all,
-    std::span<const size_t> offsets) const {
+const MatrixF& StackedBiLstmInfer::Forward(InferenceContext* ctx,
+                                           const MatrixF& x) const {
   DLACEP_CHECK(!layers.empty());
-  obs::NnBatchWindows()->Observe(static_cast<double>(offsets.size() - 1));
-  const MatrixF* cur = &x_all;
+  obs::NnBatchWindows()->Observe(1.0);
+  const MatrixF* cur = &x;
   MatrixF* last = nullptr;
   for (const BiLstmInfer& layer : layers) {
     MatrixF& out = ctx->Acquire<float>(cur->rows(), 2 * layer.fwd.hidden);
-    layer.Forward(ctx, *cur, offsets, &out);
+    layer.Forward(ctx, *cur, &out);
     cur = &out;
     last = &out;
   }
   if (ctx->poisoned()) {
     // Fault injection: a poisoned pass leaves with a blown-up trunk
-    // activation for every window of the batch, which the heads/CRF
-    // propagate to non-finite scores and kInvalidMark.
+    // activation, which the heads/CRF propagate to non-finite scores
+    // and kInvalidMark.
     last->Fill(std::numeric_limits<float>::quiet_NaN());
   }
   return *last;
 }
 
-const MatrixF& StackWindows(InferenceContext* ctx,
-                            std::span<const Matrix> windows,
-                            std::vector<size_t>* offsets) {
-  DLACEP_CHECK(!windows.empty());
-  offsets->assign(windows.size() + 1, 0);
-  for (size_t w = 0; w < windows.size(); ++w) {
-    (*offsets)[w + 1] = (*offsets)[w] + windows[w].rows();
-  }
-  MatrixF& x_all = ctx->Acquire<float>(offsets->back(), windows[0].cols());
+const MatrixF& FrozenInput(InferenceContext* ctx, const Matrix& features) {
+  MatrixF& x = ctx->Acquire<float>(features.rows(), features.cols());
   constexpr double kBound = kFrozenInputBound;
-  for (size_t w = 0; w < windows.size(); ++w) {
-    const double* src = windows[w].data();
-    float* dst = x_all.data() + (*offsets)[w] * x_all.cols();
-    for (size_t i = 0; i < windows[w].size(); ++i) {
-      // NaN passes through (both comparisons false), so a poisoned
-      // feature still surfaces as kInvalidMark.
-      const double v = src[i] > kBound ? kBound
-                       : src[i] < -kBound ? -kBound
-                                          : src[i];
-      dst[i] = static_cast<float>(v);
-    }
+  const double* src = features.data();
+  float* dst = x.data();
+  for (size_t i = 0; i < features.size(); ++i) {
+    // NaN passes through (both comparisons false), so a poisoned
+    // feature still surfaces as kInvalidMark.
+    const double v = src[i] > kBound    ? kBound
+                     : src[i] < -kBound ? -kBound
+                                        : src[i];
+    dst[i] = static_cast<float>(v);
   }
-  return x_all;
+  return x;
 }
 
-const MatrixF& TcnInfer::Forward(InferenceContext* ctx, const MatrixF& x_all,
-                                 std::span<const size_t> offsets) const {
+const MatrixF& TcnInfer::Forward(InferenceContext* ctx,
+                                 const MatrixF& x) const {
   DLACEP_CHECK(!layers.empty());
-  const size_t batch = offsets.size() - 1;
-  DLACEP_CHECK_GE(offsets.size(), 2u);
-  DLACEP_CHECK_EQ(offsets[0], 0u);
-  DLACEP_CHECK_EQ(x_all.rows(), offsets[batch]);
-  obs::NnBatchWindows()->Observe(static_cast<double>(batch));
-  // Loop-level fusion: the convolution is position-local, so the batch
-  // win is keeping each layer's weights cache-warm across all B windows
-  // in one pass. Boundary clamps stay window-local, so row
-  // (offsets[w]+t) gets the same arithmetic in any batch.
+  obs::NnBatchWindows()->Observe(1.0);
   const ptrdiff_t center = static_cast<ptrdiff_t>(kernel / 2);
-  const MatrixF* cur = &x_all;
+  const size_t t_steps = x.rows();
+  const MatrixF* cur = &x;
   MatrixF* last = nullptr;
   size_t dilation = 1;
   for (const Layer& layer : layers) {
     const size_t d_in = cur->cols();
     const size_t d_out = layer.b.cols();
     DLACEP_CHECK_EQ(layer.wt.cols(), kernel * d_in);
-    MatrixF& out = ctx->Acquire<float>(x_all.rows(), d_out);
+    MatrixF& out = ctx->Acquire<float>(t_steps, d_out);
     const float* bias = layer.b.data();
-    for (size_t w = 0; w < batch; ++w) {
-      const size_t begin = offsets[w];
-      const size_t t_steps = offsets[w + 1] - begin;
-      for (size_t t = 0; t < t_steps; ++t) {
-        float* orow = out.data() + (begin + t) * d_out;
-        for (size_t o = 0; o < d_out; ++o) orow[o] = bias[o];
-        for (size_t k = 0; k < kernel; ++k) {
-          const ptrdiff_t src =
-              static_cast<ptrdiff_t>(t) +
-              (static_cast<ptrdiff_t>(k) - center) *
-                  static_cast<ptrdiff_t>(dilation);
-          if (src < 0 || src >= static_cast<ptrdiff_t>(t_steps)) continue;
-          const float* xrow =
-              cur->data() + (begin + static_cast<size_t>(src)) * d_in;
-          for (size_t o = 0; o < d_out; ++o) {
-            const float* wrow =
-                layer.wt.data() + o * (kernel * d_in) + k * d_in;
-            float sum = 0.0f;
-            for (size_t i = 0; i < d_in; ++i) sum += xrow[i] * wrow[i];
-            orow[o] += sum;
-          }
+    for (size_t t = 0; t < t_steps; ++t) {
+      float* orow = out.data() + t * d_out;
+      for (size_t o = 0; o < d_out; ++o) orow[o] = bias[o];
+      for (size_t k = 0; k < kernel; ++k) {
+        const ptrdiff_t src = static_cast<ptrdiff_t>(t) +
+                              (static_cast<ptrdiff_t>(k) - center) *
+                                  static_cast<ptrdiff_t>(dilation);
+        if (src < 0 || src >= static_cast<ptrdiff_t>(t_steps)) continue;
+        const float* xrow = cur->data() + static_cast<size_t>(src) * d_in;
+        for (size_t o = 0; o < d_out; ++o) {
+          const float* wrow = layer.wt.data() + o * (kernel * d_in) + k * d_in;
+          float sum = 0.0f;
+          for (size_t i = 0; i < d_in; ++i) sum += xrow[i] * wrow[i];
+          orow[o] += sum;
         }
-        for (size_t o = 0; o < d_out; ++o) orow[o] = std::max(0.0f, orow[o]);
       }
+      for (size_t o = 0; o < d_out; ++o) orow[o] = std::max(0.0f, orow[o]);
     }
     cur = &out;
     last = &out;

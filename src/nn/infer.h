@@ -19,9 +19,9 @@
 //    values; a frozen cell does not track later parameter updates.
 //
 //  * The frozen trunk runs in single precision: Freeze() rounds the
-//    trained double weights to float, StackWindows() is the one point
-//    where the featurizer's double features become the float input
-//    slab, and every activation, gate row and cell state is a MatrixF.
+//    trained double weights to float, FrozenInput() is the one point
+//    where the featurizer's double features become the float input,
+//    and every activation, gate row and cell state is a MatrixF.
 //    Training, the tape, the CRF and the thresholds stay double; the
 //    filters widen the trunk's outputs (emissions, window logits) back
 //    to double at the head.
@@ -34,17 +34,15 @@
 //    weights they read are shared and immutable.
 //
 //  * Every frozen sequence cell has one entry point, `Forward`, which
-//    runs B >= 1 windows per call on one stacked batch-major feature
-//    slab: the rows of window b occupy [offsets[b], offsets[b+1]) of an
-//    ΣT×D input, `offsets` being the B+1 exclusive prefix sums of the
-//    window lengths (offsets[0] = 0). A single window is a batch of one
-//    with offsets {0, T}. The LSTM hoists the input projection of every
-//    window into one ΣT-row GEMM, then runs each window's recurrence on
-//    its own; Dense is row-local and the TCN convolution clamps at
-//    window edges. The float GEMMs compute every entry as one serial
-//    FMA chain whatever rows ride beside it (nn/matrix.h), so a window's
-//    activations are bit-identical in any batch and at any slab
-//    position.
+//    runs one window: the T×D features of one assembler window (paper
+//    §4.2), as the input assembler hands them to the network. The LSTM
+//    hoists the window's input projection into one T-row GEMM, then
+//    runs the recurrence step by step; Dense is row-local and the TCN
+//    convolution clamps at the window's edges. Callers that hold
+//    several windows (the online runtime's per-call grouping) run one
+//    Forward per window; the float GEMMs compute every entry as one
+//    serial FMA chain (nn/matrix.h), so stacking windows into one
+//    input would change no activation bit and buys nothing.
 //
 // The tape forward remains the golden reference. The two paths differ by
 // fp32 rounding only, within the error bound derived in
@@ -55,7 +53,6 @@
 #define DLACEP_NN_INFER_H_
 
 #include <deque>
-#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -137,56 +134,49 @@ void SetInferenceFaultHook(bool (*hook)(void* ctx), void* ctx);
 struct DenseInfer {
   MatrixF wt;  ///< out×in
   MatrixF b;   ///< 1×out
-  /// out must be pre-shaped N×out_dim; fully overwritten. Row-local:
-  /// a stacked slab of B windows gives each window's rows bit for bit.
+  /// out must be pre-shaped N×out_dim; fully overwritten.
   void Forward(const MatrixF& x, MatrixF* out) const;
 };
 
-/// Frozen LSTM cell. The input projection of the whole slab is hoisted
-/// out of the recurrence and computed as one GEMM (ΣT×in ·
-/// in×4H → ΣT×4H, all four gates [i|f|g|o] side by side); each step is
+/// Frozen LSTM cell. The input projection of the whole window is
+/// hoisted out of the recurrence and computed as one GEMM (T×in ·
+/// in×4H → T×4H, all four gates [i|f|g|o] side by side); each step is
 /// then a single fused pass over a reused 1×4H gate row: bias +
 /// precomputed input projection + h·Wh followed by the elementwise cell
 /// update.
 struct LstmInfer {
   size_t in_dim = 0;
   size_t hidden = 0;
-  MatrixF wx;  ///< in×4H  (snapshot of Lstm's Wx: the hoisted ΣT×in·in×4H
+  MatrixF wx;  ///< in×4H  (snapshot of Lstm's Wx: the hoisted T×in·in×4H
                ///<         projection rides MatMulInto's 4-row tiles)
   MatrixF wh;  ///< H×4H   (snapshot of Lstm's Wh: the recurrent update is
                ///<         a one-row MatMulInto whose 1×4H destination
                ///<         stays in registers across the reduction)
   MatrixF b;   ///< 1×4H
-  /// Runs the recurrence over each of the B windows stacked in x_all
-  /// (ΣT×in, window b at rows [offsets[b], offsets[b+1]), all lengths
-  /// > 0) and writes hidden state rows into columns [col, col+H) of
-  /// `out_all` (ΣT×C, C >= col+H) at the same rows (reverse=true scans
-  /// each window right-to-left, like the tape path). Scratch (gates, h,
-  /// c) comes from `ctx`.
-  void Forward(InferenceContext* ctx, const MatrixF& x_all,
-               std::span<const size_t> offsets, bool reverse,
-               MatrixF* out_all, size_t col) const;
+  /// Runs the recurrence over one window x (T×in, T > 0) and writes the
+  /// hidden state rows into columns [col, col+H) of `out` (T×C,
+  /// C >= col+H) at the same rows (reverse=true scans right-to-left,
+  /// like the tape path). Scratch (gates, h, c) comes from `ctx`.
+  void Forward(InferenceContext* ctx, const MatrixF& x, bool reverse,
+               MatrixF* out, size_t col) const;
 };
 
 /// Frozen BiLSTM: forward and backward cells writing the two halves of
-/// one ΣT×2H output slab — no concat op, no intermediate copies.
+/// one T×2H output — no concat op, no intermediate copies.
 struct BiLstmInfer {
   LstmInfer fwd;
   LstmInfer bwd;
-  /// out_all must be pre-shaped ΣT×2H; fully overwritten.
-  void Forward(InferenceContext* ctx, const MatrixF& x_all,
-               std::span<const size_t> offsets, MatrixF* out_all) const;
+  /// out must be pre-shaped T×2H; fully overwritten.
+  void Forward(InferenceContext* ctx, const MatrixF& x, MatrixF* out) const;
 };
 
 /// Frozen stacked BiLSTM.
 struct StackedBiLstmInfer {
   std::vector<BiLstmInfer> layers;
-  /// Returns the last layer's ΣT×2H slab, which lives in `ctx` until
-  /// the next Reset(); window b's activation occupies rows
-  /// [offsets[b], offsets[b+1]). Observes the batch-size histogram
-  /// (obs::NnBatchWindows).
-  const MatrixF& Forward(InferenceContext* ctx, const MatrixF& x_all,
-                         std::span<const size_t> offsets) const;
+  /// Returns the last layer's T×2H activation, which lives in `ctx`
+  /// until the next Reset(). Observes the windows-per-forward histogram
+  /// (obs::NnBatchWindows), which reads 1 for every forward.
+  const MatrixF& Forward(InferenceContext* ctx, const MatrixF& x) const;
 };
 
 /// Frozen TCN: centered dilated Conv1D + bias + ReLU per layer, with
@@ -199,16 +189,12 @@ struct TcnInfer {
   };
   size_t kernel = 0;
   std::vector<Layer> layers;
-  /// Convolutions are position-local, so one pass over the slab with
-  /// window-local boundary clamps keeps each layer's weights
-  /// cache-warm across all B windows. Returns the last layer's
-  /// ΣT×hidden slab (lives in `ctx`). Observes the batch-size
-  /// histogram.
-  const MatrixF& Forward(InferenceContext* ctx, const MatrixF& x_all,
-                         std::span<const size_t> offsets) const;
+  /// Returns the last layer's T×hidden activation (lives in `ctx`).
+  /// Observes the windows-per-forward histogram.
+  const MatrixF& Forward(InferenceContext* ctx, const MatrixF& x) const;
 };
 
-/// Magnitude at which StackWindows saturates a feature. Features are
+/// Magnitude at which FrozenInput saturates a feature. Features are
 /// standardized, so real ones sit within a few units of zero, but a
 /// finite CSV attribute may be as large as 1e308 and would round to
 /// ±inf in float, turning gate sums into NaN. At 1e15 any weight above
@@ -218,15 +204,11 @@ struct TcnInfer {
 /// inputs stays below FLT_MAX (3.4e38) for any n·max|w| below 3e23.
 inline constexpr float kFrozenInputBound = 1e15f;
 
-/// Stacks B windows' feature matrices (all with the same column count)
-/// batch-major into one ΣT×D float slab acquired from `ctx` — the input
-/// of the Forward entry points — and sets `offsets` to its B+1 row
-/// prefix sums. The one double → float conversion of the frozen path:
-/// each feature is clamped to ±kFrozenInputBound, then rounded. `windows`
-/// must be non-empty.
-const MatrixF& StackWindows(InferenceContext* ctx,
-                            std::span<const Matrix> windows,
-                            std::vector<size_t>* offsets);
+/// Converts one window's T×D features into the float input of the
+/// Forward entry points, acquired from `ctx`: the one double → float
+/// conversion of the frozen path. Each feature is clamped to
+/// ±kFrozenInputBound, then rounded; NaN passes through.
+const MatrixF& FrozenInput(InferenceContext* ctx, const Matrix& features);
 
 // Freeze-time repacking: snapshot the layer's current parameter values,
 // rounded to float, into the transposed/fused inference layout. Call

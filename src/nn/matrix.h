@@ -169,8 +169,8 @@ Matrix MatMulPlain(const Matrix& a, const Matrix& b);
 // every dispatch (AVX-512 kernels, x86-64-v3/v4 clones, portable
 // std::fma). A row's result is therefore bit-identical whatever rows
 // ride beside it and whichever CPU runs it — the property that makes a
-// frozen window's activations independent of its batch and slab
-// position, and a tape row independent of its neighbours.
+// frozen window's activations independent of the tile its rows land
+// in, and a tape row independent of its neighbours.
 
 /// out (+)= a × b. a: M×K, b: K×N, out: M×N.
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,

@@ -211,11 +211,10 @@ Histogram* ShardMarkLatency(size_t shard) {
 }
 
 Histogram* NnBatchWindows() {
-  // Buckets 1, 2, 4, ... — batch sizes are small powers of two in
-  // practice, and the geometric ladder keeps the histogram compact.
+  // Buckets 1, 2, 4, ...; every trunk forward observes 1.
   static Histogram* h = MetricsRegistry::Global().GetHistogram(
       "dlacep_nn_batch_windows", {},
-      "Windows per batched NN trunk forward",
+      "Windows per NN trunk forward",
       HistogramOptions{/*min_value=*/1.0, /*num_buckets=*/12});
   return h;
 }
@@ -271,7 +270,7 @@ Gauge* QueryBreakerState(const std::string& query) {
 Gauge* QueryExtractCost(const std::string& query) {
   return MetricsRegistry::Global().GetGauge(
       "dlacep_query_extract_cost", {{"query", query}},
-      "Fair-share extraction cost (runs + partial-match work) last run");
+      "Extraction work (chunk runs + partial-match work) last run");
 }
 
 namespace {
@@ -305,7 +304,7 @@ namespace {
 
 constexpr char kServeChunksTotal[] = "dlacep_serve_extract_chunks_total";
 constexpr char kServeChunksHelp[] =
-    "Fair-share extraction scheduler chunk outcomes";
+    "Chunked extraction outcomes";
 
 Counter* ServeChunks(const char* result) {
   return MetricsRegistry::Global().GetCounter(kServeChunksTotal,

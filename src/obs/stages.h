@@ -102,11 +102,11 @@ Counter* ShardWindowsMarked(size_t shard);
 Gauge* ShardRingDepth(size_t shard);
 Histogram* ShardMarkLatency(size_t shard);
 
-// --- Batched inference -----------------------------------------------
+// --- Trunk forwards --------------------------------------------------
 /// dlacep_nn_batch_windows — windows per trunk forward (geometric
 /// buckets from 1), observed once per frozen trunk Forward call: its
-/// count is the number of trunk forwards, and a value of 1 is a window
-/// marked on its own.
+/// count is the number of trunk forwards. Every forward takes one
+/// window, so every observation is 1.
 Histogram* NnBatchWindows();
 
 // --- Multi-query serving (src/serve) ---------------------------------
@@ -126,14 +126,14 @@ Counter* ServeEnginesShared();
 Counter* ServeEnginesGuardPruned();
 Counter* ServeEnginesTypePruned();
 
-// --- Per-query fault isolation (src/serve breaker + fair share) ------
+// --- Per-query fault isolation (src/serve breakers + chunked extraction)
 // dlacep_query_breaker_trips_total{query} / dlacep_query_budget_aborts_
 // total{query}: circuit-breaker activity per registered query name.
 // dlacep_query_breaker_state{query}: 0=healthy 1=tripped 2=probing.
-// dlacep_query_extract_cost{query}: accumulated fair-share extraction
-// cost (engine runs + partial-match work) for the last Run().
+// dlacep_query_extract_cost{query}: accumulated extraction work
+// (engine chunk runs + partial-match work) for the last Run().
 // dlacep_serve_extract_chunks_total{result=run|skipped|aborted}: chunk
-// outcomes of the fair-share extraction scheduler.
+// outcomes of the chunked extraction.
 Counter* QueryBreakerTrips(const std::string& query);
 Counter* QueryBudgetAborts(const std::string& query);
 Gauge* QueryBreakerState(const std::string& query);

@@ -144,11 +144,14 @@ Status OnlineDlacep::ValidateForOnline(const Pattern& pattern) {
 }
 
 OnlineDlacep::OnlineDlacep(const Pattern& pattern, const StreamFilter* filter,
-                           const OnlineConfig& config)
+                           const OnlineConfig& config,
+                           std::span<const Pattern> shed_patterns)
     : pattern_(pattern),
       config_(config),
       filter_(filter),
-      type_shed_(pattern_),
+      type_shed_(shed_patterns.empty()
+                     ? std::span<const Pattern>(&pattern_, 1)
+                     : shed_patterns),
       random_shed_(config.overload.random_keep_probability,
                    config.overload.random_seed),
       extractor_(pattern_, config.engine, config.engine_options) {
@@ -371,12 +374,13 @@ void OnlineDlacep::ShardLoop(RunState* state, size_t shard_index) {
     if (shard.work.PopBurst(&burst, kShardWorkBurst) == 0) break;
     size_t i = 0;
     while (i < burst.size()) {
-      // Micro-batching: each run of adjacent level-0/1 windows in the
-      // burst, at most batch_size long, marks through one
-      // MarkBatchOnline call (a lone window is a batch of one) — a busy
-      // shard's backlog batches naturally, an idle shard marks solo with
-      // no added latency. Shed and degraded windows mark one at a time:
-      // their marking is trivial or intentionally separate.
+      // Grouping: each run of adjacent level-0/1 windows in the burst,
+      // at most batch_size long, marks through one MarkBatchOnline call
+      // (a lone window is a group of one; the filter still runs one
+      // trunk forward per window) — a busy shard's backlog groups
+      // naturally, an idle shard marks solo with no added latency. Shed
+      // and degraded windows mark one at a time: their marking is
+      // trivial or intentionally separate.
       size_t j = i + 1;
       if (filtered(burst[i])) {
         while (j < burst.size() && j - i < batch_cap && filtered(burst[j])) {
@@ -661,13 +665,6 @@ Status OnlineDlacep::RestoreFrom(RunState* state, StreamSource* source) {
                    << " (" << state->marked_store.size()
                    << " relayed events)";
   return Status::Ok();
-}
-
-OnlineResult OnlineDlacep::Run(StreamSource* source) {
-  OnlineResult result;
-  const Status status = Run(source, &result);
-  DLACEP_CHECK_MSG(status.ok(), status.ToString());
-  return result;
 }
 
 Status OnlineDlacep::Run(StreamSource* source, OnlineResult* result) {

@@ -71,6 +71,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -128,12 +129,13 @@ struct OnlineConfig {
   /// Maximum windows marked per filter call. A shard worker marks each
   /// run of adjacent level-0/1 windows of the burst it popped, at most
   /// batch_size long, with one MarkBatchOnline call (a lone window is a
-  /// batch of one; 1 = every window alone, the default) — a busy
-  /// shard's backlog batches naturally, an idle shard marks solo, so
-  /// batching never holds a window back. Shed and degraded windows
-  /// (probes included) mark one at a time. Merge order is
-  /// unchanged (windows retire strictly by dispatch sequence), so
-  /// results stay byte-identical to batch_size = 1.
+  /// group of one; 1 = every window alone, the default) — a busy
+  /// shard's backlog groups naturally, an idle shard marks solo, so
+  /// grouping never holds a window back. The grouping is per-call
+  /// dispatch only: network filters run one trunk forward per window.
+  /// Shed and degraded windows (probes included) mark one at a time.
+  /// Merge order is unchanged (windows retire strictly by dispatch
+  /// sequence), so results stay byte-identical to batch_size = 1.
   size_t batch_size = 1;
 
   /// Pin shard worker k to core (k mod hardware concurrency). Failures
@@ -200,23 +202,24 @@ class OnlineDlacep {
   /// `filter` is borrowed and must outlive the runtime; it may be a
   /// trained network, a shedding baseline, the oracle, or pass-through
   /// (anything the batch pipeline accepts). Count windows only, like
-  /// DlacepPipeline.
+  /// DlacepPipeline. The level-2 type-shedding fallback relays the
+  /// types `pattern` references or, when `shed_patterns` is non-empty,
+  /// the union of the types they reference (the serving layer passes
+  /// every query registered at run start).
   OnlineDlacep(const Pattern& pattern, const StreamFilter* filter,
-               const OnlineConfig& config);
+               const OnlineConfig& config,
+               std::span<const Pattern> shed_patterns = {});
 
   /// Online-mode precondition surfaced as a Status (for user-input
   /// paths like the CLI): the streaming assembler requires a count
   /// window. The constructor CHECKs the same condition.
   static Status ValidateForOnline(const Pattern& pattern);
 
-  /// Drains `source` to completion. May be called again with a new
-  /// source; each call is an independent run with fresh stats. Aborts
-  /// on restore/config errors — CLI paths use the Status overload.
-  OnlineResult Run(StreamSource* source);
-
-  /// Like Run(), but surfaces checkpoint-restore and configuration
-  /// errors (num_shards or queue_capacity of 0) as a Status instead of
-  /// aborting; both are checked before any thread or ring is built.
+  /// Drains `source` to completion into `result`. May be called again
+  /// with a new source; each call is an independent run with fresh
+  /// stats. Checkpoint-restore and configuration errors (num_shards or
+  /// queue_capacity of 0) return a Status; both are checked before any
+  /// thread or ring is built.
   Status Run(StreamSource* source, OnlineResult* result);
 
   const OnlineConfig& config() const { return config_; }
@@ -255,7 +258,7 @@ class OnlineDlacep {
   size_t max_in_flight_;
   /// One scratch arena per shard, reused across windows and runs.
   std::vector<std::unique_ptr<InferenceContext>> contexts_;
-  /// Level-2 fallbacks, built once from the pattern/config.
+  /// Level-2 fallbacks, built once from the pattern(s)/config.
   TypeSheddingFilter type_shed_;
   RandomSheddingFilter random_shed_;
   CepExtractor extractor_;

@@ -14,7 +14,7 @@
 // the remaining events and then returns false. The queue also tracks
 // its high-water mark, the overload controller's primary signal.
 //
-// Burst variants (PushBurst/TryPushBurst/PopBurst) move many elements
+// Burst variants (PushBurst/PopBurst) move many elements
 // per lock acquisition and per condition-variable signal, so the
 // sharded runtime's router and shard workers pay the mutex atomics and
 // futex wakeups once per burst instead of once per element. The
@@ -92,21 +92,6 @@ class RingQueue {
       }
       if (chunk > 0) not_empty_.notify_one();
     }
-    return pushed;
-  }
-
-  /// Non-blocking burst push: accepts the longest prefix that fits.
-  /// Returns the number accepted (0 when full or closed).
-  size_t TryPushBurst(T* values, size_t count) {
-    size_t pushed = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_) return 0;
-      while (pushed < count && size_ < ring_.size()) {
-        Enqueue(std::move(values[pushed++]));
-      }
-    }
-    if (pushed > 0) not_empty_.notify_one();
     return pushed;
   }
 

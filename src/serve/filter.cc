@@ -60,57 +60,33 @@ std::vector<int> ServeFilter::MarkOnline(const EventStream& window,
                                          size_t stream_begin,
                                          InferenceContext* ctx,
                                          double threshold_boost) const {
-  const OnlineWindow one{&window, stream_begin, threshold_boost};
-  std::vector<int> marks;
-  MarkBatchOnline({&one, 1}, ctx, &marks);
-  return marks;
-}
-
-void ServeFilter::MarkBatchOnline(std::span<const OnlineWindow> windows,
-                                  InferenceContext* ctx,
-                                  std::vector<int>* marks) const {
-  if (windows.empty()) return;
   const auto snapshot = registry_->Acquire();
-  if (snapshot->queries.empty()) {
-    for (size_t w = 0; w < windows.size(); ++w) {
-      marks[w].assign(windows[w].events->size(), 0);
-    }
-    return;
-  }
+  if (snapshot->queries.empty()) return std::vector<int>(window.size(), 0);
 
-  // Per window, the marks of each query: with heads, one trunk forward
-  // over the micro-batch slab and per-query decodes off the shared
-  // marginals; otherwise the base filter's marks, shared verbatim.
-  std::vector<std::vector<std::vector<int>>> per_window;
-  if (heads_ != nullptr) {
-    heads_->MarkBatchOnlineMultiHead(windows, ctx, Thresholds(*snapshot),
-                                     &per_window);
-  } else {
-    per_window.resize(windows.size());
-    for (size_t w = 0; w < windows.size(); ++w) {
-      per_window[w].assign(
-          snapshot->queries.size(),
-          base_->MarkOnline(*windows[w].events, windows[w].stream_begin, ctx,
-                            windows[w].threshold_boost));
+  // The marks of each query: with heads, one trunk forward and
+  // per-query decodes off the shared marginals; otherwise the base
+  // filter's marks, shared verbatim.
+  const std::vector<std::vector<int>> per_query =
+      heads_ != nullptr
+          ? heads_->MarkOnlineMultiHead(window, ctx, Thresholds(*snapshot),
+                                        threshold_boost)
+          : std::vector<std::vector<int>>(
+                snapshot->queries.size(),
+                base_->MarkOnline(window, stream_begin, ctx,
+                                  threshold_boost));
+  // A non-finite score poisons every head's decode identically;
+  // propagate the whole-window sentinel for the health guard.
+  if (!per_query[0].empty() && per_query[0][0] == kInvalidMark) {
+    return std::vector<int>(window.size(), kInvalidMark);
+  }
+  Record(*snapshot, window, per_query);
+  std::vector<int> marks(window.size(), 0);
+  for (const std::vector<int>& query_marks : per_query) {
+    for (size_t t = 0; t < window.size(); ++t) {
+      marks[t] |= query_marks[t] == 1;
     }
   }
-  for (size_t w = 0; w < windows.size(); ++w) {
-    const EventStream& window = *windows[w].events;
-    const std::vector<std::vector<int>>& per_query = per_window[w];
-    // A non-finite score poisons every head's decode identically;
-    // propagate the whole-window sentinel for the health guard.
-    if (!per_query[0].empty() && per_query[0][0] == kInvalidMark) {
-      marks[w].assign(window.size(), kInvalidMark);
-      continue;
-    }
-    Record(*snapshot, window, per_query);
-    marks[w].assign(window.size(), 0);
-    for (const std::vector<int>& query_marks : per_query) {
-      for (size_t t = 0; t < window.size(); ++t) {
-        marks[w][t] |= query_marks[t] == 1;
-      }
-    }
-  }
+  return marks;
 }
 
 std::vector<int> ServeFilter::Mark(const EventStream& stream,

@@ -4,9 +4,9 @@
 // Per window (on whatever shard thread the runtime dispatches to) the
 // filter acquires the current registry snapshot (one pointer copy under
 // the registry's snapshot mutex), featurizes ONCE, runs ONE trunk
-// forward over the window's micro-batch slab (reusing the caller's
-// InferenceContext scratch arena; a lone window is a batch of one), and
-// decodes per-query marks:
+// forward over the window (reusing the caller's InferenceContext
+// scratch arena), and decodes per-query marks (a grouped
+// MarkBatchOnline call is the StreamFilter base loop over MarkOnline):
 //
 //  * with a multi-head trunk (EventNetworkFilter): the CRF marginals
 //    are computed once and thresholded once per query — the cheap
@@ -60,16 +60,12 @@ class ServeFilter : public StreamFilter {
                         WindowRange range) const override;
   std::vector<int> MarkWith(const EventStream& stream, WindowRange range,
                             InferenceContext* ctx) const override;
-  /// A micro-batch of one window.
+  /// Decodes the window under one registry snapshot, records the
+  /// per-query attribution, and returns the union marks (kInvalidMark
+  /// sentinel preserved).
   std::vector<int> MarkOnline(const EventStream& window, size_t stream_begin,
                               InferenceContext* ctx,
                               double threshold_boost) const override;
-  /// Decodes every window under one registry snapshot, records the
-  /// per-query attribution, and writes each window's union marks
-  /// (kInvalidMark sentinel preserved).
-  void MarkBatchOnline(std::span<const OnlineWindow> windows,
-                       InferenceContext* ctx,
-                       std::vector<int>* marks) const override;
 
   /// Clears the per-query attribution sink (start of a run).
   void ResetRecording();

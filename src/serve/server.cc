@@ -54,9 +54,15 @@ Status MultiQueryServer::Run(StreamSource* source, MultiQueryResult* result) {
   filter_.ResetRecording();
   // Any registered pattern works as the runtime's geometry anchor (the
   // assembler uses the explicit mark/step above; the built-in extractor
-  // is skipped).
-  OnlineDlacep runtime(*start_snapshot->queries[0].pattern, &filter_,
-                       online);
+  // is skipped). The level-2 type-shedding fallback relays the types of
+  // every query registered now; a query registered mid-run is not
+  // covered by it.
+  std::vector<Pattern> patterns;
+  patterns.reserve(start_snapshot->queries.size());
+  for (const QueryEntry& entry : start_snapshot->queries) {
+    patterns.push_back(*entry.pattern);
+  }
+  OnlineDlacep runtime(patterns[0], &filter_, online, patterns);
   OnlineResult raw;
   Status run_status = runtime.Run(source, &raw);
   if (!run_status.ok()) return run_status;
@@ -185,31 +191,23 @@ Status MultiQueryServer::ExtractShared(const RegistrySnapshot& snapshot,
   // groups sharing a prefix.
   std::map<std::pair<int, size_t>, bool> witness_cache;
 
-  // One extraction *unit* per (structural group × event set) partition:
-  // a dense blank-stripped event span, one budgeted engine, and the
+  EngineOptions engine_options;
+  engine_options.partial_match_budget = config_.query_pm_budget;
+  engine_options.deadline_seconds = config_.query_deadline_seconds;
+
+  // One extraction unit per (structural group × event set) partition: a
+  // dense blank-stripped event span, one budgeted engine, and the
   // members it serves. The span is evaluated in overlapping id-range
   // chunks of L = 8W with step L-(W-1): every match spans at most W-1
   // id units (the count window is enforced over ids), a match's start
   // is itself an event id, and the chunk covering it contains *all*
   // events in its id range — so chunked evaluation plus MatchSet dedup
-  // is byte-identical to evaluating the whole span at once, and the
-  // scheduler can interleave chunks of different units fairly.
-  struct Unit {
-    std::vector<size_t> members;  ///< query indexes; [0] is canonical
-    std::vector<Event> events;    ///< dense, blanks stripped
-    std::vector<std::pair<size_t, size_t>> chunks;  ///< [begin,end) idx
-    size_t next_chunk = 0;
-    std::unique_ptr<CepEngine> engine;
-    MatchSet matches;
-    uint64_t cost = 0;  ///< fair-share units: chunks run + pm created
-    bool ran = false;   ///< at least one chunk actually evaluated
-  };
-  std::vector<Unit> units;
-
-  EngineOptions engine_options;
-  engine_options.partial_match_budget = config_.query_pm_budget;
-  engine_options.deadline_seconds = config_.query_deadline_seconds;
-
+  // is byte-identical to evaluating the whole span at once, while
+  // budgets, deadlines and breakers act per chunk. Each query belongs
+  // to exactly one unit, so units run one after another, each chunk in
+  // order: no order of units changes a match, counter or breaker.
+  std::vector<bool> missed(snapshot.queries.size(), false);
+  std::vector<uint64_t> query_cost(snapshot.queries.size(), 0);
   for (const SharedGroup& group : snapshot.plan.groups) {
     std::map<size_t, std::vector<size_t>> partitions;
     for (const size_t member : group.members) {
@@ -253,14 +251,22 @@ Status MultiQueryServer::ExtractShared(const RegistrySnapshot& snapshot,
         }
       }
 
-      const QueryEntry& canonical = snapshot.queries[members[0]];
-      Unit unit;
-      unit.members = members;
-      unit.events.reserve(set.events.size());
+      std::vector<Event> events;
+      events.reserve(set.events.size());
       for (const Event* e : set.events) {
-        if (!e->is_blank()) unit.events.push_back(*e);
+        if (!e->is_blank()) events.push_back(*e);
       }
-      if (unit.events.empty()) continue;
+      if (events.empty()) continue;
+
+      const QueryEntry& canonical = snapshot.queries[members[0]];
+      EngineOptions unit_options = engine_options;
+      unit_options.pattern_label = canonical.name;
+      auto made =
+          CreateEngine(canonical.engine, *canonical.pattern, unit_options);
+      DLACEP_CHECK_MSG(made.ok(), made.status().ToString());
+      const std::unique_ptr<CepEngine> engine = std::move(made).value();
+      MatchSet matches;
+      bool ran = false;  // at least one chunk actually evaluated
 
       // Window-aligned chunk geometry (ids, not positions).
       const size_t w =
@@ -268,118 +274,75 @@ Status MultiQueryServer::ExtractShared(const RegistrySnapshot& snapshot,
       const EventId span = static_cast<EventId>(8 * w);
       const EventId step = span - static_cast<EventId>(w - 1);
       size_t begin = 0;
-      while (begin < unit.events.size()) {
-        const EventId base = unit.events[begin].id;
+      while (begin < events.size()) {
+        const EventId base = events[begin].id;
         size_t end = begin;
-        while (end < unit.events.size() &&
-               unit.events[end].id < base + span) {
-          ++end;
+        while (end < events.size() && events[end].id < base + span) ++end;
+
+        std::vector<size_t> runnable;
+        std::vector<size_t> parked;
+        for (const size_t m : members) {
+          (breaker_of(m).ShouldRun() ? runnable : parked).push_back(m);
         }
-        unit.chunks.emplace_back(begin, end);
-        if (end == unit.events.size()) break;
-        size_t next = begin;
-        while (next < unit.events.size() &&
-               unit.events[next].id < base + step) {
-          ++next;
+        if (runnable.empty()) {
+          // Every member is tripped: the chunk is not evaluated at all —
+          // the blown-up engine gets no cycles. Skips advance the probe
+          // clock, so a later chunk of this same run can be the probe.
+          ++result->sharing.chunks_skipped;
+          for (const size_t m : members) {
+            breaker_of(m).OnSkipped();
+            missed[m] = true;
+          }
+        } else {
+          const EngineStats before = engine->stats();
+          const Status status = engine->Evaluate(
+              std::span<const Event>(events.data() + begin, end - begin),
+              &matches);
+          const uint64_t pm_delta =
+              engine->stats().partial_matches - before.partial_matches;
+          ran = true;
+          for (const size_t m : runnable) query_cost[m] += 1 + pm_delta;
+
+          if (status.code() == StatusCode::kBudgetExceeded) {
+            ++result->sharing.budget_aborts;
+            for (const size_t m : runnable) {
+              QueryBreaker& breaker = breaker_of(m);
+              const uint64_t trips = breaker.trips();
+              breaker.OnBudgetAbort();
+              result->sharing.breaker_trips +=
+                  static_cast<size_t>(breaker.trips() - trips);
+              missed[m] = true;
+            }
+          } else if (!status.ok()) {
+            return status;
+          } else {
+            ++result->sharing.chunks_run;
+            for (const size_t m : runnable) breaker_of(m).OnRunOk();
+          }
+          for (const size_t m : parked) {
+            breaker_of(m).OnSkipped();
+            missed[m] = true;
+          }
         }
-        begin = next;
-      }
 
-      EngineOptions unit_options = engine_options;
-      unit_options.pattern_label = canonical.name;
-      auto engine =
-          CreateEngine(canonical.engine, *canonical.pattern, unit_options);
-      DLACEP_CHECK_MSG(engine.ok(), engine.status().ToString());
-      unit.engine = std::move(engine).value();
-      units.push_back(std::move(unit));
-    }
-  }
-
-  // Fair-share scheduling: every pass visits each unfinished unit once,
-  // cheapest accumulated cost first, and runs exactly one chunk — a
-  // heavy query can't monopolize extraction, and the visit order is a
-  // deterministic function of counted work (not wall clock).
-  std::vector<bool> missed(snapshot.queries.size(), false);
-  std::vector<uint64_t> query_cost(snapshot.queries.size(), 0);
-  for (;;) {
-    std::vector<size_t> live;
-    for (size_t u = 0; u < units.size(); ++u) {
-      if (units[u].next_chunk < units[u].chunks.size()) live.push_back(u);
-    }
-    if (live.empty()) break;
-    std::stable_sort(live.begin(), live.end(), [&](size_t a, size_t b) {
-      return units[a].cost < units[b].cost;
-    });
-
-    for (const size_t u : live) {
-      Unit& unit = units[u];
-      const auto [begin, end] = unit.chunks[unit.next_chunk++];
-
-      std::vector<size_t> runnable;
-      std::vector<size_t> parked;
-      for (const size_t m : unit.members) {
-        (breaker_of(m).ShouldRun() ? runnable : parked).push_back(m);
-      }
-      if (runnable.empty()) {
-        // Every member is tripped: the chunk is not evaluated at all —
-        // the blown-up engine gets no cycles. Skips advance the probe
-        // clock, so a later chunk of this same run can be the probe.
-        ++result->sharing.chunks_skipped;
-        unit.cost += 1;
-        for (const size_t m : unit.members) {
-          breaker_of(m).OnSkipped();
-          missed[m] = true;
+        if (end == events.size()) break;
+        while (begin < events.size() && events[begin].id < base + step) {
+          ++begin;
         }
-        continue;
       }
 
-      const EngineStats before = unit.engine->stats();
-      const Status status = unit.engine->Evaluate(
-          std::span<const Event>(unit.events.data() + begin, end - begin),
-          &unit.matches);
-      const EngineStats& after = unit.engine->stats();
-      const uint64_t pm_delta =
-          after.partial_matches - before.partial_matches;
-      unit.cost += 1 + pm_delta;
-      unit.ran = true;
-      for (const size_t m : runnable) query_cost[m] += 1 + pm_delta;
-
-      if (status.code() == StatusCode::kBudgetExceeded) {
-        ++result->sharing.budget_aborts;
-        for (const size_t m : runnable) {
-          QueryBreaker& breaker = breaker_of(m);
-          const uint64_t trips = breaker.trips();
-          breaker.OnBudgetAbort();
-          result->sharing.breaker_trips +=
-              static_cast<size_t>(breaker.trips() - trips);
-          missed[m] = true;
-        }
-      } else if (!status.ok()) {
-        return status;
-      } else {
-        ++result->sharing.chunks_run;
-        for (const size_t m : runnable) breaker_of(m).OnRunOk();
+      // Fan the unit's matches out to its members and publish its work
+      // counters (one fresh engine per unit, so its lifetime stats are
+      // the per-unit deltas).
+      if (ran) {
+        ++result->sharing.engines_run;
+        result->sharing.engines_shared += members.size() - 1;
+        PublishEngineStats(engine->name(), engine->stats(), matches.size());
       }
-      for (const size_t m : parked) {
-        breaker_of(m).OnSkipped();
-        missed[m] = true;
+      for (size_t i = 0; i < members.size(); ++i) {
+        result->queries[members[i]].matches.Merge(matches);
+        result->queries[members[i]].shared = i > 0;
       }
-    }
-  }
-
-  // Fan each unit's accumulated matches out to its members and publish
-  // the per-engine work counters (one fresh engine per unit, so its
-  // lifetime stats are the per-unit deltas).
-  for (Unit& unit : units) {
-    if (unit.ran) {
-      ++result->sharing.engines_run;
-      result->sharing.engines_shared += unit.members.size() - 1;
-      PublishEngineStats(unit.engine->name(), unit.engine->stats(),
-                         unit.matches.size());
-    }
-    for (size_t i = 0; i < unit.members.size(); ++i) {
-      result->queries[unit.members[i]].matches.Merge(unit.matches);
-      result->queries[unit.members[i]].shared = i > 0;
     }
   }
 

@@ -74,7 +74,7 @@ struct QueryResult {
   BreakerState breaker_state = BreakerState::kHealthy;
   uint64_t budget_aborts = 0;   ///< this Run()'s aborts charged to the query
   uint64_t breaker_trips = 0;   ///< breaker trips during this Run()
-  uint64_t extract_cost = 0;    ///< fair-share cost units (runs + pm work)
+  uint64_t extract_cost = 0;    ///< extraction work (chunk runs + pm work)
 };
 
 /// Shared-CEP effectiveness counters for one Run().
@@ -85,8 +85,8 @@ struct SharingStats {
   size_t guard_checks = 0;    ///< witness searches executed
   size_t guard_pruned = 0;    ///< queries emptied by a witness miss
   size_t type_pruned = 0;     ///< queries emptied by type occupancy
-  /// Fair-share scheduler chunk outcomes (a unit's event span is
-  /// evaluated in overlapping window-aligned chunks; see server.cc).
+  /// Extraction chunk outcomes (a unit's event span is evaluated in
+  /// overlapping window-aligned chunks; see server.cc).
   size_t chunks_run = 0;
   size_t chunks_skipped = 0;  ///< every runnable member was suspended
   size_t budget_aborts = 0;   ///< chunks aborted with kBudgetExceeded
@@ -120,7 +120,9 @@ class MultiQueryServer {
   /// registry (snapshots re-acquired per window, so concurrent
   /// register/unregister is served live), then runs the shared
   /// extraction under the end-of-run snapshot. kFailedPrecondition when
-  /// the registry is empty at start.
+  /// the registry is empty at start. The level-2 type-shedding fallback
+  /// relays the types of every query registered at start; a query
+  /// registered mid-run is not covered by it.
   ///
   /// Not reentrant: a server owns one per-query attribution sink, and
   /// Run() resets it at start — two concurrent Run() calls on the same

@@ -29,6 +29,7 @@
 #include "dlacep/pipeline.h"
 #include "obs/metrics.h"
 #include "obs/stages.h"
+#include "online_test_util.h"
 #include "runtime/online.h"
 #include "runtime/source.h"
 #include "test_util.h"
@@ -37,6 +38,7 @@ namespace dlacep {
 namespace {
 
 using testing_util::AscendingSeqPattern;
+using testing_util::RunOnline;
 using testing_util::SmallStream;
 
 MatchSet ExactMatches(const Pattern& pattern, const EventStream& stream) {
@@ -91,7 +93,7 @@ TEST(RelayAllDifferential, BatchAndOnlineEqualExactCep) {
         online_config.overload.enabled = false;
         OnlineDlacep online(pattern, &filter, online_config);
         ReplaySource source(&stream);
-        const OnlineResult result = online.Run(&source);
+        const OnlineResult result = RunOnline(&online, &source);
         ExpectSameMatches(result.matches, exact);
         EXPECT_EQ(result.marked_ids, batch.marked_ids)
             << "seed=" << seed << " mark=" << g.mark << " step=" << g.step
@@ -133,7 +135,7 @@ struct CounterSnapshot {
 OnlineResult RunWithFreshRegistry(OnlineDlacep* online, StreamSource* source,
                                   CounterSnapshot* counters) {
   obs::MetricsRegistry::Global().ResetValues();
-  const OnlineResult result = online->Run(source);
+  const OnlineResult result = RunOnline(online, source);
   *counters = CounterSnapshot::Take();
   return result;
 }

@@ -39,6 +39,7 @@
 #include "cep/adaptive_engine.h"
 #include "cep/engine.h"
 #include "dlacep/oracle_filter.h"
+#include "online_test_util.h"
 #include "pattern/builder.h"
 #include "pattern/selectivity.h"
 #include "runtime/checkpoint.h"
@@ -53,6 +54,7 @@
 namespace dlacep {
 namespace {
 
+using testing_util::RunOnline;
 using namespace workloads;
 
 void ExpectSameMatches(const MatchSet& got, const MatchSet& want,
@@ -226,7 +228,8 @@ TEST(EngineChoiceInvariance, AdaptiveOnlineByteIdenticalAcrossShards) {
       reference_config.overload.enabled = false;
       OnlineDlacep reference_run(patterns[t], &pass, reference_config);
       ReplaySource reference_source(&stream);
-      const OnlineResult reference = reference_run.Run(&reference_source);
+      const OnlineResult reference =
+          RunOnline(&reference_run, &reference_source);
 
       for (const size_t shards : {1u, 2u, 4u, 8u}) {
         const std::string where = "template " + std::to_string(t) +
@@ -240,7 +243,7 @@ TEST(EngineChoiceInvariance, AdaptiveOnlineByteIdenticalAcrossShards) {
         config.engine_options.adaptive_reselect_windows = 4;
         OnlineDlacep online(patterns[t], &pass, config);
         ReplaySource source(&stream);
-        const OnlineResult result = online.Run(&source);
+        const OnlineResult result = RunOnline(&online, &source);
         EXPECT_EQ(result.marked_ids, reference.marked_ids) << where;
         ExpectSameMatches(result.matches, reference.matches, where);
         EXPECT_FALSE(result.stats.engine_selected.empty()) << where;
@@ -347,7 +350,7 @@ TEST(EngineChoiceInvariance, CheckpointAcrossSwitchRestoresByteIdentical) {
   PassThroughFilter pass_a;
   OnlineDlacep online_a(pattern, &pass_a, AdaptiveDriftConfig());
   ReplaySource source_a(&stream);
-  const OnlineResult a = online_a.Run(&source_a);
+  const OnlineResult a = RunOnline(&online_a, &source_a);
   ASSERT_GE(a.stats.engine_switches, 1u)
       << "drift failed to provoke a switch; the test would be vacuous";
   EXPECT_EQ(a.stats.engine_selected, "lazy");
@@ -398,7 +401,7 @@ TEST(EngineChoiceInvariance, CheckpointAcrossSwitchRestoresByteIdentical) {
     config_s.engine = kind;
     OnlineDlacep fixed(pattern, &pass_s, config_s);
     ReplaySource source_s(&stream);
-    const OnlineResult s = fixed.Run(&source_s);
+    const OnlineResult s = RunOnline(&fixed, &source_s);
     EXPECT_EQ(s.marked_ids, a.marked_ids) << EngineKindName(kind);
     ExpectSameMatches(s.matches, a.matches, EngineKindName(kind));
   }

@@ -30,6 +30,7 @@
 #include "nn/infer.h"
 #include "nn/layers.h"
 #include "nn/serialize.h"
+#include "online_test_util.h"
 #include "runtime/checkpoint.h"
 #include "runtime/fault_injection.h"
 #include "runtime/health.h"
@@ -41,6 +42,7 @@ namespace dlacep {
 namespace {
 
 using testing_util::AscendingSeqPattern;
+using testing_util::RunOnline;
 using testing_util::SmallStream;
 
 std::string FreshDir(const std::string& name) {
@@ -231,7 +233,7 @@ TEST(FaultInjection, InvalidMarksQuarantineDegradeAndRecover) {
   ref_config.overload.enabled = false;
   OnlineDlacep reference(pattern, &pass, ref_config);
   ReplaySource ref_source(&stream);
-  const OnlineResult exact = reference.Run(&ref_source);
+  const OnlineResult exact = RunOnline(&reference, &ref_source);
 
   FlakyFilter flaky(/*bad_before=*/100);
   OnlineConfig config;
@@ -241,7 +243,7 @@ TEST(FaultInjection, InvalidMarksQuarantineDegradeAndRecover) {
   config.health.probe_passes = 2;
   OnlineDlacep online(pattern, &flaky, config);
   ReplaySource source(&stream);
-  const OnlineResult result = online.Run(&source);
+  const OnlineResult result = RunOnline(&online, &source);
 
   ExpectAccounted(result.stats);
   EXPECT_GT(result.stats.windows_quarantined, 0u);
@@ -276,7 +278,7 @@ TEST(FaultInjection, WedgedWorkerIsAbandonedAtTheDeadline) {
   };
   OnlineDlacep online(pattern, &pass, config);
   ReplaySource source(&stream);
-  const OnlineResult result = online.Run(&source);
+  const OnlineResult result = RunOnline(&online, &source);
 
   ExpectAccounted(result.stats);
   EXPECT_GE(result.stats.health_violations, 1u);
@@ -289,7 +291,7 @@ TEST(FaultInjection, WedgedWorkerIsAbandonedAtTheDeadline) {
   ref_config.overload.enabled = false;
   OnlineDlacep reference(pattern, &ref_pass, ref_config);
   ReplaySource ref_source(&stream);
-  const OnlineResult exact = reference.Run(&ref_source);
+  const OnlineResult exact = RunOnline(&reference, &ref_source);
   EXPECT_EQ(result.matches.size(), exact.matches.size());
 }
 
@@ -443,7 +445,7 @@ TEST(Checkpoint, KillAndRestoreIsByteIdenticalToUninterruptedRun) {
   config_a.overload.enabled = false;
   OnlineDlacep online_a(pattern, &pass_a, config_a);
   ReplaySource source_a(&stream);
-  const OnlineResult a = online_a.Run(&source_a);
+  const OnlineResult a = RunOnline(&online_a, &source_a);
 
   // Run B: permanent source failure mid-stream ("kill"), with a final
   // checkpoint written at abort.
@@ -504,7 +506,7 @@ TEST(Checkpoint, KillAndRestoreKeepsEveryDurableCounter) {
   FlakyFilter flaky_a(/*bad_before=*/300);
   OnlineDlacep online_a(pattern, &flaky_a, config);
   ReplaySource source_a(&stream);
-  const OnlineResult a = online_a.Run(&source_a);
+  const OnlineResult a = RunOnline(&online_a, &source_a);
   EXPECT_EQ(a.stats.windows_quarantined, 1u);
   EXPECT_EQ(a.stats.health_recoveries, 1u);
   EXPECT_GT(a.stats.probes_run, a.stats.probes_passed);

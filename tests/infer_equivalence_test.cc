@@ -3,11 +3,11 @@
 // implementation, and the frozen forward-only path (float) must
 // reproduce it — activations within the fp32 error bound derived below,
 // thresholded marks exactly — across random models, sequence lengths
-// {1, 7, 64}, and all three network filter types. Within the frozen
-// path, a window's activations are bit-identical whatever batch it
-// rides in. Also pins the InferenceContext reuse contract (recycling one
-// arena across calls of different shapes must not change any result)
-// and the 64-byte alignment of every float matrix and arena slab.
+// {1, 7, 64}, and all three network filter types. A grouped marking
+// call gives each window the marks it gets alone. Also pins the
+// InferenceContext reuse contract (recycling one arena across calls of
+// different shapes must not change any result) and the 64-byte
+// alignment of every float matrix and arena slab.
 
 #include <gtest/gtest.h>
 
@@ -80,14 +80,12 @@ double MaxAbsWeight(const std::vector<Parameter*>& params) {
   return worst;
 }
 
-/// Runs one window through a frozen sequence cell as a batch of one.
+/// Runs one window through a frozen sequence cell.
 template <typename Frozen>
 Matrix ForwardOne(const Frozen& frozen, const Matrix& x) {
   InferenceContext ctx;
   ctx.Reset();
-  std::vector<size_t> offsets;
-  const MatrixF& x_all = StackWindows(&ctx, {&x, 1}, &offsets);
-  return CastMatrix<double>(frozen.Forward(&ctx, x_all, offsets));
+  return CastMatrix<double>(frozen.Forward(&ctx, FrozenInput(&ctx, x)));
 }
 
 // ---------------------------------------------------------------------
@@ -155,59 +153,6 @@ TEST(InferEquivalence, TcnMatchesTape) {
       EXPECT_LE(ref.MaxAbsDiff(out), Fp32Bound(3 * 5 + 1, m, 2))
           << "seed " << seed << " T " << t;
     }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Batched inference: Forward over a ragged stacked slab must give each
-// window exactly the activations the same frozen cell gives it alone —
-// bit for bit, since every float GEMM entry is one serial FMA chain
-// whatever rows ride beside it.
-
-// Ragged on purpose: a length-1 window, a tail shorter than the batch
-// max, and a repeat length — each window's recurrence and convolution
-// edges must stay inside its own rows.
-const std::vector<size_t> kRaggedLens = {7, 1, 64, 3, 7};
-
-template <typename Frozen>
-void CheckBatchMatchesSingle(const Frozen& frozen, size_t in_dim, Rng* rng,
-                             uint64_t seed) {
-  std::vector<Matrix> windows;
-  for (size_t t : kRaggedLens) {
-    windows.push_back(Matrix::Randn(t, in_dim, 1.0, rng));
-  }
-  InferenceContext ctx;
-  ctx.Reset();
-  std::vector<size_t> offsets;
-  const MatrixF& x_all = StackWindows(&ctx, windows, &offsets);
-  const MatrixF& out = frozen.Forward(&ctx, x_all, offsets);
-  ASSERT_EQ(out.rows(), offsets.back());
-  for (size_t w = 0; w < windows.size(); ++w) {
-    const Matrix single = ForwardOne(frozen, windows[w]);
-    ASSERT_EQ(single.cols(), out.cols());
-    for (size_t r = 0; r < single.rows(); ++r) {
-      for (size_t c = 0; c < single.cols(); ++c) {
-        EXPECT_EQ(static_cast<double>(out(offsets[w] + r, c)), single(r, c))
-            << "seed " << seed << " window " << w << " (" << r << "," << c
-            << ")";
-      }
-    }
-  }
-}
-
-TEST(InferEquivalence, StackedBiLstmBatchMatchesSingle) {
-  for (uint64_t seed : {11u, 12u}) {
-    Rng rng(seed);
-    StackedBiLstm stack("s", 4, 6, 2, &rng);
-    CheckBatchMatchesSingle(Freeze(stack), 4, &rng, seed);
-  }
-}
-
-TEST(InferEquivalence, TcnBatchMatchesSingle) {
-  for (uint64_t seed : {21u, 22u}) {
-    Rng rng(seed);
-    Tcn tcn("t", 3, 5, 2, 3, &rng);
-    CheckBatchMatchesSingle(Freeze(tcn), 3, &rng, seed);
   }
 }
 
@@ -336,10 +281,9 @@ TEST(AlignedStorage, EveryFloatArenaSlabIs64ByteAligned) {
   const StackedBiLstmInfer frozen = Freeze(stack);
   const Matrix x = Matrix::Randn(13, 4, 1.0, &rng);
   ctx.Reset();
-  std::vector<size_t> offsets;
-  const MatrixF& x_all = StackWindows(&ctx, {&x, 1}, &offsets);
-  EXPECT_TRUE(Aligned64(x_all.data()));
-  EXPECT_TRUE(Aligned64(frozen.Forward(&ctx, x_all, offsets).data()));
+  const MatrixF& input = FrozenInput(&ctx, x);
+  EXPECT_TRUE(Aligned64(input.data()));
+  EXPECT_TRUE(Aligned64(frozen.Forward(&ctx, input).data()));
 }
 
 // ---------------------------------------------------------------------
@@ -479,9 +423,9 @@ TEST_F(InferFilterEquivalence, WindowNetworkFilter) {
 }
 
 // ---------------------------------------------------------------------
-// Batched marking: MarkBatchWith must reproduce per-window MarkWith
-// marks exactly for every batch grouping, across all three network
-// kinds (BiLSTM event, TCN event, window).
+// Grouped marking: the StreamFilter base loop MarkBatchWith must
+// reproduce per-window MarkWith marks exactly for every grouping,
+// across all three network kinds (BiLSTM event, TCN event, window).
 
 TEST_F(InferFilterEquivalence, EventNetworkFilterBatchMarks) {
   for (uint64_t seed : {31u, 32u, 33u}) {
@@ -586,7 +530,7 @@ TEST_F(InferFilterEquivalence, EventNetworkFilterBatchOnlineBoosts) {
 // the BiLSTM and TCN event networks and the window network. Two bounds
 // keep it finite: Featurizer::Encode clips both standardized attribute
 // channels to ±kAttrBound (without it the TCN's double tape scores the
-// window non-finite), and StackWindows saturates any feature beyond
+// window non-finite), and FrozenInput saturates any feature beyond
 // ±kFrozenInputBound, which would round to inf in float, where an inf
 // meeting a zero weight or an opposite-sign inf in one sum gives NaN.
 TEST_F(InferFilterEquivalence, ExtremeFiniteAttributeKeepsMarksFinite) {
@@ -606,17 +550,16 @@ TEST_F(InferFilterEquivalence, ExtremeFiniteAttributeKeepsMarksFinite) {
                                       EventBackbone::Tcn(3));
   const WindowNetworkFilter window_filter(&featurizer_, network, 0.5);
 
-  // The slab itself: a feature beyond float range is saturated, not
-  // rounded to inf, and a NaN feature still passes through.
+  // The float input itself: a feature beyond float range is saturated,
+  // not rounded to inf, and a NaN feature still passes through.
   Matrix features = featurizer_.Encode(extreme.View(kExtreme, 2));
   features(0, 0) = 1e300;
   features(1, 0) = std::numeric_limits<double>::quiet_NaN();
-  InferenceContext slab_ctx;
-  std::vector<size_t> offsets;
-  const MatrixF& slab = StackWindows(&slab_ctx, {&features, 1}, &offsets);
-  const float* row = slab.data();
-  EXPECT_EQ(*std::max_element(row, row + slab.cols()), kFrozenInputBound);
-  EXPECT_TRUE(std::isnan(slab(1, 0)));
+  InferenceContext input_ctx;
+  const MatrixF& input = FrozenInput(&input_ctx, features);
+  const float* row = input.data();
+  EXPECT_EQ(*std::max_element(row, row + input.cols()), kFrozenInputBound);
+  EXPECT_TRUE(std::isnan(input(1, 0)));
 
   // Windows around the extreme event, at its start, middle and end.
   const std::vector<WindowRange> ranges = {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,6 +17,7 @@
 
 #include "dlacep/multi_pattern.h"
 #include "dlacep/oracle_filter.h"
+#include "online_test_util.h"
 #include "runtime/online.h"
 #include "runtime/source.h"
 #include "serve/server.h"
@@ -33,6 +35,7 @@ using serve::QueryOptions;
 using serve::QueryRegistry;
 using serve::ServeConfig;
 using testing_util::AscendingSeqPattern;
+using testing_util::RunOnline;
 using testing_util::SmallStream;
 
 void ExpectSameMatches(const MatchSet& a, const MatchSet& b,
@@ -101,7 +104,7 @@ std::vector<MatchSet> IsolatedReferences(
   for (const Pattern& pattern : patterns) {
     OnlineDlacep online(pattern, filter, config);
     ReplaySource source(&stream);
-    reference.push_back(online.Run(&source).matches);
+    reference.push_back(RunOnline(&online, &source).matches);
   }
   return reference;
 }
@@ -179,6 +182,91 @@ TEST(MultiQueryServing, TrainedTrunkServesHeadsIdenticalToIsolatedRuns) {
   for (const size_t shards : {1u, 2u}) {
     CheckServeMatchesIsolated(stream, patterns, system.filter(),
                               system.filter(), reference, shards);
+  }
+}
+
+// serve8 runs the server at batch_size 8: a shard's grouped marking
+// call must leave every query's recorded attribution and match set
+// byte-identical to batch_size 1, at every shard count.
+TEST(MultiQueryServing, BatchSizeLeavesAttributionAndMatchesIdentical) {
+  const EventStream train = SmallStream(1500, 43);
+  const EventStream stream = SmallStream(600, 44);
+  auto schema = train.schema_ptr();
+  std::vector<Pattern> patterns;
+  patterns.push_back(AscendingSeqPattern(schema, 2, 8));
+  patterns.push_back(AscendingSeqPattern(schema, 3, 8));
+
+  DlacepConfig trunk_config;
+  trunk_config.network.hidden_dim = 8;
+  trunk_config.network.num_layers = 1;
+  trunk_config.train.max_epochs = 4;
+  MultiPatternDlacep system(patterns, train, trunk_config);
+  // Permissive and distinct per query, so the attribution is non-empty
+  // and differs between the queries.
+  const std::vector<double> thresholds = {0.2, 0.3};
+  auto register_all = [&](QueryRegistry* registry) {
+    for (size_t q = 0; q < patterns.size(); ++q) {
+      QueryOptions options;
+      options.name = "q" + std::to_string(q);
+      options.threshold = thresholds[q];
+      ASSERT_TRUE(registry->Register(patterns[q], options).ok());
+    }
+  };
+
+  struct Outcome {
+    std::map<serve::QueryId, std::vector<EventId>> recorded;
+    MultiQueryResult served;
+  };
+  auto serve = [&](size_t batch_size, size_t shards, Outcome* out) {
+    OnlineConfig online = LosslessConfig(MaxCountWindow(patterns), shards);
+    online.batch_size = batch_size;
+
+    // The attribution, read off the serving filter the server runs.
+    QueryRegistry marks_registry;
+    register_all(&marks_registry);
+    serve::ServeFilter filter(&marks_registry, system.filter(),
+                              system.filter());
+    OnlineConfig marks_only = online;
+    marks_only.skip_extraction = true;
+    OnlineDlacep runtime(patterns[0], &filter, marks_only);
+    ReplaySource marks_source(&stream);
+    RunOnline(&runtime, &marks_source);
+    out->recorded = filter.RecordedMarks();
+
+    QueryRegistry registry;
+    register_all(&registry);
+    ServeConfig config;
+    config.online = online;
+    MultiQueryServer server(&registry, system.filter(), system.filter(),
+                            config);
+    ReplaySource source(&stream);
+    ASSERT_TRUE(server.Run(&source, &out->served).ok());
+    ASSERT_EQ(out->served.queries.size(), patterns.size());
+  };
+
+  Outcome reference;
+  serve(1, 1, &reference);
+  ASSERT_EQ(reference.recorded.size(), patterns.size());
+  for (const auto& [id, ids] : reference.recorded) {
+    EXPECT_FALSE(ids.empty()) << "query " << id;
+  }
+  EXPECT_FALSE(reference.served.queries[0].matches.empty());
+  for (const size_t batch_size : {1u, 4u}) {
+    for (const size_t shards : {1u, 2u}) {
+      const std::string label = "batch_size=" + std::to_string(batch_size) +
+                                " shards=" + std::to_string(shards);
+      Outcome got;
+      serve(batch_size, shards, &got);
+      EXPECT_EQ(got.recorded, reference.recorded) << label;
+      for (size_t q = 0; q < patterns.size(); ++q) {
+        EXPECT_EQ(got.served.queries[q].marked_events,
+                  reference.served.queries[q].marked_events)
+            << label << " q" << q;
+        ExpectSameMatches(got.served.queries[q].matches,
+                          reference.served.queries[q].matches,
+                          label + " q" + std::to_string(q));
+      }
+    }
   }
 }
 
@@ -455,7 +543,7 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
     OnlineConfig isolated = make_config(1);
     OnlineDlacep alone(patterns[q], &fixed, isolated);
     ReplaySource source(&stream);
-    const OnlineResult result = alone.Run(&source);
+    const OnlineResult result = RunOnline(&alone, &source);
     EXPECT_GT(result.stats.windows_quarantined, 0u) << "q" << q;
     reference.push_back(result.matches);
     reference_inputs.push_back(result.relayed_events.size());
@@ -487,7 +575,7 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
   for (const Pattern& pattern : patterns) {
     OnlineDlacep online(pattern, &pass, exact_config);
     ReplaySource source(&stream);
-    exact.push_back(online.Run(&source).matches);
+    exact.push_back(RunOnline(&online, &source).matches);
   }
 
   MultiQueryResult sharded;
@@ -499,6 +587,58 @@ TEST(MultiQueryServing, QuarantinedWindowsRelayToEveryQuery) {
               sharded.stats.events_quarantined)
         << "q" << q;
     EXPECT_LE(sharded.queries[q].matches.size(), exact[q].size()) << "q" << q;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Level-2 shedding under the server: the type-shedding fallback relays
+// the types of every query registered at run start, not only those of
+// the runtime's geometry anchor (query 0).
+
+TEST(MultiQueryServing, TypeSheddingFallbackKeepsEveryQuerysMatches) {
+  const EventStream stream = SmallStream(2500, 49);
+  auto schema = stream.schema_ptr();
+  std::vector<Pattern> patterns;
+  patterns.push_back(AscendingSeqPattern(schema, 2, 8));  // SEQ(A, B)
+  patterns.push_back(
+      AscendingSeqPattern(schema, 2, 8, /*first_type=*/2));  // SEQ(C, D)
+
+  PassThroughFilter pass;
+  auto serve = [&](bool overload, MultiQueryResult* result) {
+    QueryRegistry registry;
+    for (size_t q = 0; q < patterns.size(); ++q) {
+      QueryOptions options;
+      options.name = "q" + std::to_string(q);
+      ASSERT_TRUE(registry.Register(patterns[q], options).ok());
+    }
+    ServeConfig config;
+    config.online = LosslessConfig(MaxCountWindow(patterns), 1);
+    config.online.max_windows_in_flight = 1;
+    if (overload) {
+      // Every window's latency counts as pressure, so the controller
+      // climbs to level 2 after two dwell periods and stays there.
+      config.online.overload.enabled = true;
+      config.online.overload.latency_high_seconds = 1e-12;
+      config.online.overload.shedding = SheddingPolicy::kType;
+    }
+    MultiQueryServer server(&registry, &pass, nullptr, config);
+    ReplaySource source(&stream);
+    ASSERT_TRUE(server.Run(&source, result).ok());
+    EXPECT_TRUE(result->stats.Accounted()) << result->stats.ToString();
+    ASSERT_EQ(result->queries.size(), patterns.size());
+  };
+
+  MultiQueryResult exact;
+  serve(false, &exact);
+  MultiQueryResult shed;
+  serve(true, &shed);
+  EXPECT_GT(shed.stats.windows_shed, 0u);
+  EXPECT_GT(shed.stats.events_filtered, 0u) << "type E is never relayed";
+  for (size_t q = 0; q < patterns.size(); ++q) {
+    EXPECT_FALSE(exact.queries[q].matches.empty()) << "q" << q;
+    ExpectSameMatches(shed.queries[q].matches, exact.queries[q].matches,
+                      "type-shed q" + std::to_string(q));
+    EXPECT_FALSE(shed.queries[q].degraded) << "q" << q;
   }
 }
 

@@ -133,23 +133,6 @@ TEST(RingQueueBurst, PushBurstPopBurstFifoThroughTinyQueue) {
   producer.join();
 }
 
-TEST(RingQueueBurst, TryPushBurstAcceptsExactlyWhatFits) {
-  RingQueue<int> queue(4);
-  ASSERT_TRUE(queue.TryPush(0));
-  ASSERT_TRUE(queue.TryPush(1));
-  int burst[] = {2, 3, 4, 5, 6};
-  EXPECT_EQ(queue.TryPushBurst(burst, 5), 2u);  // only two slots left
-  EXPECT_EQ(queue.TryPushBurst(burst + 2, 3), 0u);  // full: nothing
-  int out = -1;
-  for (int want = 0; want < 4; ++want) {
-    ASSERT_TRUE(queue.Pop(&out));
-    EXPECT_EQ(out, want);  // the accepted prefix, in order
-  }
-  EXPECT_EQ(queue.TryPushBurst(burst + 2, 3), 3u);
-  queue.Close();
-  EXPECT_EQ(queue.TryPushBurst(burst, 5), 0u);  // closed: nothing
-}
-
 TEST(RingQueueBurst, PopBurstHonorsMaxAndDrainsAfterClose) {
   RingQueue<int> queue(8);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(queue.TryPush(i));

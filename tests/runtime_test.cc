@@ -17,6 +17,7 @@
 
 #include "dlacep/oracle_filter.h"
 #include "dlacep/shedding_filter.h"
+#include "online_test_util.h"
 #include "pattern/builder.h"
 #include "runtime/online.h"
 #include "runtime/ring_queue.h"
@@ -28,6 +29,7 @@ namespace dlacep {
 namespace {
 
 using testing_util::AscendingSeqPattern;
+using testing_util::RunOnline;
 using testing_util::SmallStream;
 
 // ---------------------------------------------------------------------
@@ -285,7 +287,7 @@ TEST(OnlineOverload, EscalatesRecoversAndAccountsEveryEvent) {
 
   BurstThenPacedSource source(&stream, /*burst=*/2000,
                               /*tail_rate=*/4000.0);
-  const OnlineResult result = online.Run(&source);
+  const OnlineResult result = RunOnline(&online, &source);
   const RuntimeStats& stats = result.stats;
 
   // No deadlock (we got here) and exact accounting despite drops.
@@ -422,7 +424,7 @@ TEST(OnlineOverload, SingleSlowWarmupWindowDoesNotEscalate) {
   ASSERT_EQ(config.overload.latency_warmup_windows, 1u);  // the default
   OnlineDlacep online(pattern, &filter, config);
   ReplaySource source(&stream);
-  const OnlineResult result = online.Run(&source);
+  const OnlineResult result = RunOnline(&online, &source);
 
   EXPECT_EQ(result.stats.overload_escalations, 0u)
       << "a single warm-up outlier seeded the latency EWMA";
@@ -442,7 +444,7 @@ TEST(OnlineOverload, SustainedSlownessStillEscalatesPastWarmup) {
                        std::chrono::milliseconds(100));
   OnlineDlacep online(pattern, &filter, LatencySignalOnlyConfig());
   ReplaySource source(&stream);
-  const OnlineResult result = online.Run(&source);
+  const OnlineResult result = RunOnline(&online, &source);
 
   EXPECT_GE(result.stats.overload_escalations, 1u);
   EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
@@ -463,7 +465,7 @@ TEST(OnlineOverload, DisabledControllerStaysLossyButLevelZero) {
   OnlineDlacep online(pattern, &filter, config);
 
   ReplaySource source(&stream);
-  const OnlineResult result = online.Run(&source);
+  const OnlineResult result = RunOnline(&online, &source);
   EXPECT_TRUE(result.stats.Accounted()) << result.stats.ToString();
   EXPECT_GT(result.stats.events_dropped_queue, 0u);
   EXPECT_EQ(result.stats.overload_escalations, 0u);
@@ -487,7 +489,7 @@ TEST(OnlineDrift, FlagsWhenLiveRateLeavesReferenceBand) {
   config.drift.window_budget = 4;
   OnlineDlacep online(pattern, &filter, config);
   ReplaySource source(&stream);
-  EXPECT_GE(online.Run(&source).stats.drift_flags, 1u);
+  EXPECT_GE(RunOnline(&online, &source).stats.drift_flags, 1u);
 }
 
 TEST(OnlineDrift, QuietWhenRateMatchesReference) {
@@ -503,7 +505,7 @@ TEST(OnlineDrift, QuietWhenRateMatchesReference) {
   config.drift.window_budget = 4;
   OnlineDlacep online(pattern, &filter, config);
   ReplaySource source(&stream);
-  EXPECT_EQ(online.Run(&source).stats.drift_flags, 0u);
+  EXPECT_EQ(RunOnline(&online, &source).stats.drift_flags, 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -333,12 +334,9 @@ TEST(MultiHeadDecoding, MatchesPerThresholdMarkOnlineBitForBit) {
   const std::vector<double> thresholds = {base, base - 0.15, base + 0.15};
 
   const EventStream window = trunk.Window(0, 16);
-  const OnlineWindow one{&window, 0, 0.0};
   InferenceContext ctx;
-  std::vector<std::vector<std::vector<int>>> batched;
-  heads->MarkBatchOnlineMultiHead({&one, 1}, &ctx, thresholds, &batched);
-  ASSERT_EQ(batched.size(), 1u);
-  const std::vector<std::vector<int>>& per_query = batched[0];
+  const std::vector<std::vector<int>> per_query =
+      heads->MarkOnlineMultiHead(window, &ctx, thresholds, 0.0);
   ASSERT_EQ(per_query.size(), thresholds.size());
 
   for (size_t q = 0; q < thresholds.size(); ++q) {
@@ -354,11 +352,24 @@ TEST(MultiHeadDecoding, MatchesPerThresholdMarkOnlineBitForBit) {
   }
 }
 
+// A grouped MarkBatchOnline call on the serving filter (the
+// StreamFilter base loop) decodes each window as the multi-head decode
+// does alone, its overload boost folded into the query thresholds, and
+// records the same per-query attribution.
 TEST(MultiHeadDecoding, BatchedSlabMatchesPerWindowDecodes) {
   const TrainedTrunk trunk;
   const EventNetworkFilter* heads = trunk.system->filter();
   const double base = heads->event_threshold();
   const std::vector<double> thresholds = {base, base - 0.1};
+
+  QueryRegistry registry;
+  const std::vector<Pattern>& patterns = trunk.system->patterns();
+  for (size_t q = 0; q < thresholds.size(); ++q) {
+    QueryOptions options;
+    options.threshold = thresholds[q];
+    ASSERT_TRUE(registry.Register(patterns[q], options).ok());
+  }
+  ServeFilter filter(&registry, heads, heads);
 
   std::vector<EventStream> windows;
   windows.push_back(trunk.Window(0, 16));
@@ -374,21 +385,35 @@ TEST(MultiHeadDecoding, BatchedSlabMatchesPerWindowDecodes) {
   }
 
   InferenceContext batch_ctx;
-  std::vector<std::vector<std::vector<int>>> batched;
-  heads->MarkBatchOnlineMultiHead(batch, &batch_ctx, thresholds, &batched);
-  ASSERT_EQ(batched.size(), batch.size());
+  std::vector<std::vector<int>> batched(batch.size());
+  filter.MarkBatchOnline(batch, &batch_ctx, batched.data());
 
+  std::vector<std::set<EventId>> expected_ids(thresholds.size());
   for (size_t w = 0; w < batch.size(); ++w) {
     // The same window alone, its overload boost folded into the query
     // thresholds instead.
     InferenceContext ctx;
     std::vector<double> boosted = thresholds;
     for (double& t : boosted) t += batch[w].threshold_boost;
-    const OnlineWindow alone{&windows[w], batch[w].stream_begin, 0.0};
-    std::vector<std::vector<std::vector<int>>> expected;
-    heads->MarkBatchOnlineMultiHead({&alone, 1}, &ctx, boosted, &expected);
-    ASSERT_EQ(expected.size(), 1u);
-    EXPECT_EQ(batched[w], expected[0]) << "window " << w;
+    const std::vector<std::vector<int>> per_query =
+        heads->MarkOnlineMultiHead(windows[w], &ctx, boosted, 0.0);
+    ASSERT_EQ(per_query.size(), thresholds.size());
+    std::vector<int> unioned(windows[w].size(), 0);
+    for (size_t q = 0; q < per_query.size(); ++q) {
+      for (size_t t = 0; t < windows[w].size(); ++t) {
+        unioned[t] |= per_query[q][t];
+        if (per_query[q][t] == 1) expected_ids[q].insert(windows[w][t].id);
+      }
+    }
+    EXPECT_EQ(batched[w], unioned) << "window " << w;
+  }
+  const auto recorded = filter.RecordedMarks();
+  ASSERT_EQ(recorded.size(), thresholds.size());
+  size_t q = 0;
+  for (const auto& [id, ids] : recorded) {
+    EXPECT_EQ(std::set<EventId>(ids.begin(), ids.end()), expected_ids[q])
+        << "query " << id;
+    ++q;
   }
 }
 

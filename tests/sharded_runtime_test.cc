@@ -27,6 +27,7 @@
 #include "dlacep/oracle_filter.h"
 #include "dlacep/pipeline.h"
 #include "dlacep/shedding_filter.h"
+#include "online_test_util.h"
 #include "pattern/builder.h"
 #include "runtime/checkpoint.h"
 #include "runtime/fault_injection.h"
@@ -39,6 +40,7 @@ namespace dlacep {
 namespace {
 
 using testing_util::AscendingSeqPattern;
+using testing_util::RunOnline;
 using testing_util::SmallStream;
 
 void ExpectSameMatches(const MatchSet& a, const MatchSet& b) {
@@ -135,7 +137,7 @@ void CheckShardedMatchesBatch(const EqualityCase& c,
     config.overload.enabled = false;  // lossless backpressure only
     OnlineDlacep online(*c.pattern, c.filter, config);
     ReplaySource source(c.stream);
-    const OnlineResult result = online.Run(&source);
+    const OnlineResult result = RunOnline(&online, &source);
 
     EXPECT_EQ(result.marked_ids, batch.marked_ids)
         << "shards=" << shards << " batch_size=" << c.batch_size;
@@ -315,7 +317,7 @@ TEST(OnlineEquality, EmptyStream) {
   config.overload.enabled = false;
   OnlineDlacep online(pattern, &filter, config);
   ReplaySource source(&stream);
-  const OnlineResult result = online.Run(&source);
+  const OnlineResult result = RunOnline(&online, &source);
   EXPECT_TRUE(result.matches.empty());
   EXPECT_TRUE(result.marked_ids.empty());
   EXPECT_EQ(result.stats.windows_closed, 0u);
@@ -393,7 +395,7 @@ OnlineResult RunOnline(const EventStream& stream, const Pattern& pattern,
                        const OnlineConfig& config) {
   OnlineDlacep online(pattern, filter, config);
   ReplaySource source(&stream);
-  return online.Run(&source);
+  return RunOnline(&online, &source);
 }
 
 TEST(ShardedOverload, EscalationLadderIsShardCountInvariant) {
@@ -557,7 +559,7 @@ TEST(ShardedCheckpoint, KillAndRestoreMatchesSingleShardUninterruptedRun) {
   config_a.overload.enabled = false;
   OnlineDlacep online_a(pattern, &pass_a, config_a);
   ReplaySource source_a(&stream);
-  const OnlineResult a = online_a.Run(&source_a);
+  const OnlineResult a = RunOnline(&online_a, &source_a);
 
   // Run B: 2 shards, permanent source failure mid-stream ("kill"), with
   // a final checkpoint written at abort.

@@ -28,8 +28,10 @@ inline EventStream SmallStream(size_t num_events, uint64_t seed,
 
 /// SEQ(A v0, B v1, ...) of `len` positions with ascending-volume
 /// conditions between consecutive positions (selectivity ~0.5 each).
+/// The types start `first_type` letters after A.
 inline Pattern AscendingSeqPattern(std::shared_ptr<const Schema> schema,
-                                   size_t len, size_t window) {
+                                   size_t len, size_t window,
+                                   size_t first_type = 0) {
   PatternBuilder builder(std::move(schema));
   auto var_name = [](size_t i) {
     std::string name = "v";
@@ -38,7 +40,7 @@ inline Pattern AscendingSeqPattern(std::shared_ptr<const Schema> schema,
   };
   std::vector<PatternBuilder::Node> children;
   for (size_t i = 0; i < len; ++i) {
-    const std::string type(1, static_cast<char>('A' + i));
+    const std::string type(1, static_cast<char>('A' + first_type + i));
     children.push_back(builder.Prim(type, var_name(i)));
   }
   auto root = builder.SeqOf(std::move(children));

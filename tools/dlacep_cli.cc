@@ -65,6 +65,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 
 #include <atomic>
@@ -460,7 +461,11 @@ int Compare(const Args& args) {
     OnlineDlacep online(pattern.value(), &built.pipeline->filter(),
                         online_config);
     ReplaySource source(&test.value());
-    const OnlineResult streamed = online.Run(&source);
+    OnlineResult streamed;
+    if (const Status status = online.Run(&source, &streamed); !status.ok()) {
+      std::fprintf(stderr, "%s\n", status.ToString().c_str());
+      return 1;
+    }
     const bool identical =
         streamed.matches.size() == result.dlacep.matches.size() &&
         streamed.matches.IntersectionSize(result.dlacep.matches) ==
@@ -491,14 +496,18 @@ struct OnlineFilter {
   TrainableFilter* trainable = nullptr;  ///< non-null for learned kinds
 };
 
+/// Builds the --filter kind for `patterns` (non-empty): type shedding
+/// relays every pattern's types; the other kinds serve patterns[0].
 StatusOr<OnlineFilter> MakeOnlineFilter(const Args& args,
-                                        const Pattern& pattern) {
+                                        std::span<const Pattern> patterns) {
+  const Pattern& pattern = patterns[0];
   OnlineFilter out;
   const std::string kind = args.Get("filter", "pass");
   if (kind == "pass") {
     out.owned = std::make_unique<PassThroughFilter>();
   } else if (kind == "type-shed") {
-    out.owned = std::make_unique<TypeSheddingFilter>(pattern);
+    // Every query's types, unified as the labeler unifies labels.
+    out.owned = std::make_unique<TypeSheddingFilter>(patterns);
   } else if (kind == "random-shed") {
     out.owned = std::make_unique<RandomSheddingFilter>(
         args.GetDouble("keep", 0.5),
@@ -565,7 +574,8 @@ int StreamOnline(const Args& args, const Pattern& pattern,
     std::fprintf(stderr, "%s\n", online_ok.ToString().c_str());
     return 1;
   }
-  auto filter = MakeOnlineFilter(args, pattern);
+  auto filter =
+      MakeOnlineFilter(args, std::span<const Pattern>(&pattern, 1));
   if (!filter.ok()) {
     std::fprintf(stderr, "%s\n", filter.status().ToString().c_str());
     return 1;
@@ -758,7 +768,7 @@ int StreamMultiQuery(const Args& args, std::vector<Pattern> patterns,
                  "--filter window is not supported with --queries\n");
     return 1;
   } else {
-    auto made = MakeOnlineFilter(args, patterns[0]);
+    auto made = MakeOnlineFilter(args, patterns);
     if (!made.ok()) {
       std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
       return 1;
@@ -963,7 +973,12 @@ int StreamMultiQuery(const Args& args, std::vector<Pattern> patterns,
       alone_config.worker_window_hook = nullptr;
       OnlineDlacep alone(patterns[q], isolated_filter, alone_config);
       ReplaySource alone_source(replay_stream);
-      const OnlineResult isolated = alone.Run(&alone_source);
+      OnlineResult isolated;
+      if (const Status status = alone.Run(&alone_source, &isolated);
+          !status.ok()) {
+        std::fprintf(stderr, "%s\n", status.ToString().c_str());
+        return 1;
+      }
       const bool equal = SameMatches(served->matches, isolated.matches);
       const bool subset =
           served->matches.IntersectionSize(isolated.matches) ==
@@ -1045,7 +1060,12 @@ int CompareMulti(const Args& args, const EventStream& train,
   for (size_t q = 0; q < patterns.value().size(); ++q) {
     OnlineDlacep alone(patterns.value()[q], multi.filter(), config.online);
     ReplaySource alone_source(&test);
-    const OnlineResult isolated = alone.Run(&alone_source);
+    OnlineResult isolated;
+    if (const Status status = alone.Run(&alone_source, &isolated);
+        !status.ok()) {
+      std::fprintf(stderr, "%s\n", status.ToString().c_str());
+      return 1;
+    }
     const MatchSet& shared_matches = served.queries[q].matches;
     const bool vs_batch = SameMatches(shared_matches, batch.per_pattern[q]);
     const bool vs_alone = SameMatches(shared_matches, isolated.matches);
