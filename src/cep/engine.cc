@@ -36,16 +36,16 @@ EngineStats& EngineStats::operator+=(const EngineStats& delta) {
 Status CepEngine::EvaluatePlans(
     std::span<const Event> events, MatchSet* out,
     const EngineOptions& options, size_t num_plans,
-    const std::function<void(size_t, MatchSet*, EngineBudget*)>&
+    const std::function<void(size_t, std::vector<Match>*, EngineBudget*)>&
         eval_plan) {
   DLACEP_CHECK(out != nullptr);
   Stopwatch watch;
   EngineBudget budget(options);
-  MatchSet local;
-  MatchSet* sink = budget.armed() ? &local : out;
+  std::vector<Match> found;
   for (size_t i = 0; i < num_plans && !budget.exceeded(); ++i) {
-    eval_plan(i, sink, &budget);
+    eval_plan(i, &found, &budget);
   }
+  if (!budget.exceeded()) out->Merge(MatchSet(std::move(found)));
   stats_.events_processed += events.size();
   ++stats_.evaluations;
   stats_.elapsed_seconds += watch.ElapsedSeconds();
@@ -53,7 +53,6 @@ Status CepEngine::EvaluatePlans(
     ++stats_.budget_aborts;
     return budget.ToStatus(name().c_str());
   }
-  if (budget.armed()) out->Merge(local);
   return Status::Ok();
 }
 

@@ -12,6 +12,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "cep/match.h"
 #include "common/timer.h"
@@ -169,17 +170,19 @@ class CepEngine {
 
  protected:
   /// The Evaluate() body of the static engines: calls `eval_plan(i,
-  /// sink, budget)` for each plan i < num_plans under one EngineBudget
-  /// and stops at the first blown budget. events_processed, evaluations
-  /// and elapsed_seconds count the call whether or not it aborts. With a
-  /// budget armed the plans emit into a local set that is merged into
-  /// `out` only on success, so an abort leaves `out` untouched, counts
-  /// one budget_abort and returns kBudgetExceeded.
+  /// found, budget)` for each plan i < num_plans under one EngineBudget
+  /// and stops at the first blown budget. Every plan appends its matches,
+  /// unsorted and possibly repeated, to the one per-call `found` buffer;
+  /// on success it is sorted, deduplicated and merged into `out` once.
+  /// An abort discards it and leaves `out` untouched; the call then
+  /// counts one budget_abort and returns kBudgetExceeded.
+  /// events_processed, evaluations and elapsed_seconds count the call
+  /// whether or not it aborts.
   Status EvaluatePlans(
       std::span<const Event> events, MatchSet* out,
       const EngineOptions& options, size_t num_plans,
-      const std::function<void(size_t, MatchSet*, EngineBudget*)>&
-          eval_plan);
+      const std::function<void(size_t, std::vector<Match>*,
+                               EngineBudget*)>& eval_plan);
 
   EngineStats stats_;
 };

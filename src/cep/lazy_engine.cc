@@ -42,7 +42,7 @@ class LazySearch {
   LazySearch(const LinearPlan& plan, const Pattern& pattern,
              std::span<const Event> events,
              const std::vector<std::pair<int32_t, double>>& frequencies,
-             bool time_sorted, EngineStats* stats, MatchSet* out,
+             bool time_sorted, EngineStats* stats, std::vector<Match>* out,
              EngineBudget* budget)
       : plan_(plan),
         pattern_(pattern),
@@ -105,7 +105,7 @@ class LazySearch {
       }
       if (!FitsWindow(binding_.AllEvents(), pattern_.window())) return;
       ++stats_->matches_emitted;
-      out_->Insert(MatchFromBinding(binding_));
+      out_->push_back(MatchFromBinding(binding_));
       return;
     }
     const size_t p = order_[order_index];
@@ -221,7 +221,7 @@ class LazySearch {
   std::span<const Event> events_;
   bool time_sorted_;  ///< the span's timestamps never decrease
   EngineStats* stats_;
-  MatchSet* out_;
+  std::vector<Match>* out_;
   EngineBudget* budget_;
   Binding binding_;
   std::vector<const Event*> bound_;  ///< per plan position
@@ -239,9 +239,9 @@ Status LazyEngine::Evaluate(std::span<const Event> events, MatchSet* out) {
   }
   return EvaluatePlans(
       events, out, options_, plans_.size(),
-      [&](size_t i, MatchSet* sink, EngineBudget* budget) {
+      [&](size_t i, std::vector<Match>* found, EngineBudget* budget) {
         LazySearch(plans_[i], pattern_, events, type_frequencies_,
-                   time_sorted, &stats_, sink, budget)
+                   time_sorted, &stats_, found, budget)
             .Run();
       });
 }

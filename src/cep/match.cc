@@ -1,6 +1,7 @@
 #include "cep/match.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 namespace dlacep {
@@ -32,21 +33,60 @@ Match MatchFromBinding(const Binding& binding) {
   return Match(std::move(ids));
 }
 
-bool MatchSet::Insert(Match match) {
-  return matches_.insert(std::move(match)).second;
+MatchSet::MatchSet(std::vector<Match> matches)
+    : matches_(std::move(matches)) {
+  std::sort(matches_.begin(), matches_.end());
+  matches_.erase(std::unique(matches_.begin(), matches_.end()),
+                 matches_.end());
 }
 
-void MatchSet::Merge(const MatchSet& other) {
-  matches_.insert(other.matches_.begin(), other.matches_.end());
+bool MatchSet::Insert(Match match) {
+  const auto it = std::lower_bound(matches_.begin(), matches_.end(), match);
+  if (it != matches_.end() && *it == match) return false;
+  matches_.insert(it, std::move(match));
+  return true;
+}
+
+void MatchSet::Merge(MatchSet other) {
+  if (other.empty()) return;
+  if (matches_.empty()) {
+    matches_ = std::move(other.matches_);
+    return;
+  }
+  // Everything below other's first match stays where it is; the rest
+  // is merged with the appended run and deduplicated in place.
+  const size_t from = static_cast<size_t>(
+      std::lower_bound(matches_.begin(), matches_.end(),
+                       other.matches_.front()) -
+      matches_.begin());
+  const size_t mid = matches_.size();
+  matches_.insert(matches_.end(),
+                  std::make_move_iterator(other.matches_.begin()),
+                  std::make_move_iterator(other.matches_.end()));
+  const auto first = matches_.begin() + static_cast<ptrdiff_t>(from);
+  std::inplace_merge(first, matches_.begin() + static_cast<ptrdiff_t>(mid),
+                     matches_.end());
+  matches_.erase(std::unique(first, matches_.end()), matches_.end());
+}
+
+bool MatchSet::Contains(const Match& match) const {
+  return std::binary_search(matches_.begin(), matches_.end(), match);
 }
 
 size_t MatchSet::IntersectionSize(const MatchSet& other) const {
-  const MatchSet* small = this;
-  const MatchSet* large = &other;
-  if (small->size() > large->size()) std::swap(small, large);
   size_t common = 0;
-  for (const Match& m : *small) {
-    if (large->Contains(m)) ++common;
+  auto a = matches_.begin();
+  auto b = other.matches_.begin();
+  while (a != matches_.end() && b != other.matches_.end()) {
+    if (*a < *b) {
+      ++a;
+    } else if (*b < *a) {
+      ++b;
+    } else {
+      ++common;
+      ++a;
+      ++b;
+    }
   }
   return common;
 }

@@ -5,11 +5,19 @@
 // MatchSet deduplicates by that identity and offers the set-similarity
 // metrics used throughout the evaluation (recall, precision, F1,
 // Jaccard).
+//
+// Layout: a MatchSet is one flat std::vector<Match>, sorted by
+// Match::operator< (lexicographic over the sorted ids) and free of
+// duplicates. Every public call leaves it normalized, so const readers
+// never write and may share a set across threads. Engines do not insert
+// one match at a time: they append to a plain std::vector<Match>, which
+// the MatchSet(std::vector<Match>) constructor sorts and deduplicates
+// once, and Merge folds that run into the set by touching only the
+// stored tail the run overlaps.
 
 #ifndef DLACEP_CEP_MATCH_H_
 #define DLACEP_CEP_MATCH_H_
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -37,29 +45,37 @@ struct Match {
 /// Builds a match from the positively bound variables of a binding.
 Match MatchFromBinding(const Binding& binding);
 
-/// A deduplicated set of matches.
+/// A deduplicated set of matches, stored as a sorted flat vector.
 class MatchSet {
  public:
-  /// Inserts a match; returns true when it was not present yet.
+  using const_iterator = std::vector<Match>::const_iterator;
+
+  MatchSet() = default;
+  /// Sorts and deduplicates `matches` once.
+  explicit MatchSet(std::vector<Match> matches);
+
+  /// Inserts a match; returns true when it was not present yet. Costs a
+  /// binary search plus a shift of the later matches: use it for one-off
+  /// inserts, and the vector constructor plus Merge for bulk output.
   bool Insert(Match match);
 
-  /// Inserts every match of `other`.
-  void Merge(const MatchSet& other);
+  /// Inserts every match of `other` (pass an rvalue to move them). Only
+  /// the stored matches not below other's first one are touched, so
+  /// merging runs in ascending order costs the overlap, not the set.
+  void Merge(MatchSet other);
 
-  bool Contains(const Match& match) const {
-    return matches_.count(match) > 0;
-  }
+  bool Contains(const Match& match) const;
   size_t size() const { return matches_.size(); }
   bool empty() const { return matches_.empty(); }
 
-  std::set<Match>::const_iterator begin() const { return matches_.begin(); }
-  std::set<Match>::const_iterator end() const { return matches_.end(); }
+  const_iterator begin() const { return matches_.begin(); }
+  const_iterator end() const { return matches_.end(); }
 
   /// |this ∩ other|.
   size_t IntersectionSize(const MatchSet& other) const;
 
  private:
-  std::set<Match> matches_;
+  std::vector<Match> matches_;  ///< ascending, no duplicates
 };
 
 /// Set-similarity metrics between an exact match set and an approximate

@@ -49,8 +49,8 @@ struct Record {
 class NfaRun {
  public:
   NfaRun(const LinearPlan& plan, const Pattern& pattern,
-         std::span<const Event> events, EngineStats* stats, MatchSet* out,
-         EngineBudget* budget)
+         std::span<const Event> events, EngineStats* stats,
+         std::vector<Match>* out, EngineBudget* budget)
       : plan_(plan),
         window_(pattern.window()),
         events_(events),
@@ -221,7 +221,7 @@ class NfaRun {
     }
     ++stats_->matches_emitted;
     std::reverse(ids.begin(), ids.end());
-    out_->Insert(Match(std::move(ids)));
+    out_->emplace_back(std::move(ids));
   }
 
   /// Points by_pos_ at the events of the chain ending at `index`.
@@ -274,7 +274,7 @@ class NfaRun {
   const WindowSpec& window_;
   std::span<const Event> events_;
   EngineStats* stats_;
-  MatchSet* out_;
+  std::vector<Match>* out_;
   EngineBudget* budget_;
   const uint64_t full_mask_;
   uint64_t kleene_mask_ = 0;
@@ -294,8 +294,8 @@ class NfaRun {
 Status NfaEngine::Evaluate(std::span<const Event> events, MatchSet* out) {
   return EvaluatePlans(
       events, out, options_, plans_.size(),
-      [&](size_t i, MatchSet* sink, EngineBudget* budget) {
-        NfaRun(plans_[i], pattern_, events, &stats_, sink, budget).Run();
+      [&](size_t i, std::vector<Match>* found, EngineBudget* budget) {
+        NfaRun(plans_[i], pattern_, events, &stats_, found, budget).Run();
       });
 }
 

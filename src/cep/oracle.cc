@@ -196,11 +196,11 @@ void ForEachMatch(const Pattern& pattern, std::span<const Event> events,
 
 MatchSet EnumerateAllMatches(const Pattern& pattern,
                              std::span<const Event> events) {
-  MatchSet out;
-  ForEachMatch(pattern, events, [&out](const Binding& binding) {
-    out.Insert(MatchFromBinding(binding));
+  std::vector<Match> found;
+  ForEachMatch(pattern, events, [&found](const Binding& binding) {
+    found.push_back(MatchFromBinding(binding));
   });
-  return out;
+  return MatchSet(std::move(found));
 }
 
 }  // namespace dlacep

@@ -200,7 +200,8 @@ std::vector<TreeEngine::Item> TreeEngine::EvalNode(
 }
 
 void TreeEngine::EvaluatePlan(size_t plan_index,
-                              std::span<const Event> events, MatchSet* out,
+                              std::span<const Event> events,
+                              std::vector<Match>* out,
                               EngineBudget* budget) {
   const LinearPlan& plan = plans_[plan_index];
   const PlanTree& tree = trees_[plan_index];
@@ -216,7 +217,7 @@ void TreeEngine::EvaluatePlan(size_t plan_index,
     }
     if (!pass) continue;
     ++stats_.matches_emitted;
-    out->Insert(MatchFromBinding(item.binding));
+    out->push_back(MatchFromBinding(item.binding));
   }
 }
 
@@ -236,8 +237,8 @@ Status TreeEngine::Evaluate(std::span<const Event> events, MatchSet* out) {
   }
   return EvaluatePlans(
       events, out, options_, plans_.size(),
-      [&](size_t i, MatchSet* sink, EngineBudget* budget) {
-        EvaluatePlan(i, events, sink, budget);
+      [&](size_t i, std::vector<Match>* found, EngineBudget* budget) {
+        EvaluatePlan(i, events, found, budget);
       });
 }
 

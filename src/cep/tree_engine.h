@@ -68,7 +68,7 @@ class TreeEngine : public CepEngine {
                              int node_index, std::span<const Event> events,
                              EngineBudget* budget);
   void EvaluatePlan(size_t plan_index, std::span<const Event> events,
-                    MatchSet* out, EngineBudget* budget);
+                    std::vector<Match>* out, EngineBudget* budget);
 
   Pattern pattern_;
   EngineOptions options_;

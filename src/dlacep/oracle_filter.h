@@ -7,13 +7,26 @@
 #ifndef DLACEP_DLACEP_ORACLE_FILTER_H_
 #define DLACEP_DLACEP_ORACLE_FILTER_H_
 
+#include <memory>
+#include <span>
+#include <vector>
+
 #include "dlacep/filter.h"
 
 namespace dlacep {
 
 class OracleFilter : public StreamFilter {
  public:
-  explicit OracleFilter(const Pattern& pattern) : labeler_(pattern) {}
+  /// Marks the OR of every pattern's labels, as the labeler unifies the
+  /// labels of a pattern set. `patterns` must be non-empty.
+  explicit OracleFilter(std::span<const Pattern> patterns) {
+    DLACEP_CHECK(!patterns.empty());
+    for (const Pattern& pattern : patterns) {
+      labelers_.push_back(std::make_unique<SampleLabeler>(pattern));
+    }
+  }
+  explicit OracleFilter(const Pattern& pattern)
+      : OracleFilter(std::span<const Pattern>(&pattern, 1)) {}
 
   std::string name() const override { return "oracle"; }
 
@@ -22,11 +35,17 @@ class OracleFilter : public StreamFilter {
   // stage are safe (though the oracle itself won't scale with threads).
   std::vector<int> Mark(const EventStream& stream,
                         WindowRange range) const override {
-    return labeler_.Label(stream, range).event_labels;
+    std::vector<int> marks = labelers_[0]->Label(stream, range).event_labels;
+    for (size_t i = 1; i < labelers_.size(); ++i) {
+      const std::vector<int> more =
+          labelers_[i]->Label(stream, range).event_labels;
+      for (size_t t = 0; t < marks.size(); ++t) marks[t] |= more[t];
+    }
+    return marks;
   }
 
  private:
-  SampleLabeler labeler_;
+  std::vector<std::unique_ptr<SampleLabeler>> labelers_;
 };
 
 /// A filter that marks everything — DLACEP degenerates to plain ECEP plus

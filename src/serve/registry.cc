@@ -3,6 +3,7 @@
 #include <mutex>
 #include <utility>
 
+#include "cep/engine.h"
 #include "obs/stages.h"
 
 namespace dlacep {
@@ -44,6 +45,10 @@ StatusOr<QueryId> QueryRegistry::Register(const Pattern& pattern,
     return Status::InvalidArgument(
         "online serving requires a count window (WITHIN n EVENTS)");
   }
+  // Extraction creates this engine at end of stream; a shape it cannot
+  // compile is rejected here, not there.
+  auto probe = CreateEngine(options.engine, pattern);
+  if (!probe.ok()) return probe.status();
   std::lock_guard<std::mutex> lock(mu_);
   QueryEntry entry;
   entry.id = next_id_++;

@@ -67,9 +67,9 @@ class QueryRegistry {
  public:
   QueryRegistry();
 
-  /// Validates (structure + count window) and publishes a new snapshot
-  /// including the pattern. Thread-safe; returns the id Unregister
-  /// takes.
+  /// Validates (structure + count window + the chosen engine's support
+  /// for the pattern's shape) and publishes a new snapshot including the
+  /// pattern. Thread-safe; returns the id Unregister takes.
   StatusOr<QueryId> Register(const Pattern& pattern,
                              QueryOptions options = {});
 

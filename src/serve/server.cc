@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -134,6 +135,9 @@ Status MultiQueryServer::ExtractShared(const RegistrySnapshot& snapshot,
   struct EventSet {
     std::vector<const Event*> events;  ///< ascending id
     std::unordered_set<TypeId> types;
+    /// The blank-stripped copy the engines read, built by the first unit
+    /// that evaluates this set and shared by the units after it.
+    std::optional<std::vector<Event>> dense;
   };
   std::vector<EventSet> sets;
   std::map<std::vector<EventId>, size_t> set_index;
@@ -215,7 +219,7 @@ Status MultiQueryServer::ExtractShared(const RegistrySnapshot& snapshot,
     }
     for (const auto& [set_id, members] : partitions) {
       ++result->sharing.partitions;
-      const EventSet& set = sets[set_id];
+      EventSet& set = sets[set_id];
 
       bool occupied = true;
       for (const std::vector<TypeId>& required : group.required_types) {
@@ -251,11 +255,14 @@ Status MultiQueryServer::ExtractShared(const RegistrySnapshot& snapshot,
         }
       }
 
-      std::vector<Event> events;
-      events.reserve(set.events.size());
-      for (const Event* e : set.events) {
-        if (!e->is_blank()) events.push_back(*e);
+      if (!set.dense) {
+        set.dense.emplace();
+        set.dense->reserve(set.events.size());
+        for (const Event* e : set.events) {
+          if (!e->is_blank()) set.dense->push_back(*e);
+        }
       }
+      const std::vector<Event>& events = *set.dense;
       if (events.empty()) continue;
 
       const QueryEntry& canonical = snapshot.queries[members[0]];
@@ -263,7 +270,7 @@ Status MultiQueryServer::ExtractShared(const RegistrySnapshot& snapshot,
       unit_options.pattern_label = canonical.name;
       auto made =
           CreateEngine(canonical.engine, *canonical.pattern, unit_options);
-      DLACEP_CHECK_MSG(made.ok(), made.status().ToString());
+      if (!made.ok()) return made.status();
       const std::unique_ptr<CepEngine> engine = std::move(made).value();
       MatchSet matches;
       bool ran = false;  // at least one chunk actually evaluated
@@ -340,8 +347,13 @@ Status MultiQueryServer::ExtractShared(const RegistrySnapshot& snapshot,
         PublishEngineStats(engine->name(), engine->stats(), matches.size());
       }
       for (size_t i = 0; i < members.size(); ++i) {
-        result->queries[members[i]].matches.Merge(matches);
-        result->queries[members[i]].shared = i > 0;
+        QueryResult& query = result->queries[members[i]];
+        if (i + 1 < members.size()) {
+          query.matches.Merge(matches);
+        } else {
+          query.matches.Merge(std::move(matches));
+        }
+        query.shared = i > 0;
       }
     }
   }

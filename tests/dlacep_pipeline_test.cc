@@ -21,6 +21,7 @@
 namespace dlacep {
 namespace {
 
+using testing_util::AscendingSeqPattern;
 using testing_util::SmallStream;
 
 std::span<const Event> SpanOf(const EventStream& stream) {
@@ -210,6 +211,30 @@ TEST(Pipeline, OracleFilterAchievesFullRecallAndNoFalsePositives) {
   EXPECT_EQ(comparison.quality.precision, 1.0);
   EXPECT_GT(comparison.exact_matches.size(), 0u);
   EXPECT_GT(comparison.dlacep.filtering_ratio(), 0.0);
+}
+
+TEST(OracleFilter, PatternSetMarksAreTheOrOfPerPatternMarks) {
+  const EventStream stream = SmallStream(300, 11);
+  const std::vector<Pattern> patterns = {
+      AscendingSeqPattern(stream.schema_ptr(), 2, 8),
+      AscendingSeqPattern(stream.schema_ptr(), 3, 12, /*first_type=*/2)};
+  const OracleFilter set_filter(patterns);
+  const OracleFilter first(patterns[0]);
+  const OracleFilter second(patterns[1]);
+  bool second_adds = false;
+  for (size_t begin = 0; begin + 24 <= stream.size(); begin += 12) {
+    const WindowRange range{begin, begin + 24};
+    const std::vector<int> a = first.Mark(stream, range);
+    const std::vector<int> b = second.Mark(stream, range);
+    std::vector<int> expected(a.size());
+    for (size_t t = 0; t < a.size(); ++t) {
+      expected[t] = a[t] | b[t];
+      second_adds |= b[t] != 0 && a[t] == 0;
+    }
+    EXPECT_EQ(set_filter.Mark(stream, range), expected) << "at " << begin;
+  }
+  // Not vacuous: the second pattern marks events the first does not.
+  EXPECT_TRUE(second_adds);
 }
 
 TEST(Pipeline, PassThroughFilterReproducesEcepExactly) {

@@ -1,7 +1,14 @@
-// Unit tests for matches, match sets, set metrics, the Φ complexity
-// model, and selectivity estimation.
+// Unit tests for matches, match sets (checked against a std::set<Match>
+// reference), set metrics, the Φ complexity model, and selectivity
+// estimation.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <random>
+#include <set>
+#include <vector>
 
 #include "cep/engine.h"
 #include "cep/match.h"
@@ -32,6 +39,98 @@ TEST(MatchSet, InsertDeduplicatesAndMergeUnions) {
   set.Merge(other);
   EXPECT_EQ(set.size(), 2u);
   EXPECT_EQ(set.IntersectionSize(other), 2u);
+}
+
+/// A match of 0..5 ids from a small id range, so repeats, prefixes
+/// ({3,4} before {3,4,7}) and varying Kleene lengths are common.
+Match RandomMatch(std::mt19937* rng, EventId lo, EventId hi) {
+  std::uniform_int_distribution<EventId> id(lo, hi);
+  std::uniform_int_distribution<size_t> len(0, 5);
+  std::vector<EventId> ids(len(*rng));
+  for (EventId& v : ids) v = id(*rng);
+  return Match(std::move(ids));
+}
+
+std::vector<Match> RandomRun(std::mt19937* rng, size_t n, EventId lo,
+                             EventId hi) {
+  std::vector<Match> run;
+  for (size_t i = 0; i < n; ++i) run.push_back(RandomMatch(rng, lo, hi));
+  return run;
+}
+
+void ExpectSameSequence(const MatchSet& set, const std::set<Match>& ref) {
+  ASSERT_EQ(set.size(), ref.size());
+  EXPECT_TRUE(std::equal(set.begin(), set.end(), ref.begin(), ref.end()));
+}
+
+TEST(MatchSet, AgreesWithAnOrderedTreeReference) {
+  std::mt19937 rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    MatchSet set;
+    std::set<Match> ref;
+    for (int op = 0; op < 40; ++op) {
+      switch (rng() % 4) {
+        case 0: {
+          const Match m = RandomMatch(&rng, 0, 12);
+          EXPECT_EQ(set.Insert(m), ref.insert(m).second);
+          break;
+        }
+        case 1: {
+          // A raw engine run: unsorted, with repeats, possibly overlapping
+          // every stored match.
+          const std::vector<Match> run = RandomRun(&rng, rng() % 20, 0, 12);
+          ref.insert(run.begin(), run.end());
+          MatchSet other(run);
+          if (rng() % 2 == 0) {
+            set.Merge(other);
+            EXPECT_EQ(other.size(), MatchSet(run).size());
+          } else {
+            set.Merge(std::move(other));
+          }
+          break;
+        }
+        case 2: {
+          const Match m = RandomMatch(&rng, 0, 12);
+          EXPECT_EQ(set.Contains(m), ref.count(m) > 0);
+          break;
+        }
+        default: {
+          const std::vector<Match> run = RandomRun(&rng, rng() % 30, 0, 12);
+          const std::set<Match> other_ref(run.begin(), run.end());
+          std::vector<Match> common;
+          std::set_intersection(ref.begin(), ref.end(), other_ref.begin(),
+                                other_ref.end(), std::back_inserter(common));
+          const MatchSet other(run);
+          EXPECT_EQ(set.IntersectionSize(other), common.size());
+          EXPECT_EQ(other.IntersectionSize(set), common.size());
+          break;
+        }
+      }
+      ExpectSameSequence(set, ref);
+    }
+  }
+}
+
+TEST(MatchSet, ChunkOrderedMergesEqualOneWholeMerge) {
+  // Serve's chunk geometry: run k holds matches whose ids lie in
+  // [k*step, k*step + span), so consecutive runs overlap the stored tail
+  // by span - step ids: each merge interleaves the run with that tail.
+  std::mt19937 rng(7);
+  constexpr EventId kSpan = 16;
+  constexpr EventId kStep = 9;
+  MatchSet chunked;
+  std::vector<Match> all;
+  for (EventId k = 0; k < 60; ++k) {
+    const std::vector<Match> run =
+        RandomRun(&rng, 25, k * kStep, k * kStep + kSpan - 1);
+    all.insert(all.end(), run.begin(), run.end());
+    chunked.Merge(MatchSet(run));
+  }
+  const std::set<Match> ref(all.begin(), all.end());
+  ExpectSameSequence(chunked, ref);
+  ExpectSameSequence(MatchSet(all), ref);
+  for (const Match& m : ref) EXPECT_TRUE(chunked.Contains(m));
+  EXPECT_FALSE(chunked.Contains(Match({0, 1000})));
 }
 
 TEST(MatchSetMetricsTest, ComputesRecallPrecisionF1Jaccard) {

@@ -107,6 +107,28 @@ TEST(QueryRegistry, RejectsTimeWindowsAndUnknownUnregister) {
   EXPECT_FALSE(registry.Unregister(99).ok());
 }
 
+TEST(QueryRegistry, RejectsAnEngineThatCannotCompileTheQuery) {
+  const EventStream stream = SmallStream(50, 3);
+  QueryRegistry registry;
+
+  PatternBuilder builder(stream.schema_ptr());
+  auto root = builder.Seq(builder.Prim("A", "a"),
+                          builder.Kleene(builder.Prim("B", "ks"), 1, 2),
+                          builder.Prim("C", "c"));
+  const Pattern kleene =
+      builder.BuildOrDie(std::move(root), WindowSpec::Count(12));
+  QueryOptions lazy;
+  lazy.engine = EngineKind::kLazy;
+  const auto rejected = registry.Register(kleene, lazy);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(registry.size(), 0u);
+
+  // The NFA compiles every validated shape.
+  EXPECT_TRUE(registry.Register(kleene).ok());
+  EXPECT_EQ(registry.size(), 1u);
+}
+
 // ---------------------------------------------------------------------
 // Shared-CEP planning.
 

@@ -497,7 +497,8 @@ struct OnlineFilter {
 };
 
 /// Builds the --filter kind for `patterns` (non-empty): type shedding
-/// relays every pattern's types; the other kinds serve patterns[0].
+/// relays every pattern's types and the oracle marks every pattern's
+/// labels; the trained kinds learn patterns[0].
 StatusOr<OnlineFilter> MakeOnlineFilter(const Args& args,
                                         std::span<const Pattern> patterns) {
   const Pattern& pattern = patterns[0];
@@ -513,7 +514,7 @@ StatusOr<OnlineFilter> MakeOnlineFilter(const Args& args,
         args.GetDouble("keep", 0.5),
         static_cast<uint64_t>(args.GetInt("seed", 1)));
   } else if (kind == "oracle") {
-    out.owned = std::make_unique<OracleFilter>(pattern);
+    out.owned = std::make_unique<OracleFilter>(patterns);
   } else if (kind == "event" || kind == "window") {
     auto train = LoadStream(args.Get("train"),
                             std::make_shared<Schema>(pattern.schema()));
@@ -741,8 +742,8 @@ int StreamMultiQuery(const Args& args, std::vector<Pattern> patterns,
   // Shared trunk: --filter event trains ONE network over all queries
   // (unified labels, paper section 4.3) and serves per-query heads off
   // its CRF marginals. Every other kind marks once per window and all
-  // queries share the base marks (the shedding baselines judge
-  // relevance against query 0 only).
+  // queries share the base marks (type shedding relays every query's
+  // types and the oracle marks every query's labels).
   const std::string kind = args.Get("filter", "pass");
   std::unique_ptr<MultiPatternDlacep> multi;
   OnlineFilter base;
