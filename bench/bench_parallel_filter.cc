@@ -316,8 +316,9 @@ void SweepMetricsOverhead(const std::string& label, const Pattern& pattern,
 /// are far apart by construction, and the adaptive engine's cost model
 /// must find the cheap one. CI gates the "adaptive-gate engine=..."
 /// rows: adaptive events_per_sec >= 0.9x the best static engine and
-/// >= 1.2x the worst (the cost of picking wrong), and the "selected="
-/// row must name the lazy engine.
+/// >= 1.2x the worst (the cost of picking wrong), the "selected=" row
+/// must name the lazy engine, and the tree's work_per_event ((transitions
+/// + partial matches) per event, deterministic) must be below the NFA's.
 void SweepEngines() {
   const EventStream stream = GenerateStockStream(StockConfig(30000, 4242));
   PatternBuilder b(stream.schema_ptr());
@@ -340,6 +341,7 @@ void SweepEngines() {
     double best_seconds = 0.0;
     bool identical = true;
     size_t match_count = 0;
+    double work_per_event = 0.0;
     std::string selected;
     for (int rep = 0; rep < kRepetitions; ++rep) {
       auto engine = CreateEngine(kind, pattern);
@@ -347,7 +349,11 @@ void SweepEngines() {
       MatchSet matches;
       const Status status = engine.value()->Evaluate(span, &matches);
       DLACEP_CHECK_MSG(status.ok(), status.ToString());
-      const double seconds = engine.value()->stats().elapsed_seconds;
+      const EngineStats& stats = engine.value()->stats();
+      const double seconds = stats.elapsed_seconds;
+      work_per_event =
+          static_cast<double>(stats.transitions + stats.partial_matches) /
+          static_cast<double>(stats.events_processed);
       if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
       match_count = matches.size();
       if (!have_reference) {
@@ -365,15 +371,17 @@ void SweepEngines() {
     const double events_per_sec =
         static_cast<double>(stream.size()) / std::max(best_seconds, 1e-9);
     std::printf("%-28s engine=%-12s  eval=%8.4fs  %9.0f ev/s  "
-                "matches=%zu  identical=%s%s%s\n",
+                "work/ev=%8.2f  matches=%zu  identical=%s%s%s\n",
                 "adaptive-gate", EngineKindName(kind), best_seconds,
-                events_per_sec, match_count, identical ? "yes" : "NO",
+                events_per_sec, work_per_event, match_count,
+                identical ? "yes" : "NO",
                 selected.empty() ? "" : "  selected=", selected.c_str());
     std::fflush(stdout);
     const std::string key =
         std::string("adaptive-gate engine=") + EngineKindName(kind);
     JsonReport::Metric(key, "eval_seconds", best_seconds);
     JsonReport::Metric(key, "events_per_sec", events_per_sec);
+    JsonReport::Metric(key, "work_per_event", work_per_event);
     JsonReport::Metric(key, "matches", static_cast<double>(match_count));
     JsonReport::Metric(key, "identical", identical ? 1.0 : 0.0);
     if (!selected.empty()) {

@@ -5,7 +5,14 @@
 // The plan's positions become the leaves of a binary join tree, shaped by
 // the plan-cost model's tree search (pattern/selectivity.h) over rates and
 // selectivities sampled on the first evaluated span. Intermediate join
-// results are the engine's partial matches.
+// results (one event per position of a node) are the partial matches.
+//
+// Each node tests the plan's compiled checks whose positions first all lie
+// inside it; a complete match tests only the emission checks. Joins are
+// window-constrained (Kolchinsky & Schuster, 1801.09413): a left item
+// probes only the right items starting within W of it (by first id, or
+// earliest timestamp for a time window), so a join's work follows the
+// per-window |left|·|right| pairs the plan-cost model charges.
 //
 // Supported pattern class: DISJ branches of SEQ / CONJ over primitives
 // (no KC, no NEG, no group repetition) — exactly the class ZStream
@@ -41,21 +48,19 @@ class TreeEngine : public CepEngine {
   struct TreeNode {
     size_t lo = 0;
     size_t hi = 0;
-    int left = -1;   ///< index into nodes_, -1 for leaves
+    int left = -1;   ///< index into nodes, -1 for leaves
     int right = -1;
-    /// Conditions first fully evaluable at this node.
-    std::vector<const Condition*> conditions;
+    /// The plan's checks whose positions first all lie in [lo, hi].
+    std::vector<PositionCheck> checks;
   };
 
-  /// Per-plan compiled tree.
-  struct PlanTree {
-    std::vector<TreeNode> nodes;  ///< nodes_[root] is the last entry
-    int root = -1;
-  };
+  /// Per-plan compiled tree, built bottom-up: the root is the last node.
+  using PlanTree = std::vector<TreeNode>;
 
-  /// An intermediate join result: events for positions [lo, hi].
+  /// An intermediate join result over one node's positions.
   struct Item {
-    Binding binding;
+    /// by_pos[p]: the event at plan position p, null outside the node.
+    std::vector<const Event*> by_pos;
     EventId min_id = 0;
     EventId max_id = 0;
     double min_ts = 0.0;
@@ -67,6 +72,9 @@ class TreeEngine : public CepEngine {
   std::vector<Item> EvalNode(const LinearPlan& plan, const PlanTree& tree,
                              int node_index, std::span<const Event> events,
                              EngineBudget* budget);
+  /// Whether `item` passes `checks` (flat, else Eval on scratch_).
+  bool Passes(const LinearPlan& plan,
+              const std::vector<PositionCheck>& checks, const Item& item);
   void EvaluatePlan(size_t plan_index, std::span<const Event> events,
                     std::vector<Match>* out, EngineBudget* budget);
 
@@ -75,6 +83,7 @@ class TreeEngine : public CepEngine {
   std::vector<LinearPlan> plans_;
   std::vector<PlanTree> trees_;
   bool trees_built_ = false;
+  Binding scratch_;  ///< the Condition::Eval fallback's binding
 };
 
 }  // namespace dlacep

@@ -19,7 +19,6 @@ const char* LevelTag(LogLevel level) {
 }  // namespace
 
 void SetLogLevel(LogLevel level) { g_level = level; }
-LogLevel GetLogLevel() { return g_level; }
 
 namespace internal {
 

@@ -16,7 +16,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
 /// Sets the minimum level that is actually emitted.
 void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 namespace internal {
 

@@ -56,10 +56,6 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -22,9 +22,6 @@ std::string_view Trim(std::string_view input);
 /// Case-insensitive ASCII comparison.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
-/// True when `s` starts with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
-
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -8,7 +8,6 @@
 #include <immintrin.h>
 #endif
 
-#include "common/string_util.h"
 
 namespace dlacep {
 
@@ -71,11 +70,6 @@ T MatrixT<T>::MaxAbsDiff(const MatrixT& other) const {
     worst = std::max(worst, std::abs(data_[i] - other.data_[i]));
   }
   return worst;
-}
-
-template <typename T>
-std::string MatrixT<T>::ShapeString() const {
-  return StrFormat("%zux%zu", rows_, cols_);
 }
 
 template class MatrixT<double>;

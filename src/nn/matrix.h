@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <new>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -126,8 +125,6 @@ class MatrixT {
   bool SameShape(const MatrixT& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }
-
-  std::string ShapeString() const;
 
  private:
   size_t rows_ = 0;

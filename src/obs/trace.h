@@ -57,15 +57,6 @@ class TraceSpan {
 #endif
 };
 
-/// Seconds on the same monotonic clock TraceSpan uses — for manual
-/// timestamping (e.g. stamping an event at queue push so queue-wait can
-/// be measured at pop).
-inline double MonotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 }  // namespace obs
 }  // namespace dlacep
 

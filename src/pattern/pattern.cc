@@ -235,14 +235,6 @@ void CollectTypeSets(const PatternNode& node,
   for (const auto& child : node.children) CollectTypeSets(*child, out);
 }
 
-bool ContainsNeg(const PatternNode& node) {
-  if (node.kind == OpKind::kNeg) return true;
-  for (const auto& child : node.children) {
-    if (ContainsNeg(*child)) return true;
-  }
-  return false;
-}
-
 void RenderNode(const PatternNode& node, const Schema& schema,
                 const std::vector<VarInfo>& vars, std::ostringstream* out) {
   switch (node.kind) {
@@ -299,8 +291,6 @@ std::vector<std::vector<TypeId>> Pattern::PrimitiveTypeSets() const {
   CollectTypeSets(*root_, &sets);
   return sets;
 }
-
-bool Pattern::HasNegation() const { return ContainsNeg(*root_); }
 
 namespace {
 // Conditions render variables as "v<id>"; substitute the declared names

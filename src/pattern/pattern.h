@@ -118,10 +118,6 @@ class Pattern {
   /// encodings by membership signature (paper §4.3).
   std::vector<std::vector<TypeId>> PrimitiveTypeSets() const;
 
-  /// True when the pattern contains a NEG operator (affects both the
-  /// labeling scheme and the accuracy metric; paper §4.4, §5.1).
-  bool HasNegation() const;
-
   /// Human-readable rendering for logs and reports.
   std::string ToString() const;
 

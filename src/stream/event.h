@@ -50,11 +50,6 @@ struct Event {
   }
 };
 
-/// Strict stream order: by the arrival identifier.
-inline bool ArrivesBefore(const Event& a, const Event& b) {
-  return a.id < b.id;
-}
-
 }  // namespace dlacep
 
 #endif  // DLACEP_STREAM_EVENT_H_

@@ -28,16 +28,6 @@ bool FitsWindow(const std::vector<const Event*>& events,
   return hi - lo <= window.size;
 }
 
-bool FitsWindowIncremental(const Event& earliest, const Event& next,
-                           const WindowSpec& window) {
-  if (window.kind == WindowKind::kCount) {
-    DLACEP_CHECK_GE(next.id, earliest.id);
-    return next.id - earliest.id <=
-           static_cast<EventId>(window.count_size()) - 1;
-  }
-  return next.timestamp - earliest.timestamp <= window.size;
-}
-
 std::vector<WindowRange> CountWindows(size_t stream_size, size_t window_size,
                                       size_t step) {
   DLACEP_CHECK_GT(window_size, 0u);

@@ -40,11 +40,6 @@ struct WindowSpec {
 bool FitsWindow(const std::vector<const Event*>& events,
                 const WindowSpec& window);
 
-/// Incremental version used by engines: checks whether `next` stays within
-/// the window anchored at the earliest event seen so far.
-bool FitsWindowIncremental(const Event& earliest, const Event& next,
-                           const WindowSpec& window);
-
 /// A half-open index range [begin, end) into a stream.
 struct WindowRange {
   size_t begin = 0;

@@ -1,6 +1,5 @@
 #include "workloads/report.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -44,42 +43,6 @@ ExperimentRow RunDlacepExperiment(const std::string& label,
   row.acep_partial_matches = comparison.dlacep.cep_stats.partial_matches;
   row.exact_matches = comparison.exact_matches.size();
   row.emitted_matches = comparison.dlacep.matches.size();
-  return row;
-}
-
-ExperimentRow RunEngineExperiment(const std::string& label,
-                                  const Pattern& pattern,
-                                  const EventStream& test,
-                                  EngineKind engine) {
-  ExperimentRow row;
-  row.label = label;
-  row.filter = EngineKindName(engine);
-
-  const std::span<const Event> span(test.events().data(), test.size());
-
-  auto baseline = CreateEngine(EngineKind::kNfa, pattern);
-  DLACEP_CHECK_MSG(baseline.ok(), baseline.status().ToString());
-  MatchSet exact;
-  DLACEP_CHECK(baseline.value()->Evaluate(span, &exact).ok());
-  const double baseline_seconds = baseline.value()->stats().elapsed_seconds;
-  row.ecep_partial_matches = baseline.value()->stats().partial_matches;
-  row.exact_matches = exact.size();
-
-  auto candidate = CreateEngine(engine, pattern);
-  DLACEP_CHECK_MSG(candidate.ok(), candidate.status().ToString());
-  MatchSet matches;
-  DLACEP_CHECK(candidate.value()->Evaluate(span, &matches).ok());
-  row.acep_partial_matches = candidate.value()->stats().partial_matches;
-  row.emitted_matches = matches.size();
-
-  const MatchSetMetrics quality = CompareMatchSets(exact, matches);
-  row.recall = quality.recall;
-  row.precision = quality.precision;
-  row.f1 = quality.f1;
-  row.fn_pct = quality.false_negative_pct;
-  row.throughput_gain =
-      baseline_seconds /
-      std::max(candidate.value()->stats().elapsed_seconds, 1e-9);
   return row;
 }
 

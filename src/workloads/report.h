@@ -41,13 +41,6 @@ ExperimentRow RunDlacepExperiment(const std::string& label,
                                   const EventStream& test, FilterKind kind,
                                   const DlacepConfig& config);
 
-/// Measures a bare engine (for Fig 12's ECEP-optimization baselines):
-/// gain is measured against the NFA ECEP baseline on the same stream.
-ExperimentRow RunEngineExperiment(const std::string& label,
-                                  const Pattern& pattern,
-                                  const EventStream& test,
-                                  EngineKind engine);
-
 /// Table printing.
 void PrintHeader(const std::string& title);
 void PrintRow(const ExperimentRow& row);

@@ -232,11 +232,12 @@ TEST(TimeWindowEquivalence, SeqMatchesOracle) {
 }
 
 // SEQ(top-3, top-3, rank 40–50) over a Zipf-skewed stock stream with a
-// time window: the lazy engine must find the NFA's matches. On this
-// stream (timestamps never decrease) it bounds each chain step's
-// candidates to [max bound ts − W, min bound ts + W] by binary search;
-// a scan of every later candidate examined 323,021 of them at W = 0.5
-// (the NFA 2,475 transitions).
+// time window: the lazy and tree engines must find the NFA's matches
+// (the tree's window joins key on timestamps here). On this stream
+// (timestamps never decrease) lazy bounds each chain step's candidates
+// to [max bound ts − W, min bound ts + W] by binary search; a scan of
+// every later candidate examined 323,021 of them at W = 0.5 (the NFA
+// 2,475 transitions).
 Pattern TopTopRarePattern(std::shared_ptr<const Schema> schema, double w) {
   PatternBuilder b(std::move(schema));
   std::vector<TypeId> rare;
@@ -258,33 +259,44 @@ TEST(TimeWindowEquivalence, LazyBoundsCandidatesByTimestamp) {
   for (const double w : {0.5, 2.0, 6.0}) {
     const Pattern pattern = TopTopRarePattern(stream.schema_ptr(), w);
     auto nfa = CreateEngine(EngineKind::kNfa, pattern);
-    auto lazy = CreateEngine(EngineKind::kLazy, pattern);
-    ASSERT_TRUE(nfa.ok() && lazy.ok());
+    ASSERT_TRUE(nfa.ok());
     MatchSet expected;
-    MatchSet actual;
     ASSERT_TRUE(nfa.value()->Evaluate(SpanOf(stream), &expected).ok());
-    ASSERT_TRUE(lazy.value()->Evaluate(SpanOf(stream), &actual).ok());
-    EXPECT_EQ(actual.size(), expected.size()) << "W = " << w;
-    EXPECT_EQ(actual.IntersectionSize(expected), expected.size())
-        << "W = " << w;
-    if (w == 0.5) {
-      EXPECT_LT(lazy.value()->stats().transitions, 323021u);
-    } else {
-      EXPECT_GT(expected.size(), 0u) << "W = " << w;
+    for (const EngineKind kind : {EngineKind::kLazy, EngineKind::kTree}) {
+      auto engine = CreateEngine(kind, pattern);
+      ASSERT_TRUE(engine.ok());
+      MatchSet actual;
+      ASSERT_TRUE(engine.value()->Evaluate(SpanOf(stream), &actual).ok());
+      const std::string where =
+          engine.value()->name() + " W = " + std::to_string(w);
+      EXPECT_EQ(actual.size(), expected.size()) << where;
+      EXPECT_EQ(actual.IntersectionSize(expected), expected.size()) << where;
+      if (kind == EngineKind::kLazy && w == 0.5) {
+        EXPECT_LT(engine.value()->stats().transitions, 323021u);
+      }
     }
+    if (w != 0.5) EXPECT_GT(expected.size(), 0u) << "W = " << w;
   }
 
-  // Out-of-order timestamps: the bound is off and the per-candidate
-  // check decides, against the oracle.
+  // Out-of-order timestamps: the lazy bound is off and the per-candidate
+  // check decides; the tree's joins key on each item's earliest
+  // timestamp whatever the order. Both against the oracle, on a stream
+  // with a late event every 7 and on one whose timestamps decrease
+  // throughout (where an id-ordered join would misplace its bounds).
   EventStream shuffled(stream.schema_ptr());
+  EventStream reversed(stream.schema_ptr());
   for (size_t i = 0; i < 400; ++i) {
     const Event& e = stream[i];
     const double ts = i % 7 == 3 ? e.timestamp - 2.5 : e.timestamp;
     shuffled.Append(e.type, ts, e.attrs);
+    reversed.Append(e.type, stream[399].timestamp - e.timestamp, e.attrs);
   }
-  ExpectEngineMatchesOracle(EngineKind::kLazy,
-                            TopTopRarePattern(shuffled.schema_ptr(), 6.0),
-                            shuffled);
+  for (const EngineKind kind : {EngineKind::kLazy, EngineKind::kTree}) {
+    ExpectEngineMatchesOracle(
+        kind, TopTopRarePattern(shuffled.schema_ptr(), 6.0), shuffled);
+    ExpectEngineMatchesOracle(
+        kind, TopTopRarePattern(reversed.schema_ptr(), 6.0), reversed);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -10,6 +10,9 @@
 //    NFA's chain (pattern/selectivity.h) ranks the templates by the
 //    NFA's measured work with positive Spearman correlation.
 //
+//    The tree's work per event stays flat as the span grows and within a
+//    small constant of the tree price, with positive rank correlation.
+//
 //  * ONLINE ACROSS SHARDS — the adaptive runtime run is byte-identical
 //    (marks AND matches) to the static-NFA run at shard counts 0/1/2/4:
 //    selection is fed from the router's deterministic window-close
@@ -212,6 +215,69 @@ TEST(PlanCostModel, ChainPriceRanksNfaWork) {
   const double rho = SpearmanRho(predicted, measured);
   RecordProperty("spearman_rho", std::to_string(rho));
   std::printf("chain price vs NFA work: Spearman rho = %.3f\n", rho);
+  EXPECT_GT(rho, 0.0);
+}
+
+// The tree's joins are bounded by the window, so its work per event
+// depends on the window, not on the span length, and stays within a
+// small constant of the tree price (nodes plus per-window join probes).
+TEST(PlanCostModel, TreeWorkTracksTreePrice) {
+  std::vector<double> predicted;
+  std::vector<double> measured;
+  for (const uint64_t seed : kSeeds) {
+    const EventStream streams[2] = {
+        GenerateStockStream(StockConfig(700, seed)),
+        GenerateStockStream(StockConfig(2000, seed))};
+    const std::vector<Pattern> patterns =
+        CensusPatterns(streams[1].schema_ptr());
+    for (size_t t = 0; t < patterns.size(); ++t) {
+      const Pattern& pattern = patterns[t];
+      if (!CreateEngine(EngineKind::kTree, pattern).ok()) continue;
+      const std::string where =
+          "template " + std::to_string(t) + " seed " + std::to_string(seed);
+      // The tree's (transitions + partial matches) per event at 700 and
+      // at 2,000 events.
+      double work[2];
+      for (int i = 0; i < 2; ++i) {
+        auto tree = CreateEngine(EngineKind::kTree, pattern);
+        ASSERT_TRUE(tree.ok()) << where;
+        MatchSet out;
+        ASSERT_TRUE(tree.value()
+                        ->Evaluate(std::span<const Event>(
+                                       streams[i].events().data(),
+                                       streams[i].size()),
+                                   &out)
+                        .ok())
+            << where;
+        const EngineStats& stats = tree.value()->stats();
+        work[i] =
+            static_cast<double>(stats.transitions + stats.partial_matches) /
+            static_cast<double>(stats.events_processed);
+      }
+      // The tree price per event on the 2,000-event stream.
+      const std::span<const Event> span(streams[1].events().data(),
+                                        streams[1].size());
+      auto plans = CompilePlans(pattern);
+      ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+      const double window = WindowEvents(pattern.window(), span);
+      double price = 0.0;
+      for (const LinearPlan& plan : plans.value()) {
+        price += PriceTree(EstimatePlanStatistics(plan, span, 7), window,
+                           plan.ordered())
+                     .cost;
+      }
+      price /= window;
+      EXPECT_LE(work[1], 1.25 * work[0]) << where;
+      EXPECT_LE(work[1], 10.0 * price) << where;
+      predicted.push_back(price);
+      measured.push_back(work[1]);
+    }
+  }
+  ASSERT_EQ(predicted.size(), 33u);  // 11 tree-eligible templates
+  const double rho = SpearmanRho(predicted, measured);
+  RecordProperty("spearman_rho", std::to_string(rho));
+  std::printf("tree price vs tree work: Spearman rho = %.3f over %zu cases\n",
+              rho, predicted.size());
   EXPECT_GT(rho, 0.0);
 }
 
